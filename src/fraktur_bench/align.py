@@ -6,10 +6,13 @@ is documented on AlignmentResult. Traceback tie-breaking is fixed (match
 or substitute, then delete, then insert) so that edit scripts, and with
 them all confusion statistics, are reproducible.
 
-Small inputs run a plain two-row DP; larger ones switch to a vectorized
-row recurrence (the left-neighbor dependency resolves into a running
-minimum, so each row is a handful of array operations). Both paths
-compute the same matrix.
+One kernel computes every distance and alignment: Myers' bit-vector
+edit distance (Myers 1999, J. ACM 46(3)) on Python integers, one bit per
+ground-truth character, so each prediction character costs a fixed
+handful of integer operations whatever the line length. It keeps the
+vertical and horizontal deltas of each column, and the traceback reads
+the scores it needs off them (Hyyrö 2004, "A note on bit-parallel
+alignment computation") instead of filling a cost matrix.
 """
 
 from __future__ import annotations
@@ -17,13 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import PairingError
 from .lines import TranscriptionLine
-
-# Below this cell count the numpy row setup costs more than it saves.
-_VECTOR_THRESHOLD = 4096
 
 
 class OpKind(enum.Enum):
@@ -75,40 +73,41 @@ def script_distance(ops: EditScript) -> int:
     return sum(1 for op in ops if op.kind is not OpKind.MATCH)
 
 
-def _codepoints(s: str) -> np.ndarray:
-    return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
+def _bit_columns(gt: str, pred: str) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Bit-parallel DP over a non-empty ground truth (Myers 1999, in
+    Hyyrö's global-distance form).
 
-
-def _levenshtein_small(a: str, b: str) -> int:
-    n = len(b)
-    prev = list(range(n + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i] + [0] * n
-        for j in range(1, n + 1):
-            if ca == b[j - 1]:
-                cur[j] = prev[j - 1]
-            else:
-                cur[j] = 1 + min(prev[j - 1], prev[j], cur[j - 1])
-        prev = cur
-    return prev[n]
-
-
-def _levenshtein_rows(a: str, b: str) -> int:
-    # Row update: tentative[j] = min(diag + sub, up + 1); the left-neighbor
-    # chain cur[j] = min(tentative[j], cur[j-1] + 1) is a running minimum of
-    # (candidate - index), restored by adding the index back.
-    A = _codepoints(a)
-    B = _codepoints(b)
-    n = len(b)
-    idx = np.arange(n + 1, dtype=np.int32)
-    prev = idx.copy()
-    cand = np.empty(n + 1, dtype=np.int32)
-    for i in range(1, len(a) + 1):
-        neq = (B != A[i - 1]).astype(np.int32)
-        cand[0] = i
-        np.minimum(prev[:-1] + neq, prev[1:] + 1, out=cand[1:])
-        prev = np.minimum.accumulate(cand - idx) + idx
-    return int(prev[n])
+    Bit i-1 of each vector stands for ground-truth position i; prediction
+    characters are the columns. Returns the distance and, for each column
+    j, (VP, VN, HP, HN): the rows where the vertical delta
+    v(i,j) = D[i][j] - D[i-1][j] is +1 / -1 and where the horizontal delta
+    h(i,j) = D[i][j] - D[i][j-1] is +1 / -1.
+    """
+    m = len(gt)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    peq: dict[str, int] = {}
+    for i, c in enumerate(gt):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    vp, vn, score = mask, 0, m
+    columns = []
+    for c in pred:
+        eq = peq.get(c, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = (vn | ~(xh | vp)) & mask
+        hn = vp & xh
+        if hp & last:
+            score += 1
+        elif hn & last:
+            score -= 1
+        # Row 0 is D[0][j] = j, so +1 enters every column from above.
+        hp_in = ((hp << 1) | 1) & mask
+        hn_in = (hn << 1) & mask
+        vp = (hn_in | ~(xv | hp_in)) & mask
+        vn = hp_in & xv
+        columns.append((vp, vn, hp, hn))
+    return score, columns
 
 
 def levenshtein(gt: str, pred: str) -> int:
@@ -117,66 +116,7 @@ def levenshtein(gt: str, pred: str) -> int:
         return 0
     if not gt:
         return len(pred)
-    if not pred:
-        return len(gt)
-    if len(gt) * len(pred) < _VECTOR_THRESHOLD:
-        return _levenshtein_small(gt, pred)
-    return _levenshtein_rows(gt, pred)
-
-
-def _cost_matrix(a: str, b: str) -> np.ndarray:
-    m, n = len(a), len(b)
-    D = np.empty((m + 1, n + 1), dtype=np.int32)
-    D[0, :] = np.arange(n + 1, dtype=np.int32)
-    D[:, 0] = np.arange(m + 1, dtype=np.int32)
-    if m == 0 or n == 0:
-        return D
-    if m * n < _VECTOR_THRESHOLD:
-        for i in range(1, m + 1):
-            ca = a[i - 1]
-            row = D[i]
-            up = D[i - 1]
-            for j in range(1, n + 1):
-                if ca == b[j - 1]:
-                    row[j] = up[j - 1]
-                else:
-                    row[j] = 1 + min(up[j - 1], up[j], row[j - 1])
-        return D
-    A = _codepoints(a)
-    B = _codepoints(b)
-    idx = np.arange(n + 1, dtype=np.int32)
-    cand = np.empty(n + 1, dtype=np.int32)
-    for i in range(1, m + 1):
-        prev = D[i - 1]
-        neq = (B != A[i - 1]).astype(np.int32)
-        cand[0] = i
-        np.minimum(prev[:-1] + neq, prev[1:] + 1, out=cand[1:])
-        D[i] = np.minimum.accumulate(cand - idx) + idx
-    return D
-
-
-def _traceback(a: str, b: str, D: np.ndarray) -> EditScript:
-    # Preference on cost ties: diagonal (match/substitute), then delete,
-    # then insert. Walk backwards, then reverse.
-    ops: list[EditOp] = []
-    i, j = len(a), len(b)
-    while i > 0 or j > 0:
-        here = D[i, j]
-        if i > 0 and j > 0:
-            same = a[i - 1] == b[j - 1]
-            if here == D[i - 1, j - 1] + (0 if same else 1):
-                ops.append(match(a[i - 1]) if same else substitute(a[i - 1], b[j - 1]))
-                i -= 1
-                j -= 1
-                continue
-        if i > 0 and here == D[i - 1, j] + 1:
-            ops.append(delete(a[i - 1]))
-            i -= 1
-            continue
-        ops.append(insert(b[j - 1]))
-        j -= 1
-    ops.reverse()
-    return tuple(ops)
+    return _bit_columns(gt, pred)[0]
 
 
 @dataclass(frozen=True)
@@ -198,11 +138,42 @@ class AlignmentResult:
 
 def align(gt: str, pred: str) -> AlignmentResult:
     """Cost-optimal alignment of a prediction to its ground truth."""
-    D = _cost_matrix(gt, pred)
-    ops = _traceback(gt, pred, D)
-    distance = int(D[len(gt), len(pred)])
-    cer = distance / len(gt) if gt else float(len(pred))
-    return AlignmentResult(ops, distance, len(gt), len(pred), cer)
+    if not gt:
+        ops = tuple(insert(c) for c in pred)
+        return AlignmentResult(ops, len(pred), 0, len(pred), float(len(pred)))
+    distance, columns = _bit_columns(gt, pred)
+    # Walk back from (m, n). With d = D[i][j]: up = d - v(i,j),
+    # left = d - h(i,j), diag = left - v(i,j-1), and column 0 has v = +1.
+    # Preference on cost ties: diagonal (match/substitute), then delete,
+    # then insert.
+    ops: list[EditOp] = []
+    i, j = len(gt), len(pred)
+    while i > 0 and j > 0:
+        bit = 1 << (i - 1)
+        vp, vn, hp, hn = columns[j - 1]
+        h = 1 if hp & bit else -1 if hn & bit else 0
+        if j > 1:
+            vp_left, vn_left = columns[j - 2][:2]
+            v_left = 1 if vp_left & bit else -1 if vn_left & bit else 0
+        else:
+            v_left = 1
+        g, p = gt[i - 1], pred[j - 1]
+        # d == diag + cost  <=>  h(i,j) + v(i,j-1) == cost
+        if h + v_left == (g != p):
+            ops.append(match(g) if g == p else substitute(g, p))
+            i -= 1
+            j -= 1
+        elif vp & bit:  # d == up + 1
+            ops.append(delete(g))
+            i -= 1
+        else:
+            ops.append(insert(p))
+            j -= 1
+    ops.extend(delete(c) for c in reversed(gt[:i]))
+    ops.extend(insert(c) for c in reversed(pred[:j]))
+    ops.reverse()
+    cer = distance / len(gt)
+    return AlignmentResult(tuple(ops), distance, len(gt), len(pred), cer)
 
 
 @dataclass(frozen=True)

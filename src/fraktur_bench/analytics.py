@@ -305,20 +305,10 @@ def _cell_from_payload(data: Mapping[str, object]) -> CerCell:
     )
 
 
-def report_to_json(report: EvaluationReport) -> bytes:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": dict(report.metadata),
-        "engines": list(report.engines),
-        "datasets": list(report.datasets),
-        "cells": {
-            ds: {eng: _cell_payload(report.cells[ds][eng]) for eng in report.engines}
-            for ds in report.datasets
-        },
-        "aggregates": [
-            {"name": name, "cells": {eng: _cell_payload(row[eng]) for eng in report.engines}}
-            for name, row in report.aggregates
-        ],
+def _errors_payload(report: EvaluationReport) -> dict[str, object]:
+    """The confusion, whitespace and top_share members shared by the full
+    JSON report and the errors-only one."""
+    return {
         "confusion": {
             eng: [{"gt": e.gt_seq, "pred": e.pred_seq, "count": e.count} for e in entries]
             for eng, entries in report.confusion.items()
@@ -340,6 +330,24 @@ def report_to_json(report: EvaluationReport) -> bytes:
             }
             for eng, ts in report.top_share.items()
         },
+    }
+
+
+def report_to_json(report: EvaluationReport) -> bytes:
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "metadata": dict(report.metadata),
+        "engines": list(report.engines),
+        "datasets": list(report.datasets),
+        "cells": {
+            ds: {eng: _cell_payload(report.cells[ds][eng]) for eng in report.engines}
+            for ds in report.datasets
+        },
+        "aggregates": [
+            {"name": name, "cells": {eng: _cell_payload(row[eng]) for eng in report.engines}}
+            for name, row in report.aggregates
+        ],
+        **_errors_payload(report),
     }
     return (json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
 
@@ -472,27 +480,7 @@ def emit_errors_report(report: EvaluationReport, format: str) -> bytes:
             "schema_version": SCHEMA_VERSION,
             "metadata": dict(report.metadata),
             "engines": list(report.engines),
-            "confusion": {
-                eng: [{"gt": e.gt_seq, "pred": e.pred_seq, "count": e.count} for e in entries]
-                for eng, entries in report.confusion.items()
-            },
-            "whitespace": {
-                eng: {
-                    "space_insertions": w.space_insertions,
-                    "space_deletions": w.space_deletions,
-                    "other": w.other,
-                }
-                for eng, w in report.whitespace.items()
-            },
-            "top_share": {
-                eng: {
-                    "k": ts.k,
-                    "numerator": ts.share.numerator,
-                    "denominator": ts.share.denominator,
-                    "value": float(ts.share),
-                }
-                for eng, ts in report.top_share.items()
-            },
+            **_errors_payload(report),
         }
         return (json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode(
             "utf-8"

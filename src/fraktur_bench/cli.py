@@ -10,27 +10,25 @@ One executable, one command per invocation:
     report      re-emit a stored JSON report as csv or markdown
 
 Exit codes: 0 success, 1 data error, 2 usage error. All output files are
-written atomically (temp file plus rename). The FRAKTUR_BENCH_THREADS
-environment variable caps internal parallelism; results do not depend on
-it.
+written atomically (temp file plus rename).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .align import align
 from .analytics import emit_errors_report, emit_report, report_from_json
 from .codec import Codec, codec_coverage_report, default_codec, load_codec
-from .errors import ManifestError, ToolkitError, VotingError
+from .errors import ManifestError, ReportError, ToolkitError, VotingError
 from .lines import TranscriptionLine, gt_line
 from .manifests import (
     BookEntry,
@@ -73,14 +71,12 @@ def write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: exactly one command, all paths absolute."""
-
-    command: str
-    args: argparse.Namespace
-    seed: int
-    error_json: bool
+def _read_input(path: str, error: type[ToolkitError]) -> bytes:
+    """Read an input file named on the command line; failure is a data error."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _resolve_codec(spec: str) -> Codec:
@@ -107,8 +103,7 @@ def _engine_trees(args: argparse.Namespace) -> dict[str, Path]:
     return dict(zip(engines, preds))
 
 
-def _cmd_normalize(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_normalize(args: argparse.Namespace) -> int:
     codec = _resolve_codec(args.codec)
     rules = _resolve_rules(args.rules)
     rules.require_codec_closed(codec)
@@ -136,8 +131,7 @@ def _cmd_normalize(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_coverage(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_coverage(args: argparse.Namespace) -> int:
     codec = _resolve_codec(args.codec)
     src = Path(args.input).resolve()
     files = sorted(src.rglob(args.pattern))
@@ -161,8 +155,7 @@ def _cmd_coverage(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_eval(cfg: RunConfig):
-    args = cfg.args
+def _run_eval(args: argparse.Namespace):
     codec = _resolve_codec(args.codec)
     rules = _resolve_rules(args.rules)
     policy, replacement = parse_unmapped_policy(args.on_unmapped)
@@ -178,22 +171,22 @@ def _run_eval(cfg: RunConfig):
         replacement=replacement,
         merge_runs=args.merge_runs,
         top_k=args.k,
-        seed=cfg.seed,
+        seed=args.seed,
         dictionary_corpus=args.dictionary_corpus,
     )
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    report = _run_eval(cfg)
-    write_atomic(Path(cfg.args.out).resolve(), emit_report(report, cfg.args.format))
-    print(f"evaluated {len(report.engines)} engine(s) on {len(report.datasets)} dataset(s) -> {cfg.args.out}")
+def _cmd_eval(args: argparse.Namespace) -> int:
+    report = _run_eval(args)
+    write_atomic(Path(args.out).resolve(), emit_report(report, args.format))
+    print(f"evaluated {len(report.engines)} engine(s) on {len(report.datasets)} dataset(s) -> {args.out}")
     return 0
 
 
-def _cmd_errors(cfg: RunConfig) -> int:
-    report = _run_eval(cfg)
-    write_atomic(Path(cfg.args.out).resolve(), emit_errors_report(report, cfg.args.format))
-    print(f"error analytics for {len(report.engines)} engine(s) -> {cfg.args.out}")
+def _cmd_errors(args: argparse.Namespace) -> int:
+    report = _run_eval(args)
+    write_atomic(Path(args.out).resolve(), emit_errors_report(report, args.format))
+    print(f"error analytics for {len(report.engines)} engine(s) -> {args.out}")
     return 0
 
 
@@ -213,8 +206,7 @@ def _load_confidences(tree: Path, book: str, line_id: str, engine: str, text: st
     return values
 
 
-def _cmd_vote(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_vote(args: argparse.Namespace) -> int:
     trees = _engine_trees(args)
     config = VotingConfig(
         min_voters=args.min_voters,
@@ -256,8 +248,7 @@ def _cmd_vote(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_prepare_scan(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_prepare_scan(args: argparse.Namespace) -> int:
     books = scan_corpus(Path(args.root).resolve(), args.corpus)
     write_atomic(Path(args.out).resolve(), manifest_to_json(books))
     total = sum(b.line_count for b in books)
@@ -268,18 +259,17 @@ def _cmd_prepare_scan(cfg: RunConfig) -> int:
 def _load_manifests(paths) -> list[BookEntry]:
     books: list[BookEntry] = []
     for p in paths:
-        books.extend(manifest_from_json(Path(p).read_bytes()))
+        books.extend(manifest_from_json(_read_input(p, ManifestError)))
     return books
 
 
-def _cmd_prepare_refine(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_prepare_refine(args: argparse.Namespace) -> int:
     books = _load_manifests(args.manifest)
     refined = [
         BookEntry(
             b.book_id,
             b.corpus_id,
-            tuple(refinement_sample(b, args.cap, cfg.seed)),
+            tuple(refinement_sample(b, args.cap, args.seed)),
             b.century,
             b.language,
         )
@@ -287,7 +277,7 @@ def _cmd_prepare_refine(cfg: RunConfig) -> int:
     ]
     write_atomic(Path(args.out).resolve(), manifest_to_json(refined))
     total = sum(b.line_count for b in refined)
-    print(f"refinement subset: {total} line(s) from {len(refined)} book(s) (cap {args.cap}, seed {cfg.seed}) -> {args.out}")
+    print(f"refinement subset: {total} line(s) from {len(refined)} book(s) (cap {args.cap}, seed {args.seed}) -> {args.out}")
     return 0
 
 
@@ -306,10 +296,9 @@ def _parse_stage_specs(specs, cap: int | None) -> list[TrainingStage]:
     return stages
 
 
-def _cmd_prepare_schedule(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_prepare_schedule(args: argparse.Namespace) -> int:
     books = _load_manifests(args.manifest)
-    schedule = TrainingSchedule(tuple(_parse_stage_specs(args.stage, args.cap)), seed=cfg.seed)
+    schedule = TrainingSchedule(tuple(_parse_stage_specs(args.stage, args.cap)), seed=args.seed)
     expanded = build_schedule(books, schedule)
     write_atomic(Path(args.out).resolve(), schedule_to_json(schedule, expanded))
     counts = ", ".join(f"{s.name}: {len(expanded[s.name])}" for s in schedule.stages)
@@ -317,15 +306,14 @@ def _cmd_prepare_schedule(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_prepare_verify(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_prepare_verify(args: argparse.Namespace) -> int:
     books = _load_manifests(args.manifest)
     expected: list[CountExpectation] = []
-    with open(args.expected, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            expected.append(
-                CountExpectation(row["corpus_id"], int(row["books"]), int(row["lines"]))
-            )
+    text = _read_input(args.expected, ManifestError).decode("utf-8")
+    for row in csv.DictReader(io.StringIO(text, newline="")):
+        expected.append(
+            CountExpectation(row["corpus_id"], int(row["books"]), int(row["lines"]))
+        )
     problems = verify_counts(books, expected)
     payload = [
         {
@@ -345,9 +333,8 @@ def _cmd_prepare_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_report(cfg: RunConfig) -> int:
-    args = cfg.args
-    report = report_from_json(Path(args.input).read_bytes())
+def _cmd_report(args: argparse.Namespace) -> int:
+    report = report_from_json(_read_input(args.input, ReportError))
     write_atomic(Path(args.out).resolve(), emit_report(report, args.format))
     print(f"re-emitted report as {args.format} -> {args.out}")
     return 0
@@ -461,13 +448,10 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    cfg = RunConfig(
-        command=args.command, args=args, seed=args.seed, error_json=args.error_json
-    )
     try:
-        return args.handler(cfg)
+        return args.handler(args)
     except ToolkitError as exc:
-        if cfg.error_json:
+        if args.error_json:
             print(
                 json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
                 file=sys.stderr,

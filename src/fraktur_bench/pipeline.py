@@ -12,10 +12,8 @@ prefix before the first dash in its id.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .align import AlignmentResult, align
@@ -30,25 +28,6 @@ from .codec import Codec
 from .errors import ManifestError, PairingError
 from .lines import TranscriptionLine, gt_line, pred_line
 from .normalize import NormalizationRuleSet, normalize_line
-
-THREADS_ENV = "FRAKTUR_BENCH_THREADS"
-
-
-def thread_count() -> int:
-    """Worker cap from the environment; malformed values fall back to 1."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
 
 def read_text_file(path: Path) -> str:
     """Read one line file: UTF-8, trailing newlines stripped, nothing else."""
@@ -173,16 +152,12 @@ def eval_pipeline(
             raise ManifestError(f"datasets not present under {gt_root}: {', '.join(unknown)}")
         dataset_list = list(datasets)
     engines = sorted(pred_roots)
-    threads = thread_count()
 
     def normalized_gt(ds: str) -> list[TranscriptionLine]:
-        lines = [
-            gt_line(corpus_of(ds), ds, lid, text)
+        return [
+            normalize_line(gt_line(corpus_of(ds), ds, lid, text), rules, codec, on_unmapped, replacement)
             for lid, text in sorted(gt_tree[ds].items())
         ]
-        return _map_ordered(
-            lambda ln: normalize_line(ln, rules, codec, on_unmapped, replacement), lines, threads
-        )
 
     gt_by_dataset = {ds: normalized_gt(ds) for ds in dataset_list}
 
@@ -198,13 +173,11 @@ def eval_pipeline(
                 for lid, text in sorted(pred_tree[ds].items())
             ]
             if not raw_pred:
-                preds = _map_ordered(
-                    lambda ln: normalize_line(ln, rules, codec, on_unmapped, replacement),
-                    preds,
-                    threads,
-                )
+                preds = [
+                    normalize_line(ln, rules, codec, on_unmapped, replacement) for ln in preds
+                ]
             pairs = pair_lines(gt_by_dataset[ds], preds)
-            results = _map_ordered(lambda pair: align(pair[0].text, pair[1].text), pairs, threads)
+            results = [align(g.text, p.text) for g, p in pairs]
             cells[ds][engine] = CerCell.from_results(results)
             engine_results.extend(results)
         confusion[engine] = confusion_stats(engine_results, merge_runs=merge_runs)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,17 +11,54 @@ from fraktur_bench.align import (
     OpKind,
     align,
     corpus_cer,
+    delete,
+    insert,
     levenshtein,
+    match,
     script_distance,
     script_gt_text,
     script_pred_text,
-    _levenshtein_rows,
-    _levenshtein_small,
+    substitute,
 )
 from fraktur_bench.errors import PairingError
 from fraktur_bench.lines import gt_line, pred_line
 
 short_text = st.text(alphabet="abcdef ", max_size=24)
+# Few symbols make cost ties frequent; up to 90 characters spans two
+# 64-bit words of the kernel's bit vectors.
+tie_text = st.text(alphabet="ab", max_size=40) | st.text(alphabet="ab c", max_size=90)
+
+
+def reference_alignment(a: str, b: str):
+    """Full-matrix DP with the fixed traceback: (edit script, distance).
+
+    Cost ties prefer the diagonal (match/substitute), then delete, then
+    insert.
+    """
+    m, n = len(a), len(b)
+    D = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(m + 1):
+        D[i][0] = i
+    for j in range(n + 1):
+        D[0][j] = j
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            D[i][j] = min(D[i - 1][j - 1] + (a[i - 1] != b[j - 1]), D[i - 1][j] + 1, D[i][j - 1] + 1)
+    ops = []
+    i, j = m, n
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and D[i][j] == D[i - 1][j - 1] + (a[i - 1] != b[j - 1]):
+            ops.append(match(a[i - 1]) if a[i - 1] == b[j - 1] else substitute(a[i - 1], b[j - 1]))
+            i -= 1
+            j -= 1
+        elif i > 0 and D[i][j] == D[i - 1][j] + 1:
+            ops.append(delete(a[i - 1]))
+            i -= 1
+        else:
+            ops.append(insert(b[j - 1]))
+            j -= 1
+    ops.reverse()
+    return tuple(ops), D[m][n]
 
 
 class TestLevenshtein:
@@ -41,9 +80,10 @@ class TestLevenshtein:
     def test_single_substitution(self):
         assert levenshtein("abc", "abd") == 1
 
-    @given(short_text, short_text)
+    @given(tie_text, tie_text)
     def test_both_paths_agree(self, a, b):
-        assert _levenshtein_small(a, b) == _levenshtein_rows(a, b)
+        # the bit-parallel kernel against the full-matrix reference
+        assert levenshtein(a, b) == reference_alignment(a, b)[1]
 
     @given(short_text, short_text)
     def test_bounds(self, a, b):
@@ -115,13 +155,37 @@ class TestAlign:
         # worst case is replace-everything-and-insert-the-rest
         assert align(gt, pred).cer <= (len(gt) + len(pred)) / len(gt)
 
+    @given(tie_text, tie_text)
+    def test_ops_match_reference(self, gt, pred):
+        result = align(gt, pred)
+        assert (result.ops, result.distance) == reference_alignment(gt, pred)
+
     def test_large_strings_use_vector_path(self):
+        # 600 bits: the kernel's vectors span many machine words
         gt = "ab" * 300
         pred = "ba" * 300
         result = align(gt, pred)
-        assert result.distance == levenshtein(gt, pred)
-        assert script_gt_text(result.ops) == gt
-        assert script_pred_text(result.ops) == pred
+        assert (result.ops, result.distance) == reference_alignment(gt, pred)
+        assert levenshtein(gt, pred) == result.distance
+
+    def test_long_noisy_lines_match_reference(self):
+        rng = random.Random(20260)
+        for _ in range(3):
+            gt = "".join(rng.choice("abcde ") for _ in range(rng.randint(400, 520)))
+            pred = list(gt)
+            for _ in range(40):
+                pos = rng.randrange(len(pred))
+                edit = rng.choice(("sub", "ins", "del"))
+                if edit == "sub":
+                    pred[pos] = rng.choice("abcde ")
+                elif edit == "ins":
+                    pred.insert(pos, rng.choice("abcde "))
+                else:
+                    del pred[pos]
+            pred = "".join(pred)
+            result = align(gt, pred)
+            assert (result.ops, result.distance) == reference_alignment(gt, pred)
+            assert levenshtein(gt, pred) == result.distance
 
 
 class TestCorpusCer:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import fraktur_bench
 from fraktur_bench.cli import run
 from fraktur_bench.manifests import BookEntry, manifest_to_json
 
@@ -78,6 +79,45 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"]["type"]
         assert payload["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv, error_type",
+        [
+            (["report", "--in", "{missing}", "--format", "csv", "--out", "{out}"], "ReportError"),
+            (["prepare", "refine", "--manifest", "{missing}", "--cap", "1", "--out", "{out}"], "ManifestError"),
+            (
+                ["prepare", "schedule", "--manifest", "{missing}", "--stage", "real=N", "--out", "{out}"],
+                "ManifestError",
+            ),
+            (
+                ["prepare", "verify", "--manifest", "{missing}", "--expected", "{missing}", "--out", "{out}"],
+                "ManifestError",
+            ),
+            (
+                ["prepare", "verify", "--manifest", "{manifest}", "--expected", "{missing}", "--out", "{out}"],
+                "ManifestError",
+            ),
+        ],
+        ids=["report", "refine", "schedule", "verify-manifest", "verify-expected"],
+    )
+    def test_missing_input_file(self, tmp_path, capsys, argv, error_type):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(manifest_to_json([BookEntry("N-1781", "N", ("l1",))]))
+        paths = {"missing": tmp_path / "missing.json", "manifest": manifest, "out": tmp_path / "o"}
+        argv = [a.format(**paths) for a in argv]
+
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.json" in err
+
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert set(payload) == {"error"}
+        assert set(payload["error"]) == {"type", "message"}
+        assert payload["error"]["type"] == error_type
+        assert "missing.json" in payload["error"]["message"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestNormalizeCommand:
@@ -397,22 +437,25 @@ class TestConsoleScript:
         assert "fraktur-bench" in proc.stdout
 
 
-class TestThreadsEnv:
-    def test_results_independent_of_threads(self, corpus, monkeypatch, capsys):
-        out1 = corpus / "t1.json"
-        out2 = corpus / "t2.json"
-        args = [
+class TestNoNumpy:
+    def test_eval_runs_without_numpy(self, corpus):
+        # None in sys.modules makes any "import numpy" raise ImportError.
+        src = Path(fraktur_bench.__file__).resolve().parents[1]
+        argv = [
             "eval",
             "--gt", str(corpus / "gt"),
             "--pred", str(corpus / "pred"),
             "--engine", "abbyy",
-            "--out", None,
+            "--engine", "tess",
+            "--out", str(corpus / "r.json"),
         ]
-        monkeypatch.setenv("FRAKTUR_BENCH_THREADS", "1")
-        args[-1] = str(out1)
-        assert run(args) == 0
-        monkeypatch.setenv("FRAKTUR_BENCH_THREADS", "4")
-        args[-1] = str(out2)
-        assert run(args) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        capsys.readouterr()
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from fraktur_bench.cli import run\n"
+            f"sys.exit(run({argv!r}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((corpus / "r.json").read_text(encoding="utf-8"))["engines"] == ["abbyy", "tess"]

@@ -8,26 +8,9 @@ from fraktur_bench.pipeline import (
     load_gt_tree,
     load_pred_tree,
     read_text_file,
-    thread_count,
 )
 
 from conftest import make_gt_tree, make_pred_tree
-
-
-class TestThreadCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("FRAKTUR_BENCH_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_env_respected(self, monkeypatch):
-        monkeypatch.setenv("FRAKTUR_BENCH_THREADS", "6")
-        assert thread_count() == 6
-
-    def test_malformed_falls_back(self, monkeypatch):
-        monkeypatch.setenv("FRAKTUR_BENCH_THREADS", "lots")
-        assert thread_count() == 1
-        monkeypatch.setenv("FRAKTUR_BENCH_THREADS", "0")
-        assert thread_count() == 1
 
 
 class TestReadTextFile:
