@@ -13,6 +13,25 @@ handful of integer operations whatever the line length. It keeps the
 vertical and horizontal deltas of each column, and the traceback reads
 the scores it needs off them (Hyyrö 2004, "A note on bit-parallel
 alignment computation") instead of filling a cost matrix.
+
+Work is spent only where the two strings differ. Identical strings
+align to all matches at once. Otherwise the common prefix (length k)
+and the common suffix of what remains (length s, k + s <= both lengths)
+are split off:
+
+- The last s characters are matches: an equal-character cell has
+  D[i][j] = D[i-1][j-1], and the traceback prefers the diagonal, so
+  the script ends in s matches whatever lies before them.
+- Column k needs no computation: D[i][j] = |i - j| for every j <= k,
+  so the kernel starts there (v = +1 below row k, -1 down to it,
+  score m - s - k) and runs over the middle columns only.
+- The traceback takes the diagonal at every equal-character cell
+  without reading deltas. At a mismatch in a column j <= k it uses the
+  closed form (delete if i > j, else insert); only the remaining
+  mismatches read the stored deltas.
+
+Match ops are shared per character; EditOp is frozen and compares by
+value, so the sharing is invisible.
 """
 
 from __future__ import annotations
@@ -43,8 +62,23 @@ class EditOp:
 EditScript = tuple[EditOp, ...]
 
 
+# One MATCH op per character seen, so long scripts share a few objects.
+_MATCH_OPS: dict[str, EditOp] = {}
+
+
 def match(c: str) -> EditOp:
-    return EditOp(OpKind.MATCH, c, c)
+    op = _MATCH_OPS.get(c)
+    if op is None:
+        op = _MATCH_OPS[c] = EditOp(OpKind.MATCH, c, c)
+    return op
+
+
+def _matches(text: str) -> EditScript:
+    """match(c) for every character of text."""
+    try:
+        return tuple(map(_MATCH_OPS.__getitem__, text))
+    except KeyError:  # a character not seen before
+        return tuple(map(match, text))
 
 
 def substitute(gt_c: str, pred_c: str) -> EditOp:
@@ -73,15 +107,42 @@ def script_distance(ops: EditScript) -> int:
     return sum(1 for op in ops if op.kind is not OpKind.MATCH)
 
 
-def _bit_columns(gt: str, pred: str) -> tuple[int, list[tuple[int, int, int, int]]]:
+def _trim(gt: str, pred: str) -> tuple[int, int]:
+    """(k, s): the length of the common prefix and that of the common
+    suffix of what follows it, so k + s <= min(len(gt), len(pred))."""
+    m, n = len(gt), len(pred)
+    # Galloping searches that compare each character at most a few times.
+    lo, hi = 0, min(m, n)
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if gt[lo:mid] == pred[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    k = lo
+    lo, hi = 0, min(m, n) - k
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if gt[m - mid : m - lo] == pred[n - mid : n - lo]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return k, lo
+
+
+def _bit_columns(
+    gt: str, pred: str, start: int = 0
+) -> tuple[int, list[tuple[int, int, int, int]]]:
     """Bit-parallel DP over a non-empty ground truth (Myers 1999, in
-    Hyyrö's global-distance form).
+    Hyyrö's global-distance form), from column start on.
 
     Bit i-1 of each vector stands for ground-truth position i; prediction
-    characters are the columns. Returns the distance and, for each column
-    j, (VP, VN, HP, HN): the rows where the vertical delta
-    v(i,j) = D[i][j] - D[i-1][j] is +1 / -1 and where the horizontal delta
-    h(i,j) = D[i][j] - D[i][j-1] is +1 / -1.
+    characters are the columns. The first start characters of gt and pred
+    must be equal (start <= len(gt)): column start is then D[i][start] =
+    |i - start| and is not computed. Returns the distance and, for each
+    column j > start (at index j - start - 1), (VP, VN, HP, HN): the rows
+    where the vertical delta v(i,j) = D[i][j] - D[i-1][j] is +1 / -1 and
+    where the horizontal delta h(i,j) = D[i][j] - D[i][j-1] is +1 / -1.
     """
     m = len(gt)
     mask = (1 << m) - 1
@@ -89,9 +150,11 @@ def _bit_columns(gt: str, pred: str) -> tuple[int, list[tuple[int, int, int, int
     peq: dict[str, int] = {}
     for i, c in enumerate(gt):
         peq[c] = peq.get(c, 0) | (1 << i)
-    vp, vn, score = mask, 0, m
+    # Column start: v = -1 on rows 1..start, +1 below.
+    vn = (1 << start) - 1
+    vp, score = mask ^ vn, m - start
     columns = []
-    for c in pred:
+    for c in pred[start:]:
         eq = peq.get(c, 0)
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
@@ -114,9 +177,11 @@ def levenshtein(gt: str, pred: str) -> int:
     """Minimal unit-cost edit distance between two strings."""
     if gt == pred:
         return 0
-    if not gt:
-        return len(pred)
-    return _bit_columns(gt, pred)[0]
+    k, s = _trim(gt, pred)
+    m, n = len(gt) - s, len(pred) - s
+    if m == k:
+        return n - k
+    return _bit_columns(gt[:m], pred[:n], k)[0]
 
 
 @dataclass(frozen=True)
@@ -138,42 +203,64 @@ class AlignmentResult:
 
 def align(gt: str, pred: str) -> AlignmentResult:
     """Cost-optimal alignment of a prediction to its ground truth."""
+    if gt == pred:
+        return AlignmentResult(_matches(gt), 0, len(gt), len(pred), 0.0)
     if not gt:
         ops = tuple(insert(c) for c in pred)
         return AlignmentResult(ops, len(pred), 0, len(pred), float(len(pred)))
-    distance, columns = _bit_columns(gt, pred)
+    k, s = _trim(gt, pred)
+    m, n = len(gt) - s, len(pred) - s
+    if m == 0:  # gt is a suffix of pred
+        distance, columns = n, []
+    else:
+        distance, columns = _bit_columns(gt[:m], pred[:n], k)
     # Walk back from (m, n). With d = D[i][j]: up = d - v(i,j),
-    # left = d - h(i,j), diag = left - v(i,j-1), and column 0 has v = +1.
-    # Preference on cost ties: diagonal (match/substitute), then delete,
-    # then insert.
+    # left = d - h(i,j), diag = left - v(i,j-1). Columns j <= k are
+    # D[i][j] = |i - j|. Preference on cost ties: diagonal
+    # (match/substitute), then delete, then insert. The walk stops at
+    # i == j <= k, where gt[:i] == pred[:j] leaves only matches.
     ops: list[EditOp] = []
-    i, j = len(gt), len(pred)
-    while i > 0 and j > 0:
-        bit = 1 << (i - 1)
-        vp, vn, hp, hn = columns[j - 1]
-        h = 1 if hp & bit else -1 if hn & bit else 0
-        if j > 1:
-            vp_left, vn_left = columns[j - 2][:2]
-            v_left = 1 if vp_left & bit else -1 if vn_left & bit else 0
-        else:
-            v_left = 1
+    i, j = m, n
+    while i > 0 and j > 0 and (i != j or j > k):
         g, p = gt[i - 1], pred[j - 1]
-        # d == diag + cost  <=>  h(i,j) + v(i,j-1) == cost
-        if h + v_left == (g != p):
-            ops.append(match(g) if g == p else substitute(g, p))
+        if g == p:  # D[i][j] == D[i-1][j-1]
+            ops.append(match(g))
             i -= 1
             j -= 1
-        elif vp & bit:  # d == up + 1
-            ops.append(delete(g))
-            i -= 1
+        elif j <= k:  # the diagonal costs |i - j| + 1 > D[i][j]
+            if i > j:
+                ops.append(delete(g))
+                i -= 1
+            else:
+                ops.append(insert(p))
+                j -= 1
         else:
-            ops.append(insert(p))
-            j -= 1
-    ops.extend(delete(c) for c in reversed(gt[:i]))
-    ops.extend(insert(c) for c in reversed(pred[:j]))
+            bit = 1 << (i - 1)
+            vp, vn, hp, hn = columns[j - k - 1]
+            h = 1 if hp & bit else -1 if hn & bit else 0
+            if j - 1 > k:
+                vp_left, vn_left = columns[j - k - 2][:2]
+                v_left = 1 if vp_left & bit else -1 if vn_left & bit else 0
+            else:
+                v_left = 1 if i > k else -1
+            # d == diag + 1  <=>  h(i,j) + v(i,j-1) == 1
+            if h + v_left == 1:
+                ops.append(substitute(g, p))
+                i -= 1
+                j -= 1
+            elif vp & bit:  # d == up + 1
+                ops.append(delete(g))
+                i -= 1
+            else:
+                ops.append(insert(p))
+                j -= 1
     ops.reverse()
-    cer = distance / len(gt)
-    return AlignmentResult(tuple(ops), distance, len(gt), len(pred), cer)
+    if i == j:
+        head = _matches(gt[:i])
+    else:  # one side is exhausted
+        head = tuple(map(delete, gt[:i])) + tuple(map(insert, pred[:j]))
+    script = head + tuple(ops) + _matches(gt[m:])
+    return AlignmentResult(script, distance, len(gt), len(pred), distance / len(gt))
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,8 @@ def confusion_stats(
         counts[key] = counts.get(key, 0) + 1
 
     for result in results:
+        if not result.distance:  # all matches
+            continue
         if not merge_runs:
             for op in result.ops:
                 if op.kind is OpKind.SUBSTITUTE:
@@ -357,43 +359,50 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ReportError(f"report is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ReportError("report is not a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ReportError(f"unsupported report schema_version {version!r}")
-    engines = tuple(payload["engines"])
-    datasets = tuple(payload["datasets"])
-    cells = {
-        ds: {eng: _cell_from_payload(payload["cells"][ds][eng]) for eng in engines}
-        for ds in datasets
-    }
-    aggregates = tuple(
-        (row["name"], {eng: _cell_from_payload(row["cells"][eng]) for eng in engines})
-        for row in payload["aggregates"]
-    )
-    confusion = {
-        eng: tuple(ConfusionEntry(e["gt"], e["pred"], int(e["count"])) for e in entries)
-        for eng, entries in payload.get("confusion", {}).items()
-    }
-    whitespace = {
-        eng: WhitespaceSummary(
-            int(w["space_insertions"]), int(w["space_deletions"]), int(w["other"])
+    try:
+        engines = tuple(payload["engines"])
+        datasets = tuple(payload["datasets"])
+        cells = {
+            ds: {eng: _cell_from_payload(payload["cells"][ds][eng]) for eng in engines}
+            for ds in datasets
+        }
+        aggregates = tuple(
+            (row["name"], {eng: _cell_from_payload(row["cells"][eng]) for eng in engines})
+            for row in payload["aggregates"]
         )
-        for eng, w in payload.get("whitespace", {}).items()
-    }
-    top_share = {
-        eng: TopShare(int(t["k"]), Fraction(int(t["numerator"]), int(t["denominator"])))
-        for eng, t in payload.get("top_share", {}).items()
-    }
-    return EvaluationReport(
-        engines=engines,
-        datasets=datasets,
-        cells=cells,
-        aggregates=aggregates,
-        confusion=confusion,
-        whitespace=whitespace,
-        top_share=top_share,
-        metadata=dict(payload.get("metadata", {})),
-    )
+        confusion = {
+            eng: tuple(ConfusionEntry(e["gt"], e["pred"], int(e["count"])) for e in entries)
+            for eng, entries in payload.get("confusion", {}).items()
+        }
+        whitespace = {
+            eng: WhitespaceSummary(
+                int(w["space_insertions"]), int(w["space_deletions"]), int(w["other"])
+            )
+            for eng, w in payload.get("whitespace", {}).items()
+        }
+        top_share = {
+            eng: TopShare(int(t["k"]), Fraction(int(t["numerator"]), int(t["denominator"])))
+            for eng, t in payload.get("top_share", {}).items()
+        }
+        return EvaluationReport(
+            engines=engines,
+            datasets=datasets,
+            cells=cells,
+            aggregates=aggregates,
+            confusion=confusion,
+            whitespace=whitespace,
+            top_share=top_share,
+            metadata=dict(payload.get("metadata", {})),
+        )
+    except KeyError as exc:
+        raise ReportError(f"malformed report: no member {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ReportError(f"malformed report: {exc}") from exc
 
 
 def _all_rows(report: EvaluationReport):

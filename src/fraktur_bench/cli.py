@@ -309,11 +309,26 @@ def _cmd_prepare_schedule(args: argparse.Namespace) -> int:
 def _cmd_prepare_verify(args: argparse.Namespace) -> int:
     books = _load_manifests(args.manifest)
     expected: list[CountExpectation] = []
-    text = _read_input(args.expected, ManifestError).decode("utf-8")
-    for row in csv.DictReader(io.StringIO(text, newline="")):
-        expected.append(
-            CountExpectation(row["corpus_id"], int(row["books"]), int(row["lines"]))
+    try:
+        text = _read_input(args.expected, ManifestError).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{args.expected} is not valid UTF-8: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    missing = [c for c in ("corpus_id", "books", "lines") if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ManifestError(
+            f"{args.expected}: header lacks {', '.join(missing)} (want corpus_id,books,lines)"
         )
+    for row in reader:
+        try:
+            expected.append(
+                CountExpectation(row["corpus_id"], int(row["books"]), int(row["lines"]))
+            )
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(
+                f"{args.expected}:{reader.line_num}: books and lines must be integers, "
+                f"got {row['books']!r} and {row['lines']!r}"
+            ) from exc
     problems = verify_counts(books, expected)
     payload = [
         {

@@ -62,6 +62,10 @@ class Codec:
     def __len__(self) -> int:
         return len(self.characters)
 
+    def covers(self, text: str) -> bool:
+        """True when every character of text is in the codec."""
+        return self._members.issuperset(text)
+
 
 def unescape_entry(token: str, lineno: int, path: str) -> str:
     """Decode one escaped codec/rule token into its literal text."""

@@ -267,22 +267,31 @@ def manifest_from_json(data: bytes | str) -> list[BookEntry]:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ManifestError("manifest is not a JSON object")
     if payload.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise ManifestError(
             f"unsupported manifest schema_version {payload.get('schema_version')!r}"
         )
+    if not isinstance(payload.get("books"), list):
+        raise ManifestError("manifest has no books list")
     books = []
-    for item in payload.get("books", []):
-        meta = item.get("metadata", {})
-        books.append(
-            BookEntry(
-                book_id=item["book_id"],
-                corpus_id=item["corpus_id"],
-                line_ids=tuple(item["lines"]),
-                century=meta.get("century"),
-                language=meta.get("language"),
+    try:
+        for item in payload["books"]:
+            meta = item.get("metadata", {})
+            books.append(
+                BookEntry(
+                    book_id=item["book_id"],
+                    corpus_id=item["corpus_id"],
+                    line_ids=tuple(item["lines"]),
+                    century=meta.get("century"),
+                    language=meta.get("language"),
+                )
             )
-        )
+    except KeyError as exc:
+        raise ManifestError(f"malformed manifest: book without member {exc}") from exc
+    except (AttributeError, TypeError) as exc:
+        raise ManifestError(f"malformed manifest: {exc}") from exc
     return books
 
 

@@ -170,9 +170,9 @@ def normalize_line(
     is idempotent for any text it accepts.
     """
     text = normalize_text(line.text, rules)
+    if codec.covers(text):
+        return line if text == line.text else line.with_text(text)
     violations = [(i, ch) for i, ch in enumerate(text) if ch not in codec]
-    if not violations:
-        return line.with_text(text)
 
     if on_unmapped == "fail":
         shown = ", ".join(f"{ch!r} (U+{ord(ch):04X}) at {i}" for i, ch in violations[:10])

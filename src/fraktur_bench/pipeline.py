@@ -30,15 +30,19 @@ from .lines import TranscriptionLine, gt_line, pred_line
 from .normalize import NormalizationRuleSet, normalize_line
 
 def read_text_file(path: Path) -> str:
-    """Read one line file: UTF-8, trailing newlines stripped, nothing else."""
+    """Read one line file: UTF-8, one trailing line ending (CRLF, LF or CR)
+    stripped, nothing else."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ManifestError(f"cannot read {path}: {exc}") from exc
     try:
-        return raw.decode("utf-8").rstrip("\r\n")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path} is not valid UTF-8: {exc}") from exc
+    if text.endswith("\r\n"):
+        return text[:-2]
+    return text[:-1] if text.endswith(("\n", "\r")) else text
 
 
 def load_gt_tree(root: str | Path) -> dict[str, dict[str, str]]:

@@ -7,9 +7,20 @@ nested dicts so tests can describe a corpus in a few lines.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
+
+import fraktur_bench
+
+
+def package_env() -> dict[str, str]:
+    """Environment for a child interpreter that must import the
+    fraktur_bench under test, installed or not."""
+    src = str(Path(fraktur_bench.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
 
 
 def make_gt_tree(root: Path, books: dict[str, dict[str, str]]) -> Path:

@@ -27,6 +27,7 @@ short_text = st.text(alphabet="abcdef ", max_size=24)
 # Few symbols make cost ties frequent; up to 90 characters spans two
 # 64-bit words of the kernel's bit vectors.
 tie_text = st.text(alphabet="ab", max_size=40) | st.text(alphabet="ab c", max_size=90)
+tie_affix = st.text(alphabet="ab", max_size=12) | st.text(alphabet="ab c", max_size=70)
 
 
 def reference_alignment(a: str, b: str):
@@ -186,6 +187,62 @@ class TestAlign:
             result = align(gt, pred)
             assert (result.ops, result.distance) == reference_alignment(gt, pred)
             assert levenshtein(gt, pred) == result.distance
+
+
+class TestTrimmedPaths:
+    """align and levenshtein skip a shared prefix and suffix; the result
+    must be the full DP's, tie-break included."""
+
+    @staticmethod
+    def assert_reference(gt, pred):
+        result = align(gt, pred)
+        assert (result.ops, result.distance) == reference_alignment(gt, pred)
+        assert levenshtein(gt, pred) == result.distance
+
+    @given(tie_affix, tie_text, tie_text, tie_affix)
+    def test_shared_affixes_match_reference(self, prefix, a, b, suffix):
+        self.assert_reference(prefix + a + suffix, prefix + b + suffix)
+
+    @pytest.mark.parametrize(
+        "gt, pred",
+        [
+            ("aa", "a"), ("a", "aa"), ("xa", "a"), ("a", "ax"),  # prefix and suffix overlap
+            ("ab", "aab"), ("aab", "ab"), ("ba", "aba"),
+            ("abc", "abcab"), ("abcab", "abc"),  # one a prefix of the other
+            ("bab", "abbab"), ("abbab", "bab"),  # one a suffix of the other
+            ("a b", "a ba b"), ("aaa", "aaaaa"), ("aaaaa", "aaa"),
+        ],
+    )
+    def test_explicit_cases(self, gt, pred):
+        self.assert_reference(gt, pred)
+
+    @pytest.mark.parametrize("text", ["", "a", "abab", "x\U0001f600y" * 20])
+    def test_identical(self, text):
+        result = align(text, text)
+        assert result.ops == tuple(match(c) for c in text)
+        assert (result.distance, result.cer) == (0, 0.0)
+        self.assert_reference(text, text)
+
+    def test_long_line_with_errors_near_both_ends(self):
+        rng = random.Random(20261)
+        for _ in range(3):
+            gt = "".join(rng.choice("ab c") for _ in range(rng.randint(400, 520)))
+            pred = list(gt)
+            # the end first, so that edits never shift positions still to come
+            for zone in (range(len(gt) - 12, len(gt)), range(0, 12)):
+                for pos in sorted(rng.sample(zone, 3), reverse=True):
+                    edit = rng.choice(("sub", "ins", "del"))
+                    if edit == "sub":
+                        pred[pos] = rng.choice("ab c")
+                    elif edit == "ins":
+                        pred.insert(pos, rng.choice("ab c"))
+                    else:
+                        del pred[pos]
+            self.assert_reference(gt, "".join(pred))
+
+    def test_match_ops_are_shared(self):
+        ops = align("abab", "abab").ops
+        assert ops[0] is ops[2] and ops[0] == match("a")
 
 
 class TestCorpusCer:

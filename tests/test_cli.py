@@ -11,7 +11,7 @@ import fraktur_bench
 from fraktur_bench.cli import run
 from fraktur_bench.manifests import BookEntry, manifest_to_json
 
-from conftest import make_gt_tree, make_pred_tree
+from conftest import make_gt_tree, make_pred_tree, package_env
 
 
 @pytest.fixture
@@ -117,6 +117,61 @@ class TestExitCodes:
         assert set(payload["error"]) == {"type", "message"}
         assert payload["error"]["type"] == error_type
         assert "missing.json" in payload["error"]["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, content, error_type",
+        [
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"], "[]", "ReportError"),
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+             '{"schema_version": 1}', "ReportError"),
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+             '{"schema_version": 1, "engines": ["e"], "datasets": ["N-1"], "aggregates": []}',
+             "ReportError"),
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+             '{"schema_version": 1, "engines": ["e"], "datasets": [], "cells": {}}', "ReportError"),
+            (["prepare", "refine", "--manifest", "{bad}", "--cap", "1", "--out", "{out}"],
+             '{"schema_version": 1}', "ManifestError"),
+            (["prepare", "refine", "--manifest", "{bad}", "--cap", "1", "--out", "{out}"],
+             '[{"schema_version": 1}]', "ManifestError"),
+            (["prepare", "refine", "--manifest", "{bad}", "--cap", "1", "--out", "{out}"],
+             '{"schema_version": 1, "books": [{"corpus_id": "N", "lines": []}]}', "ManifestError"),
+            (["prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}"],
+             "corpus,count\nN,1\n", "ManifestError"),
+            (["prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}"],
+             "", "ManifestError"),
+            (["prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}"],
+             "corpus_id,books,lines\nN,one,1\n", "ManifestError"),
+            (["prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}"],
+             "corpus_id,books,lines\nN,1\n", "ManifestError"),
+            (["prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}"],
+             b"corpus_id,books,lines\nN\xff,1,1\n", "ManifestError"),
+        ],
+        ids=[
+            "report-not-object", "report-no-engines", "report-no-cells", "report-no-aggregates",
+            "manifest-no-books", "manifest-not-object", "manifest-book-without-id",
+            "expected-no-columns", "expected-empty", "expected-not-integer", "expected-short-row",
+            "expected-not-utf8",
+        ],
+    )
+    def test_malformed_input(self, tmp_path, capsys, argv, content, error_type):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(manifest_to_json([BookEntry("N-1781", "N", ("l1",))]))
+        bad = tmp_path / "bad.in"
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        paths = {"bad": bad, "manifest": manifest, "out": tmp_path / "o"}
+        argv = [a.format(**paths) for a in argv]
+
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert set(payload) == {"error"}
+        assert set(payload["error"]) == {"type", "message"}
+        assert payload["error"]["type"] == error_type
+        assert payload["error"]["message"]
         assert not (tmp_path / "o").exists()
 
 
@@ -432,6 +487,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "fraktur_bench.cli", "--version"],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 0
         assert "fraktur-bench" in proc.stdout

@@ -19,6 +19,22 @@ class TestReadTextFile:
         p.write_bytes("  text \r\n".encode("utf-8"))
         assert read_text_file(p) == "  text "
 
+    @pytest.mark.parametrize(
+        "content, text",
+        [
+            ("abc", "abc"),
+            ("abc\n", "abc"),
+            ("abc\r\n", "abc"),
+            ("abc\r", "abc"),
+            ("abc\n\n", "abc\n"),
+            ("abc\r\n\n", "abc\r\n"),
+        ],
+    )
+    def test_strips_exactly_one_line_ending(self, tmp_path, content, text):
+        p = tmp_path / "f.txt"
+        p.write_bytes(content.encode("utf-8"))
+        assert read_text_file(p) == text
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(Exception):
             read_text_file(tmp_path / "absent.txt")
