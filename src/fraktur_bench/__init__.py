@@ -8,7 +8,7 @@ alignment-based ensemble voting, and staged training-corpus manifests.
 
 __version__ = "0.1.0"
 
-from .align import AlignmentResult, CorpusCer, align, corpus_cer, levenshtein
+from .align import AlignmentResult, levenshtein
 from .analytics import (
     ConfusionEntry,
     EvaluationReport,
@@ -31,14 +31,13 @@ from .manifests import (
     verify_counts,
 )
 from .normalize import NormalizationRuleSet, default_rules, load_rules, normalize_line
-from .voting import VoterOutput, VotingConfig, vote_corpus, vote_line
+from .voting import VoterOutput, VotingConfig, vote_line
 
 __all__ = [
     "AlignmentResult",
     "BookEntry",
     "Codec",
     "ConfusionEntry",
-    "CorpusCer",
     "EvaluationReport",
     "LineKind",
     "NormalizationRuleSet",
@@ -49,12 +48,10 @@ __all__ = [
     "VoterOutput",
     "VotingConfig",
     "WhitespaceSummary",
-    "align",
     "build_schedule",
     "classify_whitespace_errors",
     "codec_coverage_report",
     "confusion_stats",
-    "corpus_cer",
     "default_codec",
     "default_rules",
     "emit_report",
@@ -67,7 +64,6 @@ __all__ = [
     "top_k_error_share",
     "validate_against_codec",
     "verify_counts",
-    "vote_corpus",
     "vote_line",
     "__version__",
 ]

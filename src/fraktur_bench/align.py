@@ -1,4 +1,4 @@
-"""Character-level edit distance, optimal alignment and CER aggregation.
+"""Character-level edit distance and optimal alignment.
 
 Unit costs throughout (insert = delete = substitute = 1). The CER
 denominator is the ground-truth length; the empty-ground-truth convention
@@ -38,9 +38,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-from .errors import PairingError
-from .lines import TranscriptionLine
 
 
 class OpKind(enum.Enum):
@@ -261,46 +258,3 @@ def align(gt: str, pred: str) -> AlignmentResult:
         head = tuple(map(delete, gt[:i])) + tuple(map(insert, pred[:j]))
     script = head + tuple(ops) + _matches(gt[m:])
     return AlignmentResult(script, distance, len(gt), len(pred), distance / len(gt))
-
-
-@dataclass(frozen=True)
-class CorpusCer:
-    """Per-line alignments plus micro and macro aggregates.
-
-    micro weights every ground-truth character equally (sum of distances
-    over sum of lengths); macro weights every line equally (mean of
-    per-line CER over lines with non-empty ground truth).
-    """
-
-    per_line: tuple[AlignmentResult, ...]
-    total_distance: int
-    total_gt_chars: int
-    micro_cer: float
-    macro_cer: float
-
-
-def corpus_cer(
-    pairs: list[tuple[TranscriptionLine, TranscriptionLine]],
-) -> CorpusCer:
-    """Align matched (ground truth, prediction) pairs and aggregate.
-
-    Pairs must agree on (corpus_id, book_id, line_id); mismatches are
-    reported together. An empty pair list is an error, not an empty result.
-    """
-    if not pairs:
-        raise PairingError("empty evaluation set")
-    mismatched = [
-        (g.key, p.key) for g, p in pairs if g.key != p.key
-    ]
-    if mismatched:
-        shown = "; ".join(f"gt {g} vs pred {p}" for g, p in mismatched[:10])
-        raise PairingError(
-            f"{len(mismatched)} pair(s) with mismatched line identity: {shown}"
-        )
-    results = tuple(align(g.text, p.text) for g, p in pairs)
-    total_distance = sum(r.distance for r in results)
-    total_gt_chars = sum(r.gt_len for r in results)
-    micro = total_distance / total_gt_chars if total_gt_chars else float(total_distance)
-    eligible = [r.cer for r in results if r.gt_len > 0]
-    macro = sum(eligible) / len(eligible) if eligible else 0.0
-    return CorpusCer(results, total_distance, total_gt_chars, micro, macro)

@@ -359,6 +359,8 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ReportError(f"report is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"report is not valid UTF-8: {exc}") from exc
     if not isinstance(payload, dict):
         raise ReportError("report is not a JSON object")
     version = payload.get("schema_version")

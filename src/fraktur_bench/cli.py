@@ -107,7 +107,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     codec = _resolve_codec(args.codec)
     rules = _resolve_rules(args.rules)
     rules.require_codec_closed(codec)
-    policy, replacement = parse_unmapped_policy(args.on_unmapped)
+    policy, replacement = args.on_unmapped
     src = Path(args.input).resolve()
     dst = Path(args.out).resolve()
 
@@ -158,7 +158,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 def _run_eval(args: argparse.Namespace):
     codec = _resolve_codec(args.codec)
     rules = _resolve_rules(args.rules)
-    policy, replacement = parse_unmapped_policy(args.on_unmapped)
+    policy, replacement = args.on_unmapped
     datasets = args.datasets.split(",") if args.datasets else None
     return eval_pipeline(
         Path(args.gt).resolve(),
@@ -232,6 +232,7 @@ def _cmd_vote(args: argparse.Namespace) -> int:
                 confidences = _load_confidences(trees[eng], book, lid, eng, text)
                 voters.append(VoterOutput(eng, text, confidences))
             voters_by_line[lid] = voters
+        # a thinner ensemble on some lines would skew voted-vs-single CER
         short = sorted(lid for lid, v in voters_by_line.items() if len(v) < config.min_voters)
         if short:
             raise VotingError(
@@ -355,11 +356,29 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unmapped_policy(spec: str) -> tuple[str, str | None]:
+    try:
+        return parse_unmapped_policy(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
+    return value
+
+
 def _add_codec_rules_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--codec", default="default", help="codec file, or 'default'")
     parser.add_argument("--rules", default="default", help="rules TSV, or 'default'")
     parser.add_argument(
         "--on-unmapped",
+        type=_unmapped_policy,
         default="fail",
         help="policy for residual non-codec characters: fail, drop or replace=<char>",
     )
@@ -373,7 +392,7 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--raw-pred", action="store_true", help="do not normalize predictions")
     parser.add_argument("--datasets", default="", help="comma-separated dataset order (default: sorted)")
     parser.add_argument("--merge-runs", action="store_true", help="merge adjacent insert/delete runs in confusion stats")
-    parser.add_argument("--k", type=int, default=3, help="k for top-k error share")
+    parser.add_argument("--k", type=_positive_int, default=3, help="k for top-k error share")
     parser.add_argument("--dictionary-corpus", default="S", help="corpus excluded from the NOD aggregate")
     parser.add_argument("--out", required=True, help="output file")
     parser.add_argument("--format", choices=FORMATS, default="json")
@@ -473,9 +492,6 @@ def run(argv: list[str] | None = None) -> int:
             )
         else:
             print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -267,6 +267,8 @@ def manifest_from_json(data: bytes | str) -> list[BookEntry]:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest is not valid UTF-8: {exc}") from exc
     if not isinstance(payload, dict):
         raise ManifestError("manifest is not a JSON object")
     if payload.get("schema_version") != MANIFEST_SCHEMA_VERSION:

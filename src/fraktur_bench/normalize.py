@@ -209,7 +209,7 @@ def parse_unmapped_policy(spec: str) -> tuple[str, str | None]:
         if len(ch) != 1:
             raise ValueError(f"replace policy needs exactly one character, got {ch!r}")
         return "replace", ch
-    raise ValueError(f"unknown --on-unmapped policy {spec!r}")
+    raise ValueError(f"unknown policy {spec!r}; want fail, drop or replace=<char>")
 
 
 def check_target_stability(rules: NormalizationRuleSet) -> list[Rule]:

@@ -105,25 +105,6 @@ def check_parity(
         raise PairingError(" ".join(parts))
 
 
-def pair_lines(
-    gts: Sequence[TranscriptionLine], preds: Sequence[TranscriptionLine]
-) -> list[tuple[TranscriptionLine, TranscriptionLine]]:
-    """Match ground truth and predictions by line identity; orphans on either
-    side are an error naming them."""
-    gt_by_key = {line.key: line for line in gts}
-    pred_by_key = {line.key: line for line in preds}
-    orphan_gt = sorted(k for k in gt_by_key if k not in pred_by_key)
-    orphan_pred = sorted(k for k in pred_by_key if k not in gt_by_key)
-    if orphan_gt or orphan_pred:
-        parts = []
-        if orphan_gt:
-            parts.append(f"{len(orphan_gt)} ground-truth orphan(s): {orphan_gt[:10]}")
-        if orphan_pred:
-            parts.append(f"{len(orphan_pred)} prediction orphan(s): {orphan_pred[:10]}")
-        raise PairingError("; ".join(parts))
-    return [(gt_by_key[k], pred_by_key[k]) for k in sorted(gt_by_key)]
-
-
 def eval_pipeline(
     gt_root: str | Path,
     pred_roots: Mapping[str, str | Path],
@@ -180,7 +161,8 @@ def eval_pipeline(
                 preds = [
                     normalize_line(ln, rules, codec, on_unmapped, replacement) for ln in preds
                 ]
-            pairs = pair_lines(gt_by_dataset[ds], preds)
+            # check_parity gave both sides the same line ids; both are sorted by id
+            pairs = zip(gt_by_dataset[ds], preds, strict=True)
             results = [align(g.text, p.text) for g, p in pairs]
             cells[ds][engine] = CerCell.from_results(results)
             engine_results.extend(results)

@@ -15,11 +15,10 @@ multiple sequence alignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .align import OpKind, align
 from .errors import VotingError
-from .lines import LineKind, TranscriptionLine
 
 VOTED_ENGINE_ID = "voted"
 
@@ -187,39 +186,3 @@ def vote_line(outputs: Sequence[VoterOutput], config: VotingConfig) -> VoterOutp
         pieces.append(_resolve(char_slots[i], config))
     pieces.append(_resolve(gap_slots[L], config))
     return VoterOutput(VOTED_ENGINE_ID, "".join(pieces))
-
-
-def vote_corpus(
-    per_line_outputs: Mapping[str, Sequence[VoterOutput]],
-    config: VotingConfig,
-    corpus_id: str = "",
-    book_id: str = "",
-) -> list[TranscriptionLine]:
-    """Vote every line of a corpus, deterministically ordered by line id.
-
-    Lines with fewer than min_voters usable outputs fail the whole call,
-    reporting every offender: silently thinner ensembles would skew CER
-    comparisons between voted and single outputs.
-    """
-    short = {
-        line_id: len(outs)
-        for line_id, outs in per_line_outputs.items()
-        if len(outs) < config.min_voters
-    }
-    if short:
-        shown = ", ".join(
-            f"{lid} ({n} voter{'s' if n != 1 else ''})" for lid, n in sorted(short.items())[:10]
-        )
-        more = "" if len(short) <= 10 else f" and {len(short) - 10} more"
-        raise VotingError(
-            f"insufficient voters on {len(short)} line(s), need {config.min_voters}: {shown}{more}"
-        )
-    voted: list[TranscriptionLine] = []
-    for line_id in sorted(per_line_outputs):
-        result = vote_line(per_line_outputs[line_id], config)
-        voted.append(
-            TranscriptionLine(
-                corpus_id, book_id, line_id, result.text, LineKind.PREDICTION, VOTED_ENGINE_ID
-            )
-        )
-    return voted

@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraktur_bench.align import (
-    AlignmentResult,
     OpKind,
     align,
-    corpus_cer,
     delete,
     insert,
     levenshtein,
@@ -20,8 +18,6 @@ from fraktur_bench.align import (
     script_pred_text,
     substitute,
 )
-from fraktur_bench.errors import PairingError
-from fraktur_bench.lines import gt_line, pred_line
 
 short_text = st.text(alphabet="abcdef ", max_size=24)
 # Few symbols make cost ties frequent; up to 90 characters spans two
@@ -243,58 +239,3 @@ class TestTrimmedPaths:
     def test_match_ops_are_shared(self):
         ops = align("abab", "abab").ops
         assert ops[0] is ops[2] and ops[0] == match("a")
-
-
-class TestCorpusCer:
-    def pairs(self, spec):
-        # spec: list of (dist via substitutions, gt_len) encoded as texts
-        out = []
-        for i, (gt_text, pred_text) in enumerate(spec):
-            key = ("N", "b", f"l{i}")
-            out.append(
-                (
-                    gt_line(*key, gt_text),
-                    pred_line(*key, pred_text, engine_id="e"),
-                )
-            )
-        return out
-
-    def test_micro_vs_macro_balanced(self):
-        # two lines of 10 chars, one error total
-        pairs = self.pairs([("aaaaaaaaaa", "baaaaaaaaa"), ("cccccccccc", "cccccccccc")])
-        stats = corpus_cer(pairs)
-        assert stats.micro_cer == pytest.approx(0.05)
-        assert stats.macro_cer == pytest.approx(0.05)
-
-    def test_micro_vs_macro_skewed(self):
-        # short line all wrong, long line clean: macro is dominated by
-        # the short line, micro by the long one
-        pairs = self.pairs([("a", "b"), ("c" * 99, "c" * 99)])
-        stats = corpus_cer(pairs)
-        assert stats.micro_cer == pytest.approx(0.01)
-        assert stats.macro_cer == pytest.approx(0.5)
-
-    def test_empty_gt_excluded_from_macro(self):
-        pairs = self.pairs([("", "xy"), ("aaaa", "aaaa")])
-        stats = corpus_cer(pairs)
-        # micro counts the 2 insertions over 4 gt chars
-        assert stats.micro_cer == pytest.approx(0.5)
-        # macro averages only the nonempty-gt line
-        assert stats.macro_cer == pytest.approx(0.0)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(PairingError, match="empty"):
-            corpus_cer([])
-
-    def test_key_mismatch_rejected(self):
-        gt = gt_line("N", "b", "l1", "a")
-        pred = pred_line("N", "b", "l2", "a", engine_id="e")
-        with pytest.raises(PairingError):
-            corpus_cer([(gt, pred)])
-
-    def test_per_line_results_exposed(self):
-        pairs = self.pairs([("ab", "ab")])
-        stats = corpus_cer(pairs)
-        assert len(stats.per_line) == 1
-        assert isinstance(stats.per_line[0], AlignmentResult)
-        assert stats.per_line[0].distance == 0

@@ -164,6 +164,24 @@ class TestCerCell:
         assert c.micro_pct == "0.47"
         assert c.macro_pct == "0.47"
 
+    @pytest.mark.parametrize(
+        "pairs, micro, macro",
+        [
+            ([("aaaaaaaaaa", "baaaaaaaaa"), ("cccccccccc", "cccccccccc")], 0.05, 0.05),
+            # a short line all wrong and a long clean one: macro follows the
+            # short line, micro the long one
+            ([("a", "b"), ("c" * 99, "c" * 99)], 0.01, 0.5),
+            # the 2 insertions count towards micro over 4 gt chars; macro
+            # averages the non-empty line only
+            ([("", "xy"), ("aaaa", "aaaa")], 0.5, 0.0),
+        ],
+        ids=["balanced", "skewed-short-line", "empty-gt"],
+    )
+    def test_micro_vs_macro(self, pairs, micro, macro):
+        c = CerCell.from_results([align(gt, pred) for gt, pred in pairs])
+        assert c.micro_cer == pytest.approx(micro)
+        assert c.macro_cer == pytest.approx(macro)
+
     def test_empty_gt_line_counts_micro_not_macro(self):
         c = CerCell.from_results([align("", "xy")])
         assert c.distance == 2

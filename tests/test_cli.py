@@ -42,6 +42,9 @@ def corpus(tmp_path: Path):
     return tmp_path
 
 
+EVAL_ARGS = ("--gt", "{root}/gt", "--pred", "{root}/pred", "--engine", "abbyy", "--out", "{out}")
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         assert run(["eval", "--bogus"]) == 2
@@ -146,12 +149,16 @@ class TestExitCodes:
              "corpus_id,books,lines\nN,1\n", "ManifestError"),
             (["prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}"],
              b"corpus_id,books,lines\nN\xff,1,1\n", "ManifestError"),
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+             b'{"schema_version": 1, "engines": ["\xff"]}', "ReportError"),
+            (["prepare", "refine", "--manifest", "{bad}", "--cap", "1", "--out", "{out}"],
+             b'{"schema_version": 1, "books": ["\xff"]}', "ManifestError"),
         ],
         ids=[
             "report-not-object", "report-no-engines", "report-no-cells", "report-no-aggregates",
             "manifest-no-books", "manifest-not-object", "manifest-book-without-id",
             "expected-no-columns", "expected-empty", "expected-not-integer", "expected-short-row",
-            "expected-not-utf8",
+            "expected-not-utf8", "report-not-utf8", "manifest-not-utf8",
         ],
     )
     def test_malformed_input(self, tmp_path, capsys, argv, content, error_type):
@@ -173,6 +180,28 @@ class TestExitCodes:
         assert payload["error"]["type"] == error_type
         assert payload["error"]["message"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["normalize", "--in", "{line}", "--out", "{out}", "--on-unmapped", "bogus"], "--on-unmapped"),
+            (["normalize", "--in", "{line}", "--out", "{out}", "--on-unmapped", "replace=ab"], "--on-unmapped"),
+            (["eval", *EVAL_ARGS, "--on-unmapped", "replace="], "--on-unmapped"),
+            (["eval", *EVAL_ARGS, "--k", "0"], "--k"),
+            (["errors", *EVAL_ARGS, "--k", "three"], "--k"),
+        ],
+        ids=["unmapped-unknown", "unmapped-replace-two-chars", "unmapped-replace-empty", "k-zero", "k-not-integer"],
+    )
+    def test_bad_flag_value_is_usage_error(self, corpus, capsys, argv, flag):
+        out = corpus / "o"
+        paths = {"line": corpus / "gt" / "N-1781" / "l1.gt.txt", "root": corpus, "out": out}
+        argv = [a.format(**paths) for a in argv]
+        for prefix in ([], ["--error-json"]):
+            assert run([*prefix, *argv]) == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}:" in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
 
 class TestNormalizeCommand:
@@ -339,19 +368,19 @@ class TestVoteCommand:
         assert (out / "N-1803" / "l1.pred.voted.txt").read_text(encoding="utf-8") == "mehr Zeit\n"
         capsys.readouterr()
 
-    def test_min_voters_enforced(self, corpus, capsys):
-        code = run(
-            [
-                "vote",
-                "--pred", str(corpus / "pred"),
-                "--engine", "abbyy",
-                "--engine", "tess",
-                "--min-voters", "3",
-                "--out", str(corpus / "voted"),
-            ]
-        )
+    def test_min_voters_enforced(self, tmp_path, capsys):
+        # book A is complete; book B has one complete line and two short ones
+        make_pred_tree(tmp_path / "pred", "e0", {"A": {"l1": "ab"}, "B": {"l1": "a", "l2": "b", "l3": "c"}})
+        make_pred_tree(tmp_path / "pred", "e1", {"A": {"l1": "ab"}, "B": {"l1": "a", "l2": "b"}})
+        make_pred_tree(tmp_path / "pred", "e2", {"A": {"l1": "ab"}, "B": {"l1": "a"}})
+        out = tmp_path / "voted"
+        argv = ["vote", "--pred", str(tmp_path / "pred"), "--min-voters", "3", "--out", str(out)]
+        code = run(argv + ["--engine", "e0", "--engine", "e1", "--engine", "e2"])
         assert code == 1
-        assert "insufficient voters" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: insufficient voters in book 'B' on 2 line(s), need 3: l2, l3\n"
+        assert (out / "A" / "l1.pred.voted.txt").exists()
+        assert not list((out / "B").glob("*.pred.voted.txt"))
 
     def test_confidence_sidecars(self, corpus, capsys):
         # one-line book with sidecars steering the tie

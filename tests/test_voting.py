@@ -5,12 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraktur_bench.errors import VotingError
-from fraktur_bench.lines import LineKind
 from fraktur_bench.voting import (
     VOTED_ENGINE_ID,
     VoterOutput,
     VotingConfig,
-    vote_corpus,
     vote_line,
 )
 
@@ -159,26 +157,3 @@ class TestVoteLine:
         once = vote_line(voters(a, b, a), VotingConfig())
         twice = vote_line(voters(a, b, a, a, b, a), VotingConfig())
         assert once.text == twice.text
-
-
-class TestVoteCorpus:
-    def test_orders_by_line_id(self):
-        per_line = {
-            "l2": voters("b", "b"),
-            "l1": voters("a", "a"),
-        }
-        out = vote_corpus(per_line, VotingConfig(), corpus_id="N", book_id="bk")
-        assert [line.line_id for line in out] == ["l1", "l2"]
-        assert all(line.kind is LineKind.PREDICTION for line in out)
-        assert all(line.engine_id == VOTED_ENGINE_ID for line in out)
-
-    def test_reports_every_short_line(self):
-        per_line = {
-            "l1": voters("a"),
-            "l2": voters("b", "b"),
-            "l3": [],
-        }
-        with pytest.raises(VotingError) as err:
-            vote_corpus(per_line, VotingConfig())
-        msg = str(err.value)
-        assert "2 line(s)" in msg and "l1" in msg and "l3" in msg
