@@ -49,6 +49,7 @@ from .normalize import (
     load_rules,
     normalize_line,
     parse_unmapped_policy,
+    require_replacement_in_codec,
 )
 from .pipeline import eval_pipeline, load_pred_tree, read_text_file
 from .voting import VoterOutput, VotingConfig, vote_line
@@ -108,6 +109,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     rules = _resolve_rules(args.rules)
     rules.require_codec_closed(codec)
     policy, replacement = args.on_unmapped
+    require_replacement_in_codec(policy, replacement, codec)
     src = Path(args.input).resolve()
     dst = Path(args.out).resolve()
 
@@ -218,34 +220,38 @@ def _cmd_vote(args: argparse.Namespace) -> int:
     books = sorted({book for tree in per_engine.values() for book in tree})
     if not books:
         raise VotingError("no predictions found for any engine")
-    out_root = Path(args.out).resolve()
-    written = 0
+    engines = sorted(per_engine)
+    # Every check comes before any output: a line short of voters (a
+    # thinner ensemble would skew voted-vs-single CER), then a bad sidecar
+    # while voting; the voted lines are written only after the last one.
+    lines_by_book = {}
     for book in books:
-        line_ids = sorted({lid for eng in per_engine for lid in per_engine[eng].get(book, {})})
-        voters_by_line: dict[str, list[VoterOutput]] = {}
-        for lid in line_ids:
-            voters: list[VoterOutput] = []
-            for eng in sorted(per_engine):
-                text = per_engine[eng].get(book, {}).get(lid)
-                if text is None:
-                    continue
-                confidences = _load_confidences(trees[eng], book, lid, eng, text)
-                voters.append(VoterOutput(eng, text, confidences))
-            voters_by_line[lid] = voters
-        # a thinner ensemble on some lines would skew voted-vs-single CER
-        short = sorted(lid for lid, v in voters_by_line.items() if len(v) < config.min_voters)
+        voter_count: dict[str, int] = {}
+        for eng in engines:
+            for lid in per_engine[eng].get(book, {}):
+                voter_count[lid] = voter_count.get(lid, 0) + 1
+        short = sorted(lid for lid, n in voter_count.items() if n < config.min_voters)
         if short:
             raise VotingError(
                 f"insufficient voters in book {book!r} on {len(short)} line(s), "
                 f"need {config.min_voters}: {', '.join(short[:10])}"
             )
+        lines_by_book[book] = sorted(voter_count)
+    voted: list[tuple[Path, str]] = []
+    out_root = Path(args.out).resolve()
+    for book, line_ids in lines_by_book.items():
         for lid in line_ids:
-            voted = vote_line(voters_by_line[lid], config)
-            write_atomic(
-                out_root / book / f"{lid}.pred.voted.txt", (voted.text + "\n").encode("utf-8")
-            )
-            written += 1
-    print(f"voted {written} line(s) across {len(books)} book(s) -> {out_root}")
+            voters: list[VoterOutput] = []
+            for eng in engines:
+                text = per_engine[eng].get(book, {}).get(lid)
+                if text is None:
+                    continue
+                confidences = _load_confidences(trees[eng], book, lid, eng, text)
+                voters.append(VoterOutput(eng, text, confidences))
+            voted.append((out_root / book / f"{lid}.pred.voted.txt", vote_line(voters, config).text))
+    for path, text in voted:
+        write_atomic(path, (text + "\n").encode("utf-8"))
+    print(f"voted {len(voted)} line(s) across {len(books)} book(s) -> {out_root}")
     return 0
 
 
@@ -363,14 +369,19 @@ def _unmapped_policy(spec: str) -> tuple[str, str | None]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"want an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_codec_rules_flags(parser: argparse.ArgumentParser) -> None:
@@ -392,7 +403,7 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--raw-pred", action="store_true", help="do not normalize predictions")
     parser.add_argument("--datasets", default="", help="comma-separated dataset order (default: sorted)")
     parser.add_argument("--merge-runs", action="store_true", help="merge adjacent insert/delete runs in confusion stats")
-    parser.add_argument("--k", type=_positive_int, default=3, help="k for top-k error share")
+    parser.add_argument("--k", type=_int_at_least(1), default=3, help="k for top-k error share")
     parser.add_argument("--dictionary-corpus", default="S", help="corpus excluded from the NOD aggregate")
     parser.add_argument("--out", required=True, help="output file")
     parser.add_argument("--format", choices=FORMATS, default="json")
@@ -434,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", action="append", required=True, help="prediction tree root (repeatable)")
     p.add_argument("--engine", action="append", required=True, help="engine id (repeatable)")
     p.add_argument("--out", required=True, help="output tree for voted lines")
-    p.add_argument("--min-voters", type=int, default=2)
+    p.add_argument("--min-voters", type=_int_at_least(2), default=2)
     p.add_argument("--tie-break", choices=("first_voter", "confidence", "abstain_to_pivot"), default="first_voter")
     p.add_argument("--pivot", default="longest", help="'longest', 'first', or an engine id")
     p.set_defaults(handler=_cmd_vote)
@@ -450,14 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = prep.add_parser("refine", help="capped per-book refinement subset")
     q.add_argument("--manifest", action="append", required=True)
-    q.add_argument("--cap", type=int, required=True)
+    q.add_argument("--cap", type=_int_at_least(1), required=True)
     q.add_argument("--out", required=True)
     q.set_defaults(handler=_cmd_prepare_refine)
 
     q = prep.add_parser("schedule", help="expand the staged training plan")
     q.add_argument("--manifest", action="append", required=True)
     q.add_argument("--stage", action="append", required=True, help="name=corpus[,corpus...] (repeatable)")
-    q.add_argument("--cap", type=int, default=50, help="per-book cap for the refinement stage")
+    q.add_argument("--cap", type=_int_at_least(1), default=50, help="per-book cap for the refinement stage")
     q.add_argument("--out", required=True)
     q.set_defaults(handler=_cmd_prepare_schedule)
 

@@ -152,6 +152,18 @@ def normalize_text(text: str, rules: NormalizationRuleSet) -> str:
     )
 
 
+def require_replacement_in_codec(on_unmapped: str, replacement: str | None, codec: Codec) -> None:
+    """Under the ``replace`` policy, check the replacement once, before any
+    line is read, so the outcome does not depend on whether some line
+    needs it."""
+    if on_unmapped == "replace" and (
+        replacement is None or len(replacement) != 1 or replacement not in codec
+    ):
+        raise NormalizationError(
+            f"replacement {replacement!r} is not a single codec character", []
+        )
+
+
 def normalize_line(
     line: TranscriptionLine,
     rules: NormalizationRuleSet,

@@ -27,7 +27,7 @@ from .analytics import (
 from .codec import Codec
 from .errors import ManifestError, PairingError
 from .lines import TranscriptionLine, gt_line, pred_line
-from .normalize import NormalizationRuleSet, normalize_line
+from .normalize import NormalizationRuleSet, normalize_line, require_replacement_in_codec
 
 def read_text_file(path: Path) -> str:
     """Read one line file: UTF-8, one trailing line ending (CRLF, LF or CR)
@@ -128,6 +128,7 @@ def eval_pipeline(
     metadata, pinning that both sides saw the same rules.
     """
     rules.require_codec_closed(codec)
+    require_replacement_in_codec(on_unmapped, replacement, codec)
     gt_tree = load_gt_tree(gt_root)
     if datasets is None:
         dataset_list = sorted(gt_tree)

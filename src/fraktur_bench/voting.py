@@ -8,12 +8,21 @@ deletion) and one per gap (the characters it inserts there, usually
 nothing). The symbol with a strict majority wins a slot; a unique
 plurality also wins; remaining ties fall to the configured tie-break.
 
+Slots exist only where voters disagree. Each voter's edit script is
+walked once for its edits; a character slot where every voter casts the
+pivot's character, or a gap where nobody inserts, has one symbol with all
+the votes, so it keeps the pivot's text at no cost. Only the contested
+slots are built, cast in the same order (pivot first, then the voters by
+index, so confidence sums round the same) and resolved; their results
+are spliced into the pivot text.
+
 This is star alignment, linear in the number of voters, not a full
 multiple sequence alignment.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,6 +125,64 @@ def _resolve(slot: _Slot, config: VotingConfig) -> str:
     return min(leaders, key=lambda s: min(slot.votes[s]))
 
 
+class _Edits:
+    """One voter's edit script against the pivot, reduced to its edits.
+
+    Slot keys: 2*g is the gap before pivot character g, 2*i+1 is pivot
+    character i, so sorted keys follow the text.
+    """
+
+    def __init__(self, index: int, voter: VoterOutput, ops) -> None:
+        self.index = index
+        self.voter = voter
+        # slot key -> voter range cast there: empty for a deletion, one
+        # character for a substitution, the inserted characters at a gap
+        self.spans: dict[int, tuple[int, int]] = {}
+        # A voter character matched to pivot character i sits at
+        # i + shifts[k], k the last index with starts[k] <= i.
+        self.starts = [0]
+        self.shifts = [0]
+        p = q = 0  # pivot and voter positions
+        last = -1
+        edits = [j for j, op in enumerate(ops) if op.kind is not OpKind.MATCH]
+        for j in edits:
+            run = j - last - 1  # matches since the previous edit
+            p += run
+            q += run
+            last = j
+            kind = ops[j].kind
+            if kind is OpKind.SUBSTITUTE:
+                self.spans[2 * p + 1] = (q, q + 1)
+                p += 1
+                q += 1
+                continue
+            if kind is OpKind.INSERT:
+                key = 2 * p
+                self.spans[key] = (self.spans.get(key, (q, q))[0], q + 1)
+                q += 1
+            else:  # DELETE
+                self.spans[2 * p + 1] = (q, q)
+                p += 1
+            # insertions and deletions shift the matches after them
+            self.starts.append(p)
+            self.shifts.append(q - p)
+
+    def vote(self, key: int, pivot_text: str) -> tuple[str, float]:
+        """The symbol this voter casts at a slot, and its confidence."""
+        text, conf = self.voter.text, self.voter.confidences
+        span = self.spans.get(key)
+        if span is None:
+            if not key & 1:
+                return "", 0.0
+            i = key >> 1
+            q = i + self.shifts[bisect_right(self.starts, i) - 1]
+            return pivot_text[i], conf[q] if conf is not None else 0.0
+        q0, q1 = span
+        if conf is None or q0 == q1:
+            return text[q0:q1], 0.0
+        return text[q0:q1], conf[q0] if key & 1 else _mean(conf[q0:q1])
+
+
 def vote_line(outputs: Sequence[VoterOutput], config: VotingConfig) -> VoterOutput:
     """Combine outputs for one line into a single voted output."""
     if len(outputs) < config.min_voters:
@@ -132,57 +199,33 @@ def vote_line(outputs: Sequence[VoterOutput], config: VotingConfig) -> VoterOutp
 
     pivot_idx = _pick_pivot(outputs, config)
     pivot = outputs[pivot_idx]
-    L = len(pivot.text)
-
-    char_slots = [
-        _Slot({}, {}, pivot.text[i]) for i in range(L)
+    text = pivot.text
+    voters = [
+        _Edits(v_idx, voter, align(text, voter.text).ops)
+        for v_idx, voter in enumerate(outputs)
+        if v_idx != pivot_idx
     ]
-    gap_slots = [_Slot({}, {}, "") for _ in range(L + 1)]
-
-    def conf_at(out: VoterOutput, pos: int) -> float:
-        return out.confidences[pos] if out.confidences is not None else 0.0
-
-    # The pivot votes its own text: its characters at the character slots,
-    # no insertion at any gap.
-    for i in range(L):
-        char_slots[i].cast(pivot.text[i], pivot_idx, conf_at(pivot, i))
-    for gap in gap_slots:
-        gap.cast("", pivot_idx, 0.0)
-
-    for v_idx, voter in enumerate(outputs):
-        if v_idx == pivot_idx:
-            continue
-        script = align(pivot.text, voter.text).ops
-        p = 0  # pivot position
-        q = 0  # voter position
-        pending: list[str] = []
-        pending_conf: list[float] = []
-
-        def flush_gap(slot_index: int) -> None:
-            nonlocal pending, pending_conf
-            gap_slots[slot_index].cast("".join(pending), v_idx, _mean(pending_conf))
-            pending = []
-            pending_conf = []
-
-        for op in script:
-            if op.kind is OpKind.INSERT:
-                pending.append(op.pred)
-                pending_conf.append(conf_at(voter, q))
-                q += 1
-                continue
-            flush_gap(p)
-            if op.kind is OpKind.DELETE:
-                char_slots[p].cast("", v_idx, 0.0)
-                p += 1
-            else:  # MATCH or SUBSTITUTE
-                char_slots[p].cast(op.pred, v_idx, conf_at(voter, q))
-                p += 1
-                q += 1
-        flush_gap(L)
+    contested = set().union(*(v.spans for v in voters))
+    if not contested:
+        return VoterOutput(VOTED_ENGINE_ID, text)
 
     pieces: list[str] = []
-    for i in range(L):
-        pieces.append(_resolve(gap_slots[i], config))
-        pieces.append(_resolve(char_slots[i], config))
-    pieces.append(_resolve(gap_slots[L], config))
+    done = 0  # pivot characters already in pieces
+    for key in sorted(contested):
+        pos = key >> 1
+        # The pivot votes its own text: its character, or no insertion.
+        if key & 1:
+            slot = _Slot({}, {}, text[pos])
+            conf = pivot.confidences[pos] if pivot.confidences is not None else 0.0
+            slot.cast(text[pos], pivot_idx, conf)
+        else:
+            slot = _Slot({}, {}, "")
+            slot.cast("", pivot_idx, 0.0)
+        for voter in voters:
+            symbol, conf = voter.vote(key, text)
+            slot.cast(symbol, voter.index, conf)
+        pieces.append(text[done:pos])
+        pieces.append(_resolve(slot, config))
+        done = pos + (key & 1)
+    pieces.append(text[done:])
     return VoterOutput(VOTED_ENGINE_ID, "".join(pieces))

@@ -189,12 +189,27 @@ class TestExitCodes:
             (["eval", *EVAL_ARGS, "--on-unmapped", "replace="], "--on-unmapped"),
             (["eval", *EVAL_ARGS, "--k", "0"], "--k"),
             (["errors", *EVAL_ARGS, "--k", "three"], "--k"),
+            (["vote", "--pred", "{root}/pred", "--engine", "abbyy", "--engine", "tess",
+              "--out", "{out}", "--min-voters", "1"], "--min-voters"),
+            (["prepare", "refine", "--manifest", "{manifest}", "--cap", "0", "--out", "{out}"], "--cap"),
+            (["prepare", "schedule", "--manifest", "{manifest}", "--stage", "real=N",
+              "--cap", "-1", "--out", "{out}"], "--cap"),
         ],
-        ids=["unmapped-unknown", "unmapped-replace-two-chars", "unmapped-replace-empty", "k-zero", "k-not-integer"],
+        ids=[
+            "unmapped-unknown", "unmapped-replace-two-chars", "unmapped-replace-empty", "k-zero",
+            "k-not-integer", "min-voters-one", "refine-cap-zero", "schedule-cap-negative",
+        ],
     )
     def test_bad_flag_value_is_usage_error(self, corpus, capsys, argv, flag):
         out = corpus / "o"
-        paths = {"line": corpus / "gt" / "N-1781" / "l1.gt.txt", "root": corpus, "out": out}
+        manifest = corpus / "m.json"
+        manifest.write_bytes(manifest_to_json([BookEntry("N-1781", "N", ("l1",))]))
+        paths = {
+            "line": corpus / "gt" / "N-1781" / "l1.gt.txt",
+            "root": corpus,
+            "manifest": manifest,
+            "out": out,
+        }
         argv = [a.format(**paths) for a in argv]
         for prefix in ([], ["--error-json"]):
             assert run([*prefix, *argv]) == 2
@@ -202,6 +217,35 @@ class TestExitCodes:
             assert f"argument {flag}:" in err
             assert "Traceback" not in err
             assert not out.exists()
+
+
+class TestReplacementOutsideCodec:
+    """replace=<char> with a character outside the codec fails before any
+    line is read, whether or not some line would need the replacement."""
+
+    @pytest.mark.parametrize("text", ["Das Jahr", "Das Jahr \u20ac"], ids=["clean", "dirty"])
+    @pytest.mark.parametrize("command", ["normalize", "eval", "errors"])
+    def test_rejected_up_front(self, tmp_path, capsys, command, text):
+        make_gt_tree(tmp_path / "gt", {"N-1781": {"l1": text}})
+        make_pred_tree(tmp_path / "pred", "abbyy", {"N-1781": {"l1": text}})
+        out = tmp_path / "o"
+        if command == "normalize":
+            argv = ["normalize", "--in", str(tmp_path / "gt" / "N-1781" / "l1.gt.txt"), "--out", str(out)]
+        else:
+            argv = [command, *(a.format(root=tmp_path, out=out) for a in EVAL_ARGS)]
+        argv += ["--on-unmapped", "replace=\u20ac"]
+
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: replacement '\u20ac' is not a single codec character\n"
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {
+            "error": {
+                "type": "NormalizationError",
+                "message": "replacement '\u20ac' is not a single codec character",
+            }
+        }
+        assert not out.exists()
 
 
 class TestNormalizeCommand:
@@ -379,8 +423,18 @@ class TestVoteCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "error: insufficient voters in book 'B' on 2 line(s), need 3: l2, l3\n"
-        assert (out / "A" / "l1.pred.voted.txt").exists()
-        assert not list((out / "B").glob("*.pred.voted.txt"))
+        # nothing is written, not even book A, which had every voter
+        assert not out.exists()
+
+    def test_bad_sidecar_in_later_book_writes_nothing(self, tmp_path, capsys):
+        make_pred_tree(tmp_path / "pred", "e0", {"A": {"l1": "ab"}, "B": {"l1": "cd"}})
+        make_pred_tree(tmp_path / "pred", "e1", {"A": {"l1": "ab"}, "B": {"l1": "ce"}})
+        (tmp_path / "pred" / "B" / "l1.pred.e1.conf").write_text("0.9\n", encoding="utf-8")
+        out = tmp_path / "voted"
+        argv = ["vote", "--pred", str(tmp_path / "pred"), "--engine", "e0", "--engine", "e1"]
+        assert run([*argv, "--out", str(out)]) == 1
+        assert "l1.pred.e1.conf: 1 confidences for 2 characters" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_confidence_sidecars(self, corpus, capsys):
         # one-line book with sidecars steering the tie

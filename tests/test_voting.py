@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass
+from typing import Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraktur_bench.align import OpKind, align
 from fraktur_bench.errors import VotingError
 from fraktur_bench.voting import (
+    TIE_BREAKS,
     VOTED_ENGINE_ID,
     VoterOutput,
     VotingConfig,
@@ -13,6 +19,186 @@ from fraktur_bench.voting import (
 )
 
 line_text = st.text(alphabet="abc ", max_size=12)
+
+# Confidences whose sums tie exactly (0.25 + 0.5 == 0.75) and ones that
+# only nearly tie (0.1 + 0.2 != 0.3), so both kinds of tie occur.
+CONFIDENCES = (0.1, 0.2, 0.25, 0.3, 0.5, 0.75)
+
+
+# Reference voter: every slot and gap built and resolved, as the
+# straightforward design does. vote_line must give the same text.
+
+
+@dataclass
+class _Slot:
+    # votes: symbol -> voter indices; a symbol is one char (slots), a string
+    # of inserted chars (gaps), or "" for no opinion.
+    votes: dict[str, list[int]]
+    confidence: dict[str, float]
+    pivot_symbol: str
+
+    def cast(self, symbol: str, voter: int, confidence: float) -> None:
+        self.votes.setdefault(symbol, []).append(voter)
+        self.confidence[symbol] = self.confidence.get(symbol, 0.0) + confidence
+
+
+def _pick_pivot(outputs: Sequence[VoterOutput], config: VotingConfig) -> int:
+    if config.pivot == "first":
+        return 0
+    if config.pivot == "engine":
+        for i, out in enumerate(outputs):
+            if out.engine_id == config.pivot_engine:
+                return i
+        raise VotingError(f"pivot engine {config.pivot_engine!r} not among voters")
+    best = 0
+    for i, out in enumerate(outputs):
+        if len(out.text) > len(outputs[best].text):
+            best = i
+    return best
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+def _resolve(slot: _Slot, config: VotingConfig) -> str:
+    top = max(len(v) for v in slot.votes.values())
+    leaders = sorted(sym for sym, v in slot.votes.items() if len(v) == top)
+    if len(leaders) == 1:
+        return leaders[0]
+    if config.tie_break == "abstain_to_pivot":
+        return slot.pivot_symbol
+    if config.tie_break == "confidence":
+        best = max(slot.confidence.get(s, 0.0) for s in leaders)
+        leaders = [s for s in leaders if slot.confidence.get(s, 0.0) == best]
+        if len(leaders) == 1:
+            return leaders[0]
+    # first_voter, and the fallback for exact confidence ties
+    return min(leaders, key=lambda s: min(slot.votes[s]))
+
+
+def reference_vote(outputs: Sequence[VoterOutput], config: VotingConfig) -> VoterOutput:
+    """Combine outputs for one line into a single voted output."""
+    if len(outputs) < config.min_voters:
+        raise VotingError(
+            f"insufficient voters: got {len(outputs)}, need {config.min_voters}"
+        )
+    if config.tie_break == "confidence":
+        missing = [o.engine_id for o in outputs if o.confidences is None]
+        if missing:
+            raise VotingError(
+                f"tie_break='confidence' requires confidences from every voter; "
+                f"missing: {', '.join(missing)}"
+            )
+
+    pivot_idx = _pick_pivot(outputs, config)
+    pivot = outputs[pivot_idx]
+    L = len(pivot.text)
+
+    char_slots = [
+        _Slot({}, {}, pivot.text[i]) for i in range(L)
+    ]
+    gap_slots = [_Slot({}, {}, "") for _ in range(L + 1)]
+
+    def conf_at(out: VoterOutput, pos: int) -> float:
+        return out.confidences[pos] if out.confidences is not None else 0.0
+
+    # The pivot votes its own text: its characters at the character slots,
+    # no insertion at any gap.
+    for i in range(L):
+        char_slots[i].cast(pivot.text[i], pivot_idx, conf_at(pivot, i))
+    for gap in gap_slots:
+        gap.cast("", pivot_idx, 0.0)
+
+    for v_idx, voter in enumerate(outputs):
+        if v_idx == pivot_idx:
+            continue
+        script = align(pivot.text, voter.text).ops
+        p = 0  # pivot position
+        q = 0  # voter position
+        pending: list[str] = []
+        pending_conf: list[float] = []
+
+        def flush_gap(slot_index: int) -> None:
+            nonlocal pending, pending_conf
+            gap_slots[slot_index].cast("".join(pending), v_idx, _mean(pending_conf))
+            pending = []
+            pending_conf = []
+
+        for op in script:
+            if op.kind is OpKind.INSERT:
+                pending.append(op.pred)
+                pending_conf.append(conf_at(voter, q))
+                q += 1
+                continue
+            flush_gap(p)
+            if op.kind is OpKind.DELETE:
+                char_slots[p].cast("", v_idx, 0.0)
+                p += 1
+            else:  # MATCH or SUBSTITUTE
+                char_slots[p].cast(op.pred, v_idx, conf_at(voter, q))
+                p += 1
+                q += 1
+        flush_gap(L)
+
+    pieces: list[str] = []
+    for i in range(L):
+        pieces.append(_resolve(gap_slots[i], config))
+        pieces.append(_resolve(char_slots[i], config))
+    pieces.append(_resolve(gap_slots[L], config))
+    return VoterOutput(VOTED_ENGINE_ID, "".join(pieces))
+
+
+def every_config(outputs: Sequence[VoterOutput]):
+    """Every tie-break under the longest, the first and each engine's pivot."""
+    for tie_break in TIE_BREAKS:
+        yield VotingConfig(tie_break=tie_break, pivot="longest")
+        yield VotingConfig(tie_break=tie_break, pivot="first")
+        for out in outputs:
+            yield VotingConfig(tie_break=tie_break, pivot="engine", pivot_engine=out.engine_id)
+
+
+def outcome(vote, outputs: Sequence[VoterOutput], config: VotingConfig):
+    try:
+        return vote(outputs, config).text
+    except VotingError as exc:
+        return f"VotingError: {exc}"
+
+
+def assert_votes_like_reference(outputs: Sequence[VoterOutput]) -> None:
+    for config in every_config(outputs):
+        assert outcome(vote_line, outputs, config) == outcome(reference_vote, outputs, config), config
+
+
+@st.composite
+def tie_heavy_voters(draw) -> list[VoterOutput]:
+    """2-5 short voters over 1-4 letters, empty texts included; each with
+    drawn confidences, or without any."""
+    alphabet = "abcd"[: draw(st.integers(min_value=1, max_value=4))]
+    outputs = []
+    for i in range(draw(st.integers(min_value=2, max_value=5))):
+        text = draw(st.text(alphabet=alphabet, max_size=8))
+        confidences = draw(
+            st.none()
+            | st.lists(st.sampled_from(CONFIDENCES), min_size=len(text), max_size=len(text)).map(tuple)
+        )
+        outputs.append(VoterOutput(f"e{i}", text, confidences))
+    return outputs
+
+
+def noisy_copy(rng: random.Random, text: str, rate: float, alphabet: str) -> str:
+    out = []
+    for ch in text:
+        r = rng.random()
+        if r < rate:  # delete
+            continue
+        if r < 2 * rate:  # substitute
+            out.append(rng.choice(alphabet))
+            continue
+        if r < 3 * rate:  # insert before
+            out.append(rng.choice(alphabet))
+        out.append(ch)
+    return "".join(out)
 
 
 def voters(*texts: str) -> list[VoterOutput]:
@@ -157,3 +343,58 @@ class TestVoteLine:
         once = vote_line(voters(a, b, a), VotingConfig())
         twice = vote_line(voters(a, b, a, a, b, a), VotingConfig())
         assert once.text == twice.text
+
+
+class TestMatchesReference:
+    """vote_line builds slots only where voters disagree; the text it votes
+    must be the reference voter's, tie-breaks and float sums included."""
+
+    @settings(max_examples=600)
+    @given(tie_heavy_voters())
+    def test_tie_heavy_voters(self, outputs):
+        assert_votes_like_reference(outputs)
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ("", ""),
+            ("", "a"),
+            ("", "ab", "ba"),
+            ("ab", "", ""),
+            ("", "", "a", "a"),
+            ("aa", "a", "aaa", "", "a"),
+        ],
+    )
+    def test_empty_texts(self, texts):
+        for confidences in (False, True):
+            outputs = [
+                VoterOutput(f"e{i}", t, (0.25,) * len(t) if confidences else None)
+                for i, t in enumerate(texts)
+            ]
+            assert_votes_like_reference(outputs)
+
+    def test_confidence_sums_in_cast_order(self):
+        # Summed pivot first, then by voter index: a = (0.1 + 0.1) + 0.25
+        # = 0.45 beats b = (0.25 + 0.1) + 0.1 = 0.44999999999999996. Summed
+        # with the voters in reverse, b would win 0.45 to 0.44999999999999996.
+        outputs = [
+            VoterOutput(f"e{i}", t, (c,))
+            for i, (t, c) in enumerate(zip("aabbab", (0.1, 0.1, 0.25, 0.1, 0.25, 0.1)))
+        ]
+        config = VotingConfig(tie_break="confidence")
+        assert vote_line(outputs, config).text == reference_vote(outputs, config).text == "a"
+
+    def test_long_lines_with_errors_near_both_ends(self):
+        rng = random.Random(20262)
+        alphabet = "abcdefgh ſßäö"
+        for _ in range(30):
+            base = "".join(rng.choice(alphabet) for _ in range(rng.randint(150, 450)))
+            outputs = []
+            for i in range(rng.randint(2, 5)):
+                text = noisy_copy(rng, base, rng.choice((0.0, 0.005, 0.02, 0.08)), alphabet)
+                head = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 2)))
+                tail = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 2)))
+                text = head + text[rng.randint(0, 2):len(text) - rng.randint(0, 2)] + tail
+                confidences = tuple(rng.choice(CONFIDENCES) for _ in text)
+                outputs.append(VoterOutput(f"e{i}", text, confidences))
+            assert_votes_like_reference(outputs)
