@@ -25,11 +25,10 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .align import align
 from .analytics import emit_errors_report, emit_report, report_from_json
 from .codec import Codec, codec_coverage_report, default_codec, load_codec
 from .errors import ManifestError, ReportError, ToolkitError, VotingError
-from .lines import TranscriptionLine, gt_line
+from .lines import gt_line, line_id_of
 from .manifests import (
     BookEntry,
     CountExpectation,
@@ -113,13 +112,12 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     src = Path(args.input).resolve()
     dst = Path(args.out).resolve()
 
-    def normalize_file(in_file: Path, out_file: Path) -> None:
-        line = gt_line("", in_file.parent.name, in_file.stem, read_text_file(in_file))
-        result = normalize_line(line, rules, codec, policy, replacement)
-        write_atomic(out_file, (result.text + "\n").encode("utf-8"))
+    def normalized(in_file: Path) -> bytes:
+        line = gt_line("", in_file.parent.name, line_id_of(in_file.name), read_text_file(in_file))
+        return (normalize_line(line, rules, codec, policy, replacement).text + "\n").encode("utf-8")
 
     if src.is_file():
-        normalize_file(src, dst)
+        write_atomic(dst, normalized(src))
         print(f"normalized 1 file -> {dst}")
         return 0
     if not src.is_dir():
@@ -127,8 +125,11 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     files = sorted(src.rglob(args.pattern))
     if not files:
         raise ManifestError(f"no files matching {args.pattern!r} under {src}")
-    for in_file in files:
-        normalize_file(in_file, dst / in_file.relative_to(src))
+    # Every file is normalized before any is written: a bad line in a later
+    # file leaves no partial output tree.
+    outputs = [(dst / f.relative_to(src), normalized(f)) for f in files]
+    for out_file, data in outputs:
+        write_atomic(out_file, data)
     print(f"normalized {len(files)} file(s) -> {dst}")
     return 0
 
@@ -140,7 +141,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     if not files:
         raise ManifestError(f"no files matching {args.pattern!r} under {src}")
     lines = [
-        gt_line("", f.parent.name, f.stem, read_text_file(f)) for f in files
+        gt_line("", f.parent.name, line_id_of(f.name), read_text_file(f)) for f in files
     ]
     report = codec_coverage_report(lines, codec)
     payload = {
@@ -161,14 +162,13 @@ def _run_eval(args: argparse.Namespace):
     codec = _resolve_codec(args.codec)
     rules = _resolve_rules(args.rules)
     policy, replacement = args.on_unmapped
-    datasets = args.datasets.split(",") if args.datasets else None
     return eval_pipeline(
         Path(args.gt).resolve(),
         _engine_trees(args),
         codec,
         rules,
         raw_pred=args.raw_pred,
-        datasets=datasets,
+        datasets=args.datasets,
         on_unmapped=policy,
         replacement=replacement,
         merge_runs=args.merge_runs,
@@ -264,9 +264,18 @@ def _cmd_prepare_scan(args: argparse.Namespace) -> int:
 
 
 def _load_manifests(paths) -> list[BookEntry]:
+    """Every book of every manifest; a book listed twice is a data error,
+    because it would be sampled, scheduled and counted twice."""
     books: list[BookEntry] = []
+    source: dict[str, str] = {}
     for p in paths:
-        books.extend(manifest_from_json(_read_input(p, ManifestError)))
+        for book in manifest_from_json(_read_input(p, ManifestError)):
+            if book.book_id in source:
+                raise ManifestError(
+                    f"book {book.book_id!r} is listed twice: in {source[book.book_id]} and in {p}"
+                )
+            source[book.book_id] = p
+            books.append(book)
     return books
 
 
@@ -369,6 +378,19 @@ def _unmapped_policy(spec: str) -> tuple[str, str | None]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _dataset_ids(text: str) -> list[str]:
+    """An argparse type: comma-separated dataset ids, none empty or repeated."""
+    ids = text.split(",")
+    if "" in ids:
+        raise argparse.ArgumentTypeError(f"empty dataset id in {text!r}")
+    repeated = sorted({ds for ds in ids if ids.count(ds) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"repeated dataset id(s) {', '.join(repeated)} in {text!r}"
+        )
+    return ids
+
+
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than low."""
 
@@ -401,7 +423,9 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", action="append", required=True, help="engine id (repeatable)")
     _add_codec_rules_flags(parser)
     parser.add_argument("--raw-pred", action="store_true", help="do not normalize predictions")
-    parser.add_argument("--datasets", default="", help="comma-separated dataset order (default: sorted)")
+    parser.add_argument(
+        "--datasets", type=_dataset_ids, help="comma-separated dataset order (default: sorted)"
+    )
     parser.add_argument("--merge-runs", action="store_true", help="merge adjacent insert/delete runs in confusion stats")
     parser.add_argument("--k", type=_int_at_least(1), default=3, help="k for top-k error share")
     parser.add_argument("--dictionary-corpus", default="S", help="corpus excluded from the NOD aggregate")

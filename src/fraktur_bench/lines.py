@@ -1,14 +1,30 @@
-"""Core line type shared by every stage of the pipeline.
+"""Core line type shared by every stage of the pipeline, and the on-disk
+names of line files.
 
 A TranscriptionLine is one text line together with its source identity.
 Ground-truth lines and engine predictions use the same type; predictions
 additionally carry the id of the engine that produced them.
+
+On disk a tree holds one directory per book, each holding
+``<line_id><suffix>`` files: ``.gt.txt`` for ground truth,
+``.pred.<engine_id>.txt`` for a prediction, an image suffix for the line
+image. ``list_books`` lists a tree once; every reader matches line files
+on the listed names by exact suffix.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, replace
+from pathlib import Path, PurePath
+from typing import Sequence
+
+from .errors import ManifestError
+
+GT_SUFFIX = ".gt.txt"
+# Longest first so suffix stripping never cuts a compound extension short.
+IMAGE_SUFFIXES = (".bin.png", ".nrm.png", ".png")
 
 
 class LineKind(enum.Enum):
@@ -48,3 +64,52 @@ def pred_line(
     corpus_id: str, book_id: str, line_id: str, text: str, engine_id: str
 ) -> TranscriptionLine:
     return TranscriptionLine(corpus_id, book_id, line_id, text, LineKind.PREDICTION, engine_id)
+
+
+def pred_suffix(engine_id: str) -> str:
+    """The file suffix of one engine's predictions; the id is taken literally."""
+    return f".pred.{engine_id}.txt"
+
+
+def strip_suffix(name: str, suffixes: Sequence[str]) -> str | None:
+    """The name without the first of suffixes it ends with, or None."""
+    for suffix in suffixes:
+        if name.endswith(suffix):
+            return name[: -len(suffix)]
+    return None
+
+
+def line_id_of(name: str) -> str:
+    """The line id in a text file's name: the name without ``.gt.txt`` or
+    ``.pred.<engine_id>.txt``. Any other name loses its last extension."""
+    line_id = strip_suffix(name, (GT_SUFFIX,))
+    if line_id is not None:
+        return line_id
+    head, sep, _ = name.rpartition(".pred.")
+    if sep and name.endswith(".txt"):
+        return head
+    return PurePath(name).stem
+
+
+def list_books(root: Path, label: str) -> list[tuple[Path, tuple[str, ...]]]:
+    """Each immediate sub-directory of root, sorted by name, with the sorted
+    names of its entries.
+
+    Each directory is listed once. A root that cannot be listed raises
+    ManifestError naming it as label; so does a book directory.
+    """
+    try:
+        with os.scandir(root) as entries:
+            book_names = sorted(e.name for e in entries if e.is_dir())
+    except OSError as exc:
+        raise ManifestError(f"{label} {root} is not a readable directory") from exc
+    books = []
+    for name in book_names:
+        book_dir = root / name
+        try:
+            books.append((book_dir, tuple(sorted(os.listdir(book_dir)))))
+        except OSError as exc:
+            raise ManifestError(
+                f"cannot list book directory {book_dir}: {exc.strerror or exc}"
+            ) from exc
+    return books

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ManifestError
+from .lines import GT_SUFFIX, IMAGE_SUFFIXES, list_books, strip_suffix
 
 logger = logging.getLogger(__name__)
 
@@ -37,9 +38,6 @@ MANIFEST_SCHEMA_VERSION = 1
 SCHEDULE_SCHEMA_VERSION = 1
 
 STAGE_ORDER = ("pretraining", "synthetic", "real", "refinement")
-
-# Longest first so suffix stripping never cuts a compound extension short.
-_IMAGE_SUFFIXES = (".bin.png", ".nrm.png", ".png")
 
 
 @dataclass(frozen=True)
@@ -100,14 +98,6 @@ class TrainingSchedule:
             )
 
 
-def _line_id_of(gt_file: Path) -> str:
-    return gt_file.name[: -len(".gt.txt")]
-
-
-def _has_image(book_dir: Path, line_id: str) -> bool:
-    return any((book_dir / f"{line_id}{suffix}").exists() for suffix in _IMAGE_SUFFIXES)
-
-
 def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
     """Scan a line-pair tree into one BookEntry per book directory.
 
@@ -116,15 +106,15 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
     book directories is an error.
     """
     root = Path(root)
-    if not root.is_dir():
-        raise ManifestError(f"corpus root {root} is not a readable directory")
     books: list[BookEntry] = []
-    for book_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+    for book_dir, names in list_books(root, "corpus root"):
+        present = set(names)
         line_ids: list[str] = []
-        gt_files = sorted(book_dir.glob("*.gt.txt"))
-        for gt_file in gt_files:
-            line_id = _line_id_of(gt_file)
-            if not _has_image(book_dir, line_id):
+        for name in names:
+            if not name.endswith(GT_SUFFIX):
+                continue
+            line_id = name[: -len(GT_SUFFIX)]
+            if present.isdisjoint([line_id + suffix for suffix in IMAGE_SUFFIXES]):
                 logger.warning(
                     "%s/%s: line %r has ground truth but no image sibling, excluded",
                     corpus_id,
@@ -133,18 +123,15 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
                 )
                 continue
             line_ids.append(line_id)
-        for image in sorted(book_dir.glob("*.png")):
-            stem = image.name
-            for suffix in _IMAGE_SUFFIXES:
-                if stem.endswith(suffix):
-                    stem = stem[: -len(suffix)]
-                    break
-            if not (book_dir / f"{stem}.gt.txt").exists():
+        for name in names:
+            if name.endswith(IMAGE_SUFFIXES) and (
+                strip_suffix(name, IMAGE_SUFFIXES) + GT_SUFFIX not in present
+            ):
                 logger.warning(
                     "%s/%s: image %r has no ground-truth sibling, excluded",
                     corpus_id,
                     book_dir.name,
-                    image.name,
+                    name,
                 )
         books.append(BookEntry(book_dir.name, corpus_id, tuple(line_ids)))
     if not books:

@@ -26,7 +26,7 @@ from .analytics import (
 )
 from .codec import Codec
 from .errors import ManifestError, PairingError
-from .lines import TranscriptionLine, gt_line, pred_line
+from .lines import GT_SUFFIX, TranscriptionLine, gt_line, list_books, pred_line, pred_suffix
 from .normalize import NormalizationRuleSet, normalize_line, require_replacement_in_codec
 
 def read_text_file(path: Path) -> str:
@@ -45,19 +45,24 @@ def read_text_file(path: Path) -> str:
     return text[:-1] if text.endswith(("\n", "\r")) else text
 
 
-def load_gt_tree(root: str | Path) -> dict[str, dict[str, str]]:
-    """dataset id -> line id -> ground-truth text."""
-    root = Path(root)
-    if not root.is_dir():
-        raise ManifestError(f"ground-truth root {root} is not a readable directory")
+def _read_tree(root: Path, label: str, suffix: str) -> dict[str, dict[str, str]]:
+    """dataset id -> line id -> text of every file whose name ends with suffix."""
     tree: dict[str, dict[str, str]] = {}
-    for book_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+    for book_dir, names in list_books(root, label):
         lines = {
-            f.name[: -len(".gt.txt")]: read_text_file(f)
-            for f in sorted(book_dir.glob("*.gt.txt"))
+            name[: -len(suffix)]: read_text_file(book_dir / name)
+            for name in names
+            if name.endswith(suffix)
         }
         if lines:
             tree[book_dir.name] = lines
+    return tree
+
+
+def load_gt_tree(root: str | Path) -> dict[str, dict[str, str]]:
+    """dataset id -> line id -> ground-truth text."""
+    root = Path(root)
+    tree = _read_tree(root, "ground-truth root", GT_SUFFIX)
     if not tree:
         raise ManifestError(f"no ground-truth lines found under {root}")
     return tree
@@ -65,19 +70,7 @@ def load_gt_tree(root: str | Path) -> dict[str, dict[str, str]]:
 
 def load_pred_tree(root: str | Path, engine_id: str) -> dict[str, dict[str, str]]:
     """dataset id -> line id -> predicted text, for one engine."""
-    root = Path(root)
-    if not root.is_dir():
-        raise ManifestError(f"prediction root {root} is not a readable directory")
-    suffix = f".pred.{engine_id}.txt"
-    tree: dict[str, dict[str, str]] = {}
-    for book_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        lines = {
-            f.name[: -len(suffix)]: read_text_file(f)
-            for f in sorted(book_dir.glob(f"*{suffix}"))
-        }
-        if lines:
-            tree[book_dir.name] = lines
-    return tree
+    return _read_tree(Path(root), "prediction root", pred_suffix(engine_id))
 
 
 def check_parity(

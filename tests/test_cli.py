@@ -194,10 +194,15 @@ class TestExitCodes:
             (["prepare", "refine", "--manifest", "{manifest}", "--cap", "0", "--out", "{out}"], "--cap"),
             (["prepare", "schedule", "--manifest", "{manifest}", "--stage", "real=N",
               "--cap", "-1", "--out", "{out}"], "--cap"),
+            (["eval", *EVAL_ARGS, "--datasets", "N-1781,N-1781"], "--datasets"),
+            (["errors", *EVAL_ARGS, "--datasets", "N-1781,N-1803,N-1781"], "--datasets"),
+            (["eval", *EVAL_ARGS, "--datasets", ",N-1781"], "--datasets"),
+            (["eval", *EVAL_ARGS, "--datasets", ""], "--datasets"),
         ],
         ids=[
             "unmapped-unknown", "unmapped-replace-two-chars", "unmapped-replace-empty", "k-zero",
             "k-not-integer", "min-voters-one", "refine-cap-zero", "schedule-cap-negative",
+            "datasets-repeated", "datasets-repeated-apart", "datasets-empty-id", "datasets-empty",
         ],
     )
     def test_bad_flag_value_is_usage_error(self, corpus, capsys, argv, flag):
@@ -214,9 +219,42 @@ class TestExitCodes:
         for prefix in ([], ["--error-json"]):
             assert run([*prefix, *argv]) == 2
             err = capsys.readouterr().err
-            assert f"argument {flag}:" in err
+            assert err.count(f"argument {flag}:") == 1
             assert "Traceback" not in err
             assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prepare", "refine", "--manifest", "{a}", "--manifest", "{a}", "--cap", "1", "--out", "{out}"],
+            ["prepare", "schedule", "--manifest", "{a}", "--manifest", "{b}", "--stage", "real=N,O",
+             "--out", "{out}"],
+            ["prepare", "verify", "--manifest", "{a}", "--manifest", "{a}", "--expected", "{expected}",
+             "--out", "{out}"],
+        ],
+        ids=["refine-same-file", "schedule-two-files", "verify-same-file"],
+    )
+    def test_book_in_two_manifests(self, tmp_path, capsys, argv):
+        a = tmp_path / "a.json"
+        a.write_bytes(manifest_to_json([BookEntry("N-1781", "N", ("l1",)), BookEntry("N-1803", "N", ("l1",))]))
+        b = tmp_path / "b.json"
+        b.write_bytes(manifest_to_json([BookEntry("O-1800", "O", ("l1",)), BookEntry("N-1803", "O", ("l2",))]))
+        expected = tmp_path / "counts.csv"
+        expected.write_text("corpus_id,books,lines\nN,2,2\n", encoding="utf-8")
+        out = tmp_path / "o"
+        argv = [arg.format(a=a, b=b, expected=expected, out=out) for arg in argv]
+        if str(b) in argv:
+            message = f"book 'N-1803' is listed twice: in {a} and in {b}"
+        else:
+            message = f"book 'N-1781' is listed twice: in {a} and in {a}"
+
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": {"type": "ManifestError", "message": message}}
+        assert not out.exists()
 
 
 class TestReplacementOutsideCodec:
@@ -263,6 +301,23 @@ class TestNormalizeCommand:
         assert run(["normalize", "--in", str(gt), "--out", str(out)]) == 0
         assert (out / "b1" / "l1.gt.txt").read_text(encoding="utf-8") == "Jm Anfang\n"
         capsys.readouterr()
+
+    def test_tree_mode_checks_every_file_before_writing(self, tmp_path, capsys):
+        gt = make_gt_tree(tmp_path / "gt", {"b1": {"l1": "Im Anfang", "l2": "a\u2020b"}})
+        out = tmp_path / "norm"
+        argv = ["normalize", "--in", str(gt), "--out", str(out)]
+
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        # the line id comes without its .gt.txt suffix, as in eval
+        assert err.startswith("error: line 'l2': 1 character(s) outside codec ")
+        assert "U+2020" in err and err.count("\n") == 1
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert set(payload) == {"error"} and set(payload["error"]) == {"type", "message"}
+        assert payload["error"]["type"] == "NormalizationError"
+        assert payload["error"]["message"] == err[len("error: "):-1]
+        assert not out.exists()
 
     def test_unmapped_fail(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
@@ -363,6 +418,35 @@ class TestEvalCommand:
         assert run(["--seed", "42", *self.eval_args(corpus, out)]) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["metadata"]["seed"] == 42
+        capsys.readouterr()
+
+
+class TestLiteralEngineIds:
+    """An engine id is part of a file name, not a glob pattern: 'e[1]'
+    reads l1.pred.e[1].txt and never l1.pred.e1.txt."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        make_gt_tree(tmp_path / "gt", {"N-1": {"l1": "Das Jahr"}})
+        make_pred_tree(tmp_path / "pred", "e[1]", {"N-1": {"l1": "Das Jahr"}})
+        make_pred_tree(tmp_path / "pred", "e1", {"N-1": {"l1": "xx"}})
+        make_pred_tree(tmp_path / "pred", "e2", {"N-1": {"l1": "Das Jahr"}})
+        return tmp_path
+
+    def test_eval(self, tree, capsys):
+        out = tree / "report.json"
+        argv = ["eval", "--gt", str(tree / "gt"), "--pred", str(tree / "pred"), "--engine", "e[1]"]
+        assert run([*argv, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["engines"] == ["e[1]"]
+        assert payload["cells"]["N-1"]["e[1]"]["micro_cer"] == 0.0
+        capsys.readouterr()
+
+    def test_vote(self, tree, capsys):
+        out = tree / "voted"
+        argv = ["vote", "--pred", str(tree / "pred"), "--engine", "e[1]", "--engine", "e2"]
+        assert run([*argv, "--out", str(out)]) == 0
+        assert (out / "N-1" / "l1.pred.voted.txt").read_text(encoding="utf-8") == "Das Jahr\n"
         capsys.readouterr()
 
 

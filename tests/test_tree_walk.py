@@ -1,0 +1,307 @@
+"""The tree readers against the glob-and-stat walk they replaced.
+
+``reference_scan_corpus``, ``reference_load_gt_tree`` and
+``reference_load_pred_tree`` are the earlier versions, kept verbatim apart
+from their names: one ``glob`` per suffix and book, one ``exists()`` call
+per image and ground-truth sibling. They share no helper with the code
+under test. On generated trees both must return the same values in the
+same order, raise the same errors and log the same warnings in the same
+order. Engine ids stay free of glob metacharacters here, because the
+reference reads those as patterns.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import logging
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraktur_bench.errors import ManifestError
+from fraktur_bench.lines import IMAGE_SUFFIXES, line_id_of, strip_suffix
+from fraktur_bench.manifests import BookEntry, scan_corpus
+from fraktur_bench.pipeline import load_gt_tree, load_pred_tree, read_text_file
+
+logger = logging.getLogger("reference_scan")
+
+# --- reference: the glob-and-stat walk ----------------------------------
+
+# Longest first so suffix stripping never cuts a compound extension short.
+_IMAGE_SUFFIXES = (".bin.png", ".nrm.png", ".png")
+
+
+def _line_id_of(gt_file: Path) -> str:
+    return gt_file.name[: -len(".gt.txt")]
+
+
+def _has_image(book_dir: Path, line_id: str) -> bool:
+    return any((book_dir / f"{line_id}{suffix}").exists() for suffix in _IMAGE_SUFFIXES)
+
+
+def reference_scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
+    """Scan a line-pair tree into one BookEntry per book directory.
+
+    Lines missing either the ground-truth file or the image sibling are
+    logged as warnings and excluded. An unreadable root or a root without
+    book directories is an error.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        raise ManifestError(f"corpus root {root} is not a readable directory")
+    books: list[BookEntry] = []
+    for book_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+        line_ids: list[str] = []
+        gt_files = sorted(book_dir.glob("*.gt.txt"))
+        for gt_file in gt_files:
+            line_id = _line_id_of(gt_file)
+            if not _has_image(book_dir, line_id):
+                logger.warning(
+                    "%s/%s: line %r has ground truth but no image sibling, excluded",
+                    corpus_id,
+                    book_dir.name,
+                    line_id,
+                )
+                continue
+            line_ids.append(line_id)
+        for image in sorted(book_dir.glob("*.png")):
+            stem = image.name
+            for suffix in _IMAGE_SUFFIXES:
+                if stem.endswith(suffix):
+                    stem = stem[: -len(suffix)]
+                    break
+            if not (book_dir / f"{stem}.gt.txt").exists():
+                logger.warning(
+                    "%s/%s: image %r has no ground-truth sibling, excluded",
+                    corpus_id,
+                    book_dir.name,
+                    image.name,
+                )
+        books.append(BookEntry(book_dir.name, corpus_id, tuple(line_ids)))
+    if not books:
+        raise ManifestError(f"corpus root {root} contains no book directories")
+    total = sum(b.line_count for b in books)
+    logger.info("%s: %d book(s), %d line(s)", corpus_id, len(books), total)
+    return books
+
+
+def reference_load_gt_tree(root: str | Path) -> dict[str, dict[str, str]]:
+    """dataset id -> line id -> ground-truth text."""
+    root = Path(root)
+    if not root.is_dir():
+        raise ManifestError(f"ground-truth root {root} is not a readable directory")
+    tree: dict[str, dict[str, str]] = {}
+    for book_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+        lines = {
+            f.name[: -len(".gt.txt")]: read_text_file(f)
+            for f in sorted(book_dir.glob("*.gt.txt"))
+        }
+        if lines:
+            tree[book_dir.name] = lines
+    if not tree:
+        raise ManifestError(f"no ground-truth lines found under {root}")
+    return tree
+
+
+def reference_load_pred_tree(root: str | Path, engine_id: str) -> dict[str, dict[str, str]]:
+    """dataset id -> line id -> predicted text, for one engine."""
+    root = Path(root)
+    if not root.is_dir():
+        raise ManifestError(f"prediction root {root} is not a readable directory")
+    suffix = f".pred.{engine_id}.txt"
+    tree: dict[str, dict[str, str]] = {}
+    for book_dir in sorted(p for p in root.iterdir() if p.is_dir()):
+        lines = {
+            f.name[: -len(suffix)]: read_text_file(f)
+            for f in sorted(book_dir.glob(f"*{suffix}"))
+        }
+        if lines:
+            tree[book_dir.name] = lines
+    return tree
+
+
+# --- generated trees ----------------------------------------------------
+
+ENGINES = ("e1", "e.2", "e")
+
+# Hidden stems, the empty stem (a file named exactly ".gt.txt"), stems that
+# end like an image suffix, and stems that sort in another order than their
+# file names ("a" < "a b", but "a b.gt.txt" < "a.gt.txt", since " " < ".").
+STEMS = ("l1", "l2", "a", "a b", ".h", "", "l1.bin", "x.pred.e1")
+SUFFIXES = (
+    ".gt.txt", ".png", ".bin.png", ".nrm.png", ".pred.e1.txt", ".pred.e.2.txt",
+    ".pred.e1.conf", ".txt", "",
+)
+
+book_entries = st.lists(
+    st.tuples(
+        st.sampled_from(STEMS),
+        st.sampled_from(SUFFIXES),
+        # a sub-directory named like a line file
+        st.sampled_from(("file",) * 9 + ("dir",)),
+        st.sampled_from(("x\n", "ab", "ſ\r\n", "")),
+    ),
+    max_size=12,
+)
+trees = st.dictionaries(
+    st.sampled_from(("N-1", "N-2", "O-1", ".hidden", "b.gt.txt", "x.png")),
+    # None: a plain file at the root, not a book directory
+    st.one_of(st.none(), book_entries),
+    max_size=4,
+)
+
+
+def build(root: Path, tree) -> None:
+    root.mkdir()
+    for book, entries in tree.items():
+        if entries is None:
+            (root / book).write_bytes(b"not a book\n")
+            continue
+        (root / book).mkdir()
+        for stem, suffix, kind, text in entries:
+            path = root / book / f"{stem}{suffix}"
+            if not path.name or path.exists():
+                continue
+            if kind == "dir":
+                path.mkdir()
+            else:
+                path.write_text(text, encoding="utf-8")
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.records: list[tuple[int, str]] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append((record.levelno, record.getMessage()))
+
+
+@contextlib.contextmanager
+def logged(name: str):
+    handler = _Records()
+    target = logging.getLogger(name)
+    old_level = target.level
+    target.addHandler(handler)
+    target.setLevel(logging.DEBUG)
+    try:
+        yield handler.records
+    finally:
+        target.removeHandler(handler)
+        target.setLevel(old_level)
+
+
+def outcome(fn, *args):
+    """What a reader returned, in order, or the error it raised."""
+    try:
+        result = fn(*args)
+    except ManifestError as exc:
+        return ("error", str(exc))
+    if isinstance(result, dict):
+        return ("ok", [(book, list(lines.items())) for book, lines in result.items()])
+    return ("ok", result)
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(tree=trees)
+    def test_readers_match(self, tree):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "root"
+            build(root, tree)
+            with logged("fraktur_bench.manifests") as got, logged("reference_scan") as want:
+                scanned = outcome(scan_corpus, root, "N")
+                expected = outcome(reference_scan_corpus, root, "N")
+            assert scanned == expected
+            assert got == want
+            assert outcome(load_gt_tree, root) == outcome(reference_load_gt_tree, root)
+            for engine in ENGINES:
+                assert outcome(load_pred_tree, root, engine) == outcome(
+                    reference_load_pred_tree, root, engine
+                )
+
+    @pytest.mark.parametrize("reader", ["scan", "gt", "pred"])
+    def test_missing_root_matches(self, tmp_path, reader):
+        missing = tmp_path / "missing"
+        new, old = {
+            "scan": ((scan_corpus, missing, "N"), (reference_scan_corpus, missing, "N")),
+            "gt": ((load_gt_tree, missing), (reference_load_gt_tree, missing)),
+            "pred": ((load_pred_tree, missing, "e"), (reference_load_pred_tree, missing, "e")),
+        }[reader]
+        assert outcome(*new) == outcome(*old)
+        assert outcome(*new)[0] == "error"
+
+
+READERS = {
+    "scan": lambda root: scan_corpus(root, "N"),
+    "gt": load_gt_tree,
+    "pred": lambda root: load_pred_tree(root, "e"),
+}
+
+
+class TestListingErrors:
+    """A directory that cannot be listed is a data error naming it, never a
+    traceback and never a silently skipped book."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        for book in ("b1", "b2"):
+            (tmp_path / book).mkdir()
+            (tmp_path / book / "l1.gt.txt").write_text("x\n", encoding="utf-8")
+            (tmp_path / book / "l1.png").write_bytes(b"")
+            (tmp_path / book / "l1.pred.e.txt").write_text("x\n", encoding="utf-8")
+        return tmp_path
+
+    @staticmethod
+    def refuse(monkeypatch, name: str, path: Path) -> None:
+        real = getattr(os, name)
+
+        def listing(target):
+            if Path(target) == path:
+                raise PermissionError(13, "Permission denied", str(target))
+            return real(target)
+
+        monkeypatch.setattr(os, name, listing)
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_unlistable_root(self, tree, monkeypatch, reader):
+        self.refuse(monkeypatch, "scandir", tree)
+        label = {"scan": "corpus root", "gt": "ground-truth root", "pred": "prediction root"}[reader]
+        with pytest.raises(ManifestError) as err:
+            READERS[reader](tree)
+        assert str(err.value) == f"{label} {tree} is not a readable directory"
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_unlistable_book(self, tree, monkeypatch, reader):
+        self.refuse(monkeypatch, "listdir", tree / "b2")
+        with pytest.raises(ManifestError) as err:
+            READERS[reader](tree)
+        assert str(err.value) == f"cannot list book directory {tree / 'b2'}: Permission denied"
+
+
+class TestLineIds:
+    @pytest.mark.parametrize(
+        "name, line_id",
+        [
+            ("l2.gt.txt", "l2"),
+            (".gt.txt", ""),
+            ("l2.pred.abbyy.txt", "l2"),
+            ("l2.pred.e.1.txt", "l2"),
+            ("l2.pred.e[1].txt", "l2"),
+            ("raw.txt", "raw"),
+            ("l2.pred.abbyy.conf", "l2.pred.abbyy"),
+        ],
+    )
+    def test_line_id_of(self, name, line_id):
+        assert line_id_of(name) == line_id
+
+    @pytest.mark.parametrize(
+        "name, line_id",
+        [("l1.bin.png", "l1"), ("l1.nrm.png", "l1"), ("l1.png", "l1"), (".png", ""), ("l1.gt.txt", None)],
+    )
+    def test_image_suffixes_longest_first(self, name, line_id):
+        assert strip_suffix(name, IMAGE_SUFFIXES) == line_id
