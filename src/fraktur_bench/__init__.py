@@ -20,7 +20,7 @@ from .analytics import (
 )
 from .codec import Codec, codec_coverage_report, default_codec, load_codec, validate_against_codec
 from .errors import ToolkitError
-from .lines import LineKind, TranscriptionLine
+from .lines import TranscriptionLine
 from .manifests import (
     BookEntry,
     TrainingSchedule,
@@ -39,7 +39,6 @@ __all__ = [
     "Codec",
     "ConfusionEntry",
     "EvaluationReport",
-    "LineKind",
     "NormalizationRuleSet",
     "ToolkitError",
     "TrainingSchedule",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -213,10 +213,10 @@ class EvaluationReport:
     datasets: tuple[str, ...]
     cells: Mapping[str, Mapping[str, CerCell]]
     aggregates: tuple[tuple[str, Mapping[str, CerCell]], ...]
-    confusion: Mapping[str, tuple[ConfusionEntry, ...]] = field(default_factory=dict)
-    whitespace: Mapping[str, WhitespaceSummary] = field(default_factory=dict)
-    top_share: Mapping[str, TopShare] = field(default_factory=dict)
-    metadata: Mapping[str, object] = field(default_factory=dict)
+    confusion: Mapping[str, tuple[ConfusionEntry, ...]]
+    whitespace: Mapping[str, WhitespaceSummary]
+    top_share: Mapping[str, TopShare]
+    metadata: Mapping[str, object]
 
 
 def compute_aggregates(
@@ -355,6 +355,10 @@ def report_to_json(report: EvaluationReport) -> bytes:
 
 
 def report_from_json(data: bytes | str) -> EvaluationReport:
+    """Read a JSON report back. Only the measured members are read: cells,
+    confusion tables, metadata and the k of the top-k shares. Aggregates,
+    whitespace buckets and top-k shares are derived again by build_report,
+    with the dictionary corpus recorded in the metadata."""
     try:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -373,33 +377,22 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
             ds: {eng: _cell_from_payload(payload["cells"][ds][eng]) for eng in engines}
             for ds in datasets
         }
-        aggregates = tuple(
-            (row["name"], {eng: _cell_from_payload(row["cells"][eng]) for eng in engines})
-            for row in payload["aggregates"]
-        )
         confusion = {
             eng: tuple(ConfusionEntry(e["gt"], e["pred"], int(e["count"])) for e in entries)
             for eng, entries in payload.get("confusion", {}).items()
         }
-        whitespace = {
-            eng: WhitespaceSummary(
-                int(w["space_insertions"]), int(w["space_deletions"]), int(w["other"])
-            )
-            for eng, w in payload.get("whitespace", {}).items()
-        }
-        top_share = {
-            eng: TopShare(int(t["k"]), Fraction(int(t["numerator"]), int(t["denominator"])))
-            for eng, t in payload.get("top_share", {}).items()
-        }
-        return EvaluationReport(
-            engines=engines,
-            datasets=datasets,
-            cells=cells,
-            aggregates=aggregates,
+        ks = {int(payload["top_share"][eng]["k"]) for eng in confusion}
+        if len(ks) > 1:
+            raise ReportError(f"malformed report: top_share entries disagree on k: {sorted(ks)}")
+        metadata = dict(payload.get("metadata", {}))
+        return build_report(
+            datasets,
+            engines,
+            cells,
             confusion=confusion,
-            whitespace=whitespace,
-            top_share=top_share,
-            metadata=dict(payload.get("metadata", {})),
+            k=ks.pop() if ks else 1,  # no confusion statistics: no share, any k
+            metadata=metadata,
+            dictionary_corpus=metadata.get("dictionary_corpus", DICTIONARY_CORPUS),
         )
     except KeyError as exc:
         raise ReportError(f"malformed report: no member {exc}") from exc

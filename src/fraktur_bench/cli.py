@@ -28,7 +28,7 @@ from . import __version__
 from .analytics import emit_errors_report, emit_report, report_from_json
 from .codec import Codec, codec_coverage_report, default_codec, load_codec
 from .errors import ManifestError, ReportError, ToolkitError, VotingError
-from .lines import gt_line, line_id_of
+from .lines import TranscriptionLine, line_id_of
 from .manifests import (
     BookEntry,
     CountExpectation,
@@ -113,7 +113,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     dst = Path(args.out).resolve()
 
     def normalized(in_file: Path) -> bytes:
-        line = gt_line("", in_file.parent.name, line_id_of(in_file.name), read_text_file(in_file))
+        text = read_text_file(in_file)
+        line = TranscriptionLine(in_file.parent.name, line_id_of(in_file.name), text)
         return (normalize_line(line, rules, codec, policy, replacement).text + "\n").encode("utf-8")
 
     if src.is_file():
@@ -141,7 +142,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     if not files:
         raise ManifestError(f"no files matching {args.pattern!r} under {src}")
     lines = [
-        gt_line("", f.parent.name, line_id_of(f.name), read_text_file(f)) for f in files
+        TranscriptionLine(f.parent.name, line_id_of(f.name), read_text_file(f)) for f in files
     ]
     report = codec_coverage_report(lines, codec)
     payload = {
@@ -192,9 +193,8 @@ def _cmd_errors(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_confidences(tree: Path, book: str, line_id: str, engine: str, text: str):
-    conf_path = tree / book / f"{line_id}.pred.{engine}.conf"
-    if not conf_path.exists():
+def _load_confidences(conf_path: Path | None, text: str):
+    if conf_path is None:
         return None
     tokens = read_text_file(conf_path).split()
     try:
@@ -216,7 +216,9 @@ def _cmd_vote(args: argparse.Namespace) -> int:
         pivot="engine" if args.pivot not in ("longest", "first") else args.pivot,
         pivot_engine=None if args.pivot in ("longest", "first") else args.pivot,
     )
-    per_engine = {eng: load_pred_tree(tree, eng) for eng, tree in trees.items()}
+    per_engine, sidecars = {}, {}
+    for eng, tree in trees.items():
+        per_engine[eng], sidecars[eng] = load_pred_tree(tree, eng)
     books = sorted({book for tree in per_engine.values() for book in tree})
     if not books:
         raise VotingError("no predictions found for any engine")
@@ -241,14 +243,18 @@ def _cmd_vote(args: argparse.Namespace) -> int:
     out_root = Path(args.out).resolve()
     for book, line_ids in lines_by_book.items():
         for lid in line_ids:
-            voters: list[VoterOutput] = []
+            inputs = []
             for eng in engines:
                 text = per_engine[eng].get(book, {}).get(lid)
-                if text is None:
-                    continue
-                confidences = _load_confidences(trees[eng], book, lid, eng, text)
-                voters.append(VoterOutput(eng, text, confidences))
-            voted.append((out_root / book / f"{lid}.pred.voted.txt", vote_line(voters, config).text))
+                if text is not None:
+                    conf_path = sidecars[eng].get(book, {}).get(lid)
+                    inputs.append((eng, text, _load_confidences(conf_path, text)))
+            try:
+                voters = [VoterOutput(eng, text, conf) for eng, text, conf in inputs]
+                text = vote_line(voters, config).text
+            except VotingError as exc:
+                raise VotingError(f"book {book!r}, line {lid!r}: {exc}") from None
+            voted.append((out_root / book / f"{lid}.pred.voted.txt", text))
     for path, text in voted:
         write_atomic(path, (text + "\n").encode("utf-8"))
     print(f"voted {len(voted)} line(s) across {len(books)} book(s) -> {out_root}")

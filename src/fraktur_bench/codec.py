@@ -41,7 +41,6 @@ class Codec:
 
     characters: tuple[str, ...]
     name: str = "codec"
-    version: str = "1"
     _members: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,7 +99,7 @@ def unescape_entry(token: str, lineno: int, path: str) -> str:
     return "".join(out)
 
 
-def _parse_codec_text(content: str, source: str, name: str, version: str) -> Codec:
+def _parse_codec_text(content: str, source: str, name: str) -> Codec:
     characters: list[str] = []
     seen: dict[str, int] = {}
     for lineno, raw in enumerate(content.splitlines(), start=1):
@@ -121,11 +120,11 @@ def _parse_codec_text(content: str, source: str, name: str, version: str) -> Cod
         characters.append(entry)
     if not characters:
         raise CodecError(f"{source}: empty codec")
-    return Codec(tuple(characters), name=name, version=version)
+    return Codec(tuple(characters), name=name)
 
 
-def load_codec(path: str | Path, name: str | None = None, version: str = "1") -> Codec:
-    """Load a codec file.
+def load_codec(path: str | Path) -> Codec:
+    """Load a codec file; the codec is named after the file's stem.
 
     Raises CodecError for unreadable files, undecodable bytes, empty files,
     malformed entries and duplicates (naming character and line).
@@ -139,7 +138,7 @@ def load_codec(path: str | Path, name: str | None = None, version: str = "1") ->
         content = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CodecError(f"{p}: codec file is not valid UTF-8: {exc}") from exc
-    return _parse_codec_text(content, str(p), name or p.stem, version)
+    return _parse_codec_text(content, str(p), p.stem)
 
 
 def default_codec() -> Codec:
@@ -152,7 +151,7 @@ def default_codec() -> Codec:
     content = (
         resources.files("fraktur_bench").joinpath("data", _DEFAULT_CODEC_RESOURCE).read_text("utf-8")
     )
-    return _parse_codec_text(content, _DEFAULT_CODEC_RESOURCE, "default", "1")
+    return _parse_codec_text(content, _DEFAULT_CODEC_RESOURCE, "default")
 
 
 def validate_against_codec(line: TranscriptionLine, codec: Codec) -> list[tuple[int, str]]:

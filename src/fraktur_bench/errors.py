@@ -30,10 +30,9 @@ class NormalizationError(ToolkitError):
     instead of failing.
     """
 
-    def __init__(self, message: str, violations: list[tuple[int, str]], line_id: str = ""):
+    def __init__(self, message: str, violations: list[tuple[int, str]]):
         super().__init__(message)
         self.violations = violations
-        self.line_id = line_id
 
 
 class PairingError(ToolkitError):

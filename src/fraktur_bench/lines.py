@@ -7,16 +7,16 @@ additionally carry the id of the engine that produced them.
 
 On disk a tree holds one directory per book, each holding
 ``<line_id><suffix>`` files: ``.gt.txt`` for ground truth,
-``.pred.<engine_id>.txt`` for a prediction, an image suffix for the line
+``.pred.<engine_id>.txt`` for a prediction, ``.pred.<engine_id>.conf``
+for its optional per-character confidences, an image suffix for the line
 image. ``list_books`` lists a tree once; every reader matches line files
 on the listed names by exact suffix.
 """
 
 from __future__ import annotations
 
-import enum
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path, PurePath
 from typing import Sequence
 
@@ -27,48 +27,22 @@ GT_SUFFIX = ".gt.txt"
 IMAGE_SUFFIXES = (".bin.png", ".nrm.png", ".png")
 
 
-class LineKind(enum.Enum):
-    GROUND_TRUTH = "ground_truth"
-    PREDICTION = "prediction"
-
-
 @dataclass(frozen=True, slots=True)
 class TranscriptionLine:
-    corpus_id: str
     book_id: str
     line_id: str
     text: str
-    kind: LineKind
     engine_id: str | None = None
-
-    def __post_init__(self):
-        if self.kind is LineKind.PREDICTION and not self.engine_id:
-            raise ValueError(f"prediction line {self.key} requires an engine_id")
-        if self.kind is LineKind.GROUND_TRUTH and self.engine_id is not None:
-            raise ValueError(f"ground-truth line {self.key} must not carry an engine_id")
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        """Identity used to match ground truth with predictions."""
-        return (self.corpus_id, self.book_id, self.line_id)
-
-    def with_text(self, text: str) -> "TranscriptionLine":
-        return replace(self, text=text)
-
-
-def gt_line(corpus_id: str, book_id: str, line_id: str, text: str) -> TranscriptionLine:
-    return TranscriptionLine(corpus_id, book_id, line_id, text, LineKind.GROUND_TRUTH)
-
-
-def pred_line(
-    corpus_id: str, book_id: str, line_id: str, text: str, engine_id: str
-) -> TranscriptionLine:
-    return TranscriptionLine(corpus_id, book_id, line_id, text, LineKind.PREDICTION, engine_id)
 
 
 def pred_suffix(engine_id: str) -> str:
     """The file suffix of one engine's predictions; the id is taken literally."""
     return f".pred.{engine_id}.txt"
+
+
+def conf_suffix(engine_id: str) -> str:
+    """The file suffix of one engine's per-character confidence sidecars."""
+    return f".pred.{engine_id}.conf"
 
 
 def strip_suffix(name: str, suffixes: Sequence[str]) -> str | None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -52,16 +52,15 @@ class Rule:
 
 @dataclass(frozen=True)
 class NormalizationRuleSet:
-    """Ordered rewrite rules plus the characters exempt from rewriting."""
+    """Ordered rewrite rules; no rule may rewrite a DEFAULT_KEEP character."""
 
     rules: tuple[Rule, ...]
-    keep: tuple[str, ...] = DEFAULT_KEEP
     name: str = "rules"
     _checksum: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for rule in self.rules:
-            for kept in self.keep:
+            for kept in DEFAULT_KEEP:
                 if kept in rule.source:
                     raise RuleSetError(
                         f"rule {rule.source!r} -> {rule.target!r} rewrites kept "
@@ -73,7 +72,8 @@ class NormalizationRuleSet:
             digest.update(b"\x00")
             digest.update(rule.target.encode("utf-8"))
             digest.update(b"\x01")
-        digest.update("|".join(self.keep).encode("utf-8"))
+        # still hashed, so that recorded rules_sha256 values stay comparable
+        digest.update("|".join(DEFAULT_KEEP).encode("utf-8"))
         object.__setattr__(self, "_checksum", digest.hexdigest())
 
     @property
@@ -94,7 +94,7 @@ class NormalizationRuleSet:
             )
 
 
-def _parse_rules_text(content: str, source_name: str, keep: tuple[str, ...]) -> NormalizationRuleSet:
+def _parse_rules_text(content: str, source_name: str) -> NormalizationRuleSet:
     rules: list[Rule] = []
     for lineno, raw in enumerate(content.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
@@ -110,10 +110,10 @@ def _parse_rules_text(content: str, source_name: str, keep: tuple[str, ...]) -> 
         if not src:
             raise RuleSetError(f"{source_name}:{lineno}: rule with empty source")
         rules.append(Rule(src, tgt))
-    return NormalizationRuleSet(tuple(rules), keep=keep, name=source_name)
+    return NormalizationRuleSet(tuple(rules), name=source_name)
 
 
-def load_rules(path: str | Path, keep: tuple[str, ...] = DEFAULT_KEEP) -> NormalizationRuleSet:
+def load_rules(path: str | Path) -> NormalizationRuleSet:
     p = Path(path)
     try:
         content = p.read_bytes().decode("utf-8")
@@ -121,14 +121,14 @@ def load_rules(path: str | Path, keep: tuple[str, ...] = DEFAULT_KEEP) -> Normal
         raise RuleSetError(f"cannot read rules file {p}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise RuleSetError(f"{p}: rules file is not valid UTF-8: {exc}") from exc
-    return _parse_rules_text(content, str(p), keep)
+    return _parse_rules_text(content, str(p))
 
 
 def default_rules() -> NormalizationRuleSet:
     content = (
         resources.files("fraktur_bench").joinpath("data", _DEFAULT_RULES_RESOURCE).read_text("utf-8")
     )
-    return _parse_rules_text(content, _DEFAULT_RULES_RESOURCE, DEFAULT_KEEP)
+    return _parse_rules_text(content, _DEFAULT_RULES_RESOURCE)
 
 
 def _one_pass(text: str, rules: NormalizationRuleSet) -> str:
@@ -174,40 +174,36 @@ def normalize_line(
     """Normalize one line and enforce codec closure.
 
     Characters that remain outside the codec after all rules are handled by
-    policy: ``fail`` raises NormalizationError listing character, code point
-    and line id; ``drop`` deletes them; ``replace`` substitutes
-    ``replacement`` (which must be a single codec character).
+    policy: ``fail`` raises NormalizationError listing character, code point,
+    book, line and engine (or ground truth); ``drop`` deletes them;
+    ``replace`` substitutes ``replacement`` (which must be a single codec
+    character).
 
-    Ids, kind and engine are preserved; only the text changes. The operation
+    Book, line and engine are preserved; only the text changes. The operation
     is idempotent for any text it accepts.
     """
     text = normalize_text(line.text, rules)
     if codec.covers(text):
-        return line if text == line.text else line.with_text(text)
+        return line if text == line.text else replace(line, text=text)
     violations = [(i, ch) for i, ch in enumerate(text) if ch not in codec]
 
     if on_unmapped == "fail":
         shown = ", ".join(f"{ch!r} (U+{ord(ch):04X}) at {i}" for i, ch in violations[:10])
         more = "" if len(violations) <= 10 else f" and {len(violations) - 10} more"
+        side = "ground truth" if line.engine_id is None else f"engine {line.engine_id!r}"
         raise NormalizationError(
-            f"line {line.line_id!r}: {len(violations)} character(s) outside codec "
-            f"{codec.name!r} after normalization: {shown}{more}",
+            f"book {line.book_id!r}, line {line.line_id!r} ({side}): {len(violations)} "
+            f"character(s) outside codec {codec.name!r} after normalization: {shown}{more}",
             violations,
-            line_id=line.line_id,
         )
     if on_unmapped == "drop":
         bad = {i for i, _ in violations}
-        return line.with_text("".join(ch for i, ch in enumerate(text) if i not in bad))
+        return replace(line, text="".join(ch for i, ch in enumerate(text) if i not in bad))
     if on_unmapped == "replace":
-        if replacement is None or len(replacement) != 1 or replacement not in codec:
-            raise NormalizationError(
-                f"replacement {replacement!r} is not a single codec character",
-                violations,
-                line_id=line.line_id,
-            )
+        require_replacement_in_codec(on_unmapped, replacement, codec)
         bad = {i for i, _ in violations}
-        return line.with_text(
-            "".join(replacement if i in bad else ch for i, ch in enumerate(text))
+        return replace(
+            line, text="".join(replacement if i in bad else ch for i, ch in enumerate(text))
         )
     raise ValueError(f"unknown on_unmapped policy {on_unmapped!r}")
 

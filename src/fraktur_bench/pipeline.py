@@ -6,8 +6,7 @@ and ligatures that the codec deliberately excludes; charging those as
 errors would say nothing about recognition quality), aligns per line and
 assembles the evaluation report.
 
-Dataset ids are the book directory names; the corpus of a dataset is the
-prefix before the first dash in its id.
+Dataset ids are the book directory names.
 """
 
 from __future__ import annotations
@@ -17,16 +16,10 @@ from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .align import AlignmentResult, align
-from .analytics import (
-    CerCell,
-    EvaluationReport,
-    build_report,
-    confusion_stats,
-    corpus_of,
-)
+from .analytics import CerCell, EvaluationReport, build_report, confusion_stats
 from .codec import Codec
 from .errors import ManifestError, PairingError
-from .lines import GT_SUFFIX, TranscriptionLine, gt_line, list_books, pred_line, pred_suffix
+from .lines import GT_SUFFIX, TranscriptionLine, conf_suffix, list_books, pred_suffix
 from .normalize import NormalizationRuleSet, normalize_line, require_replacement_in_codec
 
 def read_text_file(path: Path) -> str:
@@ -45,9 +38,14 @@ def read_text_file(path: Path) -> str:
     return text[:-1] if text.endswith(("\n", "\r")) else text
 
 
-def _read_tree(root: Path, label: str, suffix: str) -> dict[str, dict[str, str]]:
-    """dataset id -> line id -> text of every file whose name ends with suffix."""
+def _read_tree(
+    root: Path, label: str, suffix: str, sidecar_suffix: str | None = None
+) -> tuple[dict[str, dict[str, str]], dict[str, dict[str, Path]]]:
+    """dataset id -> line id -> text of every file whose name ends with
+    suffix, and dataset id -> line id -> path of every file whose name ends
+    with sidecar_suffix, found in the same listing and not read."""
     tree: dict[str, dict[str, str]] = {}
+    sidecars: dict[str, dict[str, Path]] = {}
     for book_dir, names in list_books(root, label):
         lines = {
             name[: -len(suffix)]: read_text_file(book_dir / name)
@@ -56,21 +54,34 @@ def _read_tree(root: Path, label: str, suffix: str) -> dict[str, dict[str, str]]
         }
         if lines:
             tree[book_dir.name] = lines
-    return tree
+        if sidecar_suffix is not None:
+            found = {
+                name[: -len(sidecar_suffix)]: book_dir / name
+                for name in names
+                if name.endswith(sidecar_suffix)
+            }
+            if found:
+                sidecars[book_dir.name] = found
+    return tree, sidecars
 
 
 def load_gt_tree(root: str | Path) -> dict[str, dict[str, str]]:
     """dataset id -> line id -> ground-truth text."""
     root = Path(root)
-    tree = _read_tree(root, "ground-truth root", GT_SUFFIX)
+    tree, _ = _read_tree(root, "ground-truth root", GT_SUFFIX)
     if not tree:
         raise ManifestError(f"no ground-truth lines found under {root}")
     return tree
 
 
-def load_pred_tree(root: str | Path, engine_id: str) -> dict[str, dict[str, str]]:
-    """dataset id -> line id -> predicted text, for one engine."""
-    return _read_tree(Path(root), "prediction root", pred_suffix(engine_id))
+def load_pred_tree(
+    root: str | Path, engine_id: str
+) -> tuple[dict[str, dict[str, str]], dict[str, dict[str, Path]]]:
+    """dataset id -> line id -> predicted text, for one engine, and dataset
+    id -> line id -> path of that engine's confidence sidecars."""
+    return _read_tree(
+        Path(root), "prediction root", pred_suffix(engine_id), conf_suffix(engine_id)
+    )
 
 
 def check_parity(
@@ -134,7 +145,7 @@ def eval_pipeline(
 
     def normalized_gt(ds: str) -> list[TranscriptionLine]:
         return [
-            normalize_line(gt_line(corpus_of(ds), ds, lid, text), rules, codec, on_unmapped, replacement)
+            normalize_line(TranscriptionLine(ds, lid, text), rules, codec, on_unmapped, replacement)
             for lid, text in sorted(gt_tree[ds].items())
         ]
 
@@ -143,12 +154,12 @@ def eval_pipeline(
     cells: dict[str, dict[str, CerCell]] = {ds: {} for ds in dataset_list}
     confusion: dict[str, tuple] = {}
     for engine in engines:
-        pred_tree = load_pred_tree(pred_roots[engine], engine)
+        pred_tree, _ = load_pred_tree(pred_roots[engine], engine)
         check_parity(gt_tree, pred_tree, engine, dataset_list)
         engine_results: list[AlignmentResult] = []
         for ds in dataset_list:
             preds = [
-                pred_line(corpus_of(ds), ds, lid, text, engine)
+                TranscriptionLine(ds, lid, text, engine)
                 for lid, text in sorted(pred_tree[ds].items())
             ]
             if not raw_pred:

@@ -27,7 +27,7 @@ from fraktur_bench.analytics import (
 )
 from fraktur_bench.codec import default_codec, unescape_entry, validate_against_codec
 from fraktur_bench.errors import NormalizationError
-from fraktur_bench.lines import gt_line
+from fraktur_bench.lines import TranscriptionLine
 from fraktur_bench.manifests import BookEntry, refinement_sample
 from fraktur_bench.normalize import default_rules, normalize_line
 from fraktur_bench.voting import VoterOutput, VotingConfig, vote_line
@@ -126,7 +126,7 @@ def test_normalization_idempotent_and_codec_closed():
         succeeded = 0
         for i in range(1_000):
             text = "".join(rng.choice(FUZZ_SEEDS) for _ in range(rng.randint(0, 40)))
-            line = gt_line("F", "fuzz", f"l{i}", text)
+            line = TranscriptionLine("fuzz", f"l{i}", text)
             try:
                 once = normalize_line(line, rules, codec)
             except NormalizationError:
@@ -159,7 +159,7 @@ def test_rule_vectors_exact():
             label, source, expected = raw.split("\t")
             source = unescape_entry(source, lineno, str(vectors))
             expected = unescape_entry(expected, lineno, str(vectors))
-            got = normalize_line(gt_line("T", "b", label, source), rules, codec).text
+            got = normalize_line(TranscriptionLine("b", label, source), rules, codec).text
             assert got == expected, f"{label}: {got!r} != {expected!r}"
             seen[source] = got
             n += 1
@@ -167,8 +167,8 @@ def test_rule_vectors_exact():
         for source, expected in required.items():
             assert seen.get(source) == expected
         # the two kept letterforms pass through untouched
-        assert normalize_line(gt_line("T", "b", "k1", "ſ"), rules, codec).text == "ſ"
-        assert normalize_line(gt_line("T", "b", "k2", "ß"), rules, codec).text == "ß"
+        assert normalize_line(TranscriptionLine("b", "k1", "ſ"), rules, codec).text == "ſ"
+        assert normalize_line(TranscriptionLine("b", "k2", "ß"), rules, codec).text == "ß"
 
 
 # --- 5. refinement cap ----------------------------------------------------------

@@ -268,6 +268,21 @@ class TestReportRoundTrip:
         assert back.top_share == report.top_share
         assert report_to_json(back) == data
 
+    def test_derived_members_are_recomputed(self):
+        report = small_report(k=1)
+        payload = json.loads(report_to_json(report))
+        payload["aggregates"] = []
+        payload["whitespace"] = {}
+        for entry in payload["top_share"].values():
+            entry.update(numerator=0, denominator=1, value=0.0)
+        assert report_to_json(report_from_json(json.dumps(payload))) == report_to_json(report)
+
+    def test_top_share_entries_disagreeing_on_k_rejected(self):
+        payload = json.loads(report_to_json(small_report()))
+        payload["top_share"]["tess"]["k"] = 5
+        with pytest.raises(ReportError, match="disagree on k"):
+            report_from_json(json.dumps(payload))
+
     def test_json_deterministic(self):
         assert report_to_json(small_report()) == report_to_json(small_report())
 

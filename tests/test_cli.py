@@ -286,6 +286,83 @@ class TestReplacementOutsideCodec:
         assert not out.exists()
 
 
+class TestDataErrorsNameTheLine:
+    """A data error in one line names its book and line, and whose text it
+    is: an engine's or the ground truth."""
+
+    ENGINES = ("e1", "e2", "e3")
+
+    def build(self, root: Path, overrides: dict[str, str | None]) -> None:
+        files: dict[str, str | None] = {}
+        for book, line_id in (("A", "l1"), ("B", "l1"), ("B", "l2")):
+            files[f"gt/{book}/{line_id}.gt.txt"] = "abc"
+            for engine in self.ENGINES:
+                files[f"pred/{book}/{line_id}.pred.{engine}.txt"] = "abc"
+                files[f"pred/{book}/{line_id}.pred.{engine}.conf"] = "0.5 0.5 0.5"
+        files.update(overrides)
+        for name, text in files.items():
+            if text is not None:
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / name).write_text(text + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "overrides, argv, error_type, message",
+        [
+            (
+                {"pred/B/l2.pred.e2.txt": "a\u2020c"},
+                ["eval", "--gt", "{root}/gt", "--pred", "{root}/pred", "--engine", "e1",
+                 "--engine", "e2", "--out", "{out}"],
+                "NormalizationError",
+                "book 'B', line 'l2' (engine 'e2'): 1 character(s) outside codec 'default' "
+                "after normalization: '\u2020' (U+2020) at 1",
+            ),
+            (
+                {"gt/B/l2.gt.txt": "a\u2020c"},
+                ["errors", "--gt", "{root}/gt", "--pred", "{root}/pred", "--engine", "e1",
+                 "--out", "{out}"],
+                "NormalizationError",
+                "book 'B', line 'l2' (ground truth): 1 character(s) outside codec 'default' "
+                "after normalization: '\u2020' (U+2020) at 1",
+            ),
+            (
+                {"pred/B/l2.pred.e3.txt": None},
+                ["vote", "--pred", "{root}/pred", "--engine", "e1", "--engine", "e2",
+                 "--engine", "e3", "--pivot", "e3", "--out", "{out}"],
+                "VotingError",
+                "book 'B', line 'l2': pivot engine 'e3' not among voters",
+            ),
+            (
+                {"pred/B/l2.pred.e2.conf": None, "pred/B/l2.pred.e3.conf": None},
+                ["vote", "--pred", "{root}/pred", "--engine", "e1", "--engine", "e2",
+                 "--engine", "e3", "--tie-break", "confidence", "--out", "{out}"],
+                "VotingError",
+                "book 'B', line 'l2': tie_break='confidence' requires confidences from "
+                "every voter; missing: e2, e3",
+            ),
+            (
+                {"pred/B/l2.pred.e1.conf": "1.5 0.5 0.5"},
+                ["vote", "--pred", "{root}/pred", "--engine", "e1", "--engine", "e2",
+                 "--engine", "e3", "--out", "{out}"],
+                "VotingError",
+                "book 'B', line 'l2': engine 'e1': confidence 1.5 outside [0, 1]",
+            ),
+        ],
+        ids=["eval-prediction", "errors-ground-truth", "vote-pivot-absent",
+             "vote-confidences-missing", "vote-confidence-out-of-range"],
+    )
+    def test_message(self, tmp_path, capsys, overrides, argv, error_type, message):
+        self.build(tmp_path, overrides)
+        out = tmp_path / "out"
+        argv = [a.format(root=tmp_path, out=out) for a in argv]
+
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": {"type": error_type, "message": message}}
+        assert not out.exists()
+
+
 class TestNormalizeCommand:
     def test_single_file(self, tmp_path, capsys):
         src = tmp_path / "in.txt"
@@ -310,8 +387,10 @@ class TestNormalizeCommand:
         assert run(argv) == 1
         err = capsys.readouterr().err
         # the line id comes without its .gt.txt suffix, as in eval
-        assert err.startswith("error: line 'l2': 1 character(s) outside codec ")
-        assert "U+2020" in err and err.count("\n") == 1
+        assert err == (
+            "error: book 'b1', line 'l2' (ground truth): 1 character(s) outside codec "
+            "'default' after normalization: '\u2020' (U+2020) at 1\n"
+        )
         assert run(["--error-json", *argv]) == 1
         payload = json.loads(capsys.readouterr().err)
         assert set(payload) == {"error"} and set(payload["error"]) == {"type", "message"}
@@ -539,6 +618,30 @@ class TestVoteCommand:
         )
         assert code == 0
         assert (out / "bk" / "l1.pred.voted.txt").read_text(encoding="utf-8") == "ac\n"
+        capsys.readouterr()
+
+    def test_sidecars_found_without_stat_calls(self, corpus, capsys, monkeypatch):
+        make_pred_tree(corpus / "cpred", "e0", {"bk": {"l1": "ab", "l2": "ab"}})
+        make_pred_tree(corpus / "cpred", "e1", {"bk": {"l1": "ac", "l2": "ac"}})
+        for name, conf in (("l1.pred.e0", "0.9 0.9"), ("l1.pred.e1", "0.9 0.99"),
+                           ("l2.pred.e0", "0.9 0.99"), ("l2.pred.e1", "0.9 0.9")):
+            (corpus / "cpred" / "bk" / f"{name}.conf").write_text(conf + "\n", encoding="utf-8")
+        stat_calls = []
+        real_exists = Path.exists
+
+        def counted_exists(path, *args, **kwargs):
+            stat_calls.append(path)
+            return real_exists(path, *args, **kwargs)
+
+        out = corpus / "cvoted"
+        argv = ["vote", "--pred", str(corpus / "cpred"), "--engine", "e0", "--engine", "e1"]
+        with monkeypatch.context() as patched:
+            patched.setattr(Path, "exists", counted_exists)
+            assert run([*argv, "--tie-break", "confidence", "--out", str(out)]) == 0
+        assert stat_calls == []
+        # the sidecars were read: each tie went to the more confident engine
+        assert (out / "bk" / "l1.pred.voted.txt").read_text(encoding="utf-8") == "ac\n"
+        assert (out / "bk" / "l2.pred.voted.txt").read_text(encoding="utf-8") == "ab\n"
         capsys.readouterr()
 
     def test_malformed_sidecar(self, corpus, capsys):

@@ -11,7 +11,7 @@ from fraktur_bench.codec import (
     validate_against_codec,
 )
 from fraktur_bench.errors import CodecError
-from fraktur_bench.lines import gt_line
+from fraktur_bench.lines import TranscriptionLine
 
 
 class TestUnescape:
@@ -40,14 +40,14 @@ class TestUnescape:
 class TestCodecConstruction:
     def test_duplicate_rejected(self):
         with pytest.raises(CodecError, match="duplicate"):
-            Codec(characters=("a", "b", "a", " "), name="t", version="1")
+            Codec(characters=("a", "b", "a", " "), name="t")
 
     def test_space_required(self):
         with pytest.raises(CodecError, match="space"):
-            Codec(characters=("a", "b"), name="t", version="1")
+            Codec(characters=("a", "b"), name="t")
 
     def test_contains_and_len(self):
-        codec = Codec(characters=("a", "b", " "), name="t", version="1")
+        codec = Codec(characters=("a", "b", " "), name="t")
         assert "a" in codec and "z" not in codec
         assert len(codec) == 3
 
@@ -116,28 +116,28 @@ class TestDefaultCodec:
 class TestValidation:
     def test_all_in_codec(self):
         codec = default_codec()
-        line = gt_line("N", "b", "l", "Das Jahr 1781")
+        line = TranscriptionLine("b", "l", "Das Jahr 1781")
         assert validate_against_codec(line, codec) == []
 
     def test_positions_reported(self):
         codec = default_codec()
-        line = gt_line("N", "b", "l", "a→b→c")
+        line = TranscriptionLine("b", "l", "a→b→c")
         violations = validate_against_codec(line, codec)
         assert violations == [(1, "→"), (3, "→")]
 
     def test_uppercase_i_is_a_violation(self):
         # the default set carries no capital I, so raw text trips here
         # until the J rewrite has run
-        line = gt_line("N", "b", "l", "Ich")
+        line = TranscriptionLine("b", "l", "Ich")
         assert validate_against_codec(line, default_codec()) == [(0, "I")]
 
     def test_empty_line_has_no_violations(self):
-        line = gt_line("N", "b", "l", "")
+        line = TranscriptionLine("b", "l", "")
         assert validate_against_codec(line, default_codec()) == []
 
     def test_coverage_report_ordering(self):
-        codec = Codec(characters=("a", "b", " "), name="t", version="1")
-        lines = [gt_line("N", "b", "l1", "aab xy yy")]
+        codec = Codec(characters=("a", "b", " "), name="t")
+        lines = [TranscriptionLine("b", "l1", "aab xy yy")]
         report = codec_coverage_report(lines, codec)
         assert report.total_chars == 9
         # count desc, codepoint asc: space and 'a' tie at 2, space is U+0020
@@ -145,20 +145,20 @@ class TestValidation:
         assert report.out_of_codec == (("y", 3), ("x", 1))
 
     def test_coverage_two_lines(self):
-        codec = Codec(characters=("a", "b", " "), name="t", version="1")
-        lines = [gt_line("N", "b", "l1", "ab"), gt_line("N", "b", "l2", "b")]
+        codec = Codec(characters=("a", "b", " "), name="t")
+        lines = [TranscriptionLine("b", "l1", "ab"), TranscriptionLine("b", "l2", "b")]
         report = codec_coverage_report(lines, codec)
         assert report.total_chars == 3
         assert report.in_codec == (("b", 2), ("a", 1))
         assert report.out_of_codec == ()
 
     def test_coverage_flags_exotic_char(self):
-        codec = Codec(characters=("a", " "), name="t", version="1")
-        report = codec_coverage_report([gt_line("N", "b", "l", "aå")], codec)
+        codec = Codec(characters=("a", " "), name="t")
+        report = codec_coverage_report([TranscriptionLine("b", "l", "aå")], codec)
         assert report.out_of_codec == (("å", 1),)
 
     def test_coverage_no_lines(self):
-        codec = Codec(characters=("a", " "), name="t", version="1")
+        codec = Codec(characters=("a", " "), name="t")
         report = codec_coverage_report([], codec)
         assert report.total_chars == 0
         assert report.in_codec == ()

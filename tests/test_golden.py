@@ -141,6 +141,42 @@ def test_eval_and_errors_reports(eval_tree, tmp_path, capsys, command, fmt, merg
     assert sha256(out.read_bytes()) == EVAL_DIGESTS[command, fmt, merge_runs]
 
 
+def eval_argv(eval_tree: Path, fmt: str, out: Path, *flags: str) -> list[str]:
+    return [
+        "eval",
+        "--gt", str(eval_tree / "gt"),
+        "--pred", str(eval_tree / "pred"),
+        "--engine", "a",
+        "--engine", "b",
+        "--format", fmt,
+        "--out", str(out),
+        *flags,
+    ]
+
+
+@pytest.mark.parametrize("merge_runs", [False, True])
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_report_reemits_eval_bytes(eval_tree, tmp_path, capsys, fmt, merge_runs):
+    stored = tmp_path / "report.json"
+    out = tmp_path / "report.out"
+    flags = ["--merge-runs"] if merge_runs else []
+    assert run(eval_argv(eval_tree, "json", stored, *flags)) == 0, capsys.readouterr().err
+    assert run(["report", "--in", str(stored), "--format", fmt, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == EVAL_DIGESTS["eval", fmt, merge_runs]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_report_reemits_k_and_dictionary_corpus(eval_tree, tmp_path, capsys, fmt):
+    flags = ["--k", "1", "--dictionary-corpus", "O"]
+    stored = tmp_path / "report.json"
+    direct = tmp_path / "direct.out"
+    out = tmp_path / "report.out"
+    assert run(eval_argv(eval_tree, "json", stored, *flags)) == 0, capsys.readouterr().err
+    assert run(eval_argv(eval_tree, fmt, direct, *flags)) == 0
+    assert run(["report", "--in", str(stored), "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == direct.read_bytes()
+
+
 @pytest.mark.parametrize("tie_break", list(VOTE_DIGESTS))
 def test_voted_lines(vote_tree, tmp_path, capsys, tie_break):
     out = tmp_path / "voted"

@@ -11,7 +11,7 @@ from fraktur_bench.errors import (
     NormalizationError,
     RuleSetError,
 )
-from fraktur_bench.lines import gt_line
+from fraktur_bench.lines import TranscriptionLine
 from fraktur_bench.normalize import (
     NormalizationRuleSet,
     Rule,
@@ -61,7 +61,7 @@ class TestRuleSetConstruction:
         assert a.checksum != b.checksum
 
     def test_noncodec_targets(self):
-        codec = Codec(characters=("a", "b", " "), name="t", version="1")
+        codec = Codec(characters=("a", "b", " "), name="t")
         rules = NormalizationRuleSet(rules=(Rule("x", "q"), Rule("y", "a")))
         assert rules.noncodec_targets(codec) == [Rule("x", "q")]
         with pytest.raises(RuleSetError, match="q"):
@@ -141,7 +141,7 @@ class TestNormalizeLine:
     def test_fail_policy_lists_violations(self):
         codec = default_codec()
         rules = default_rules()
-        line = gt_line("N", "b", "l9", "a\u2020b")
+        line = TranscriptionLine("b", "l9", "a\u2020b")
         with pytest.raises(NormalizationError) as err:
             normalize_line(line, rules, codec)
         msg = str(err.value)
@@ -151,30 +151,32 @@ class TestNormalizeLine:
     def test_drop_policy(self):
         codec = default_codec()
         rules = default_rules()
-        line = gt_line("N", "b", "l", "a\u2020b")
+        line = TranscriptionLine("b", "l", "a\u2020b")
         assert normalize_line(line, rules, codec, "drop").text == "ab"
 
     def test_replace_policy(self):
         codec = default_codec()
         rules = default_rules()
-        line = gt_line("N", "b", "l", "a\u2020b")
+        line = TranscriptionLine("b", "l", "a\u2020b")
         out = normalize_line(line, rules, codec, "replace", "?")
         assert out.text == "a?b"
 
     def test_replace_requires_codec_char(self):
         codec = default_codec()
         rules = default_rules()
-        line = gt_line("N", "b", "l", "a\u2020b")
+        line = TranscriptionLine("b", "l", "a\u2020b")
         with pytest.raises(NormalizationError):
             normalize_line(line, rules, codec, "replace", "\u2020")
 
-    def test_kind_and_key_preserved(self):
+    def test_identity_preserved(self):
         codec = default_codec()
         rules = default_rules()
-        line = gt_line("N", "b", "l", "Im")
-        out = normalize_line(line, rules, codec)
-        assert out.key == line.key and out.kind == line.kind
-        assert out.text == "Jm"
+        for line in (TranscriptionLine("b", "l", "Im"), TranscriptionLine("b", "l", "Im", "e1")):
+            out = normalize_line(line, rules, codec)
+            assert (out.book_id, out.line_id, out.engine_id) == (
+                line.book_id, line.line_id, line.engine_id
+            )
+            assert out.text == "Jm"
 
 
 class TestUnmappedPolicyParsing:
@@ -208,6 +210,6 @@ class TestDefaultRules:
         codec = default_codec()
         rules = default_rules()
         for label, source, expected in load_vectors():
-            line = gt_line("T", "b", label, source)
+            line = TranscriptionLine("b", label, source)
             got = normalize_line(line, rules, codec).text
             assert got == expected, f"{label}: {got!r} != {expected!r}"

@@ -51,12 +51,22 @@ class TestTrees:
         root = tmp_path / "pred"
         make_pred_tree(root, "e1", {"b1": {"l1": "a"}})
         make_pred_tree(root, "e2", {"b1": {"l1": "b"}})
-        assert load_pred_tree(root, "e1") == {"b1": {"l1": "a"}}
+        assert load_pred_tree(root, "e1") == ({"b1": {"l1": "a"}}, {})
+
+    def test_load_pred_tree_finds_sidecars(self, tmp_path):
+        root = tmp_path / "pred"
+        make_pred_tree(root, "e1", {"b1": {"l1": "a", "l2": "b"}, "b2": {"l1": "c"}})
+        make_pred_tree(root, "e2", {"b1": {"l1": "d"}})
+        for name in ("b1/l2.pred.e1.conf", "b1/l1.pred.e2.conf", "b2/l1.pred.e1.conf.bak"):
+            (root / name).write_text("0.5\n", encoding="utf-8")
+        texts, sidecars = load_pred_tree(root, "e1")
+        assert texts == {"b1": {"l1": "a", "l2": "b"}, "b2": {"l1": "c"}}
+        assert sidecars == {"b1": {"l2": root / "b1" / "l2.pred.e1.conf"}}
 
     def test_parity_reports_both_directions(self, tmp_path):
         gt = load_gt_tree(make_gt_tree(tmp_path / "gt", {"b1": {"l1": "x", "l2": "y"}}))
         pred_root = make_pred_tree(tmp_path / "pred", "e", {"b1": {"l2": "y", "l3": "z"}})
-        pred = load_pred_tree(pred_root, "e")
+        pred, _ = load_pred_tree(pred_root, "e")
         with pytest.raises(PairingError) as err:
             check_parity(gt, pred, "e", list(gt))
         msg = str(err.value)

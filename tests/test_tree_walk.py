@@ -195,6 +195,12 @@ def logged(name: str):
         target.setLevel(old_level)
 
 
+def load_pred_texts(root: str | Path, engine_id: str) -> dict[str, dict[str, str]]:
+    """The predictions load_pred_tree reads, without its sidecar paths."""
+    texts, _ = load_pred_tree(root, engine_id)
+    return texts
+
+
 def outcome(fn, *args):
     """What a reader returned, in order, or the error it raised."""
     try:
@@ -220,7 +226,7 @@ class TestAgainstReference:
             assert got == want
             assert outcome(load_gt_tree, root) == outcome(reference_load_gt_tree, root)
             for engine in ENGINES:
-                assert outcome(load_pred_tree, root, engine) == outcome(
+                assert outcome(load_pred_texts, root, engine) == outcome(
                     reference_load_pred_tree, root, engine
                 )
 
@@ -230,7 +236,7 @@ class TestAgainstReference:
         new, old = {
             "scan": ((scan_corpus, missing, "N"), (reference_scan_corpus, missing, "N")),
             "gt": ((load_gt_tree, missing), (reference_load_gt_tree, missing)),
-            "pred": ((load_pred_tree, missing, "e"), (reference_load_pred_tree, missing, "e")),
+            "pred": ((load_pred_texts, missing, "e"), (reference_load_pred_tree, missing, "e")),
         }[reader]
         assert outcome(*new) == outcome(*old)
         assert outcome(*new)[0] == "error"
