@@ -32,6 +32,13 @@ are split off:
 
 Match ops are shared per character; EditOp is frozen and compares by
 value, so the sharing is invisible.
+
+Consumers of a script mostly want its edits, which on OCR lines are a
+few percent of the ops. The traceback branches once per edit anyway, so
+it records each one with its position as it goes: AlignmentResult.edits
+holds one (gt_pos, pred_pos, op) triple per non-match op, in script
+order, where gt_pos and pred_pos count the ground-truth and prediction
+characters before the op. Confusion tables and voting read only these.
 """
 
 from __future__ import annotations
@@ -57,6 +64,9 @@ class EditOp:
 
 
 EditScript = tuple[EditOp, ...]
+# (gt_pos, pred_pos, op): a non-match op and the number of ground-truth and
+# prediction characters that come before it in its script.
+Edit = tuple[int, int, EditOp]
 
 
 # One MATCH op per character seen, so long scripts share a few objects.
@@ -189,9 +199,16 @@ class AlignmentResult:
     truth the line scores pred_len (every hallucinated character counts as
     one error over a virtual length of 1); such lines are excluded from
     macro averages but still feed micro sums.
+
+    edits holds the non-match ops of ops, in order, each as (gt_pos,
+    pred_pos, op): gt_pos and pred_pos count the ground-truth and
+    prediction characters before the op, so a deletion consumes gt[gt_pos],
+    an insertion pred[pred_pos] and a substitution both. It has no default:
+    a result built without it would read as error-free.
     """
 
     ops: EditScript
+    edits: tuple[Edit, ...]
     distance: int
     gt_len: int
     pred_len: int
@@ -201,10 +218,11 @@ class AlignmentResult:
 def align(gt: str, pred: str) -> AlignmentResult:
     """Cost-optimal alignment of a prediction to its ground truth."""
     if gt == pred:
-        return AlignmentResult(_matches(gt), 0, len(gt), len(pred), 0.0)
+        return AlignmentResult(_matches(gt), (), 0, len(gt), len(pred), 0.0)
     if not gt:
-        ops = tuple(insert(c) for c in pred)
-        return AlignmentResult(ops, len(pred), 0, len(pred), float(len(pred)))
+        ops = tuple(map(insert, pred))
+        edits = tuple((0, pred_pos, op) for pred_pos, op in enumerate(ops))
+        return AlignmentResult(ops, edits, len(pred), 0, len(pred), float(len(pred)))
     k, s = _trim(gt, pred)
     m, n = len(gt) - s, len(pred) - s
     if m == 0:  # gt is a suffix of pred
@@ -215,8 +233,11 @@ def align(gt: str, pred: str) -> AlignmentResult:
     # left = d - h(i,j), diag = left - v(i,j-1). Columns j <= k are
     # D[i][j] = |i - j|. Preference on cost ties: diagonal
     # (match/substitute), then delete, then insert. The walk stops at
-    # i == j <= k, where gt[:i] == pred[:j] leaves only matches.
+    # i == j <= k, where gt[:i] == pred[:j] leaves only matches. Each edit
+    # is recorded as it is taken, with (i, j) after the step: the numbers
+    # of characters before it.
     ops: list[EditOp] = []
+    edits: list[Edit] = []
     i, j = m, n
     while i > 0 and j > 0 and (i != j or j > k):
         g, p = gt[i - 1], pred[j - 1]
@@ -224,13 +245,9 @@ def align(gt: str, pred: str) -> AlignmentResult:
             ops.append(match(g))
             i -= 1
             j -= 1
-        elif j <= k:  # the diagonal costs |i - j| + 1 > D[i][j]
-            if i > j:
-                ops.append(delete(g))
-                i -= 1
-            else:
-                ops.append(insert(p))
-                j -= 1
+            continue
+        if j <= k:  # the diagonal costs |i - j| + 1 > D[i][j]
+            diagonal, up = False, i > j
         else:
             bit = 1 << (i - 1)
             vp, vn, hp, hn = columns[j - k - 1]
@@ -240,21 +257,33 @@ def align(gt: str, pred: str) -> AlignmentResult:
                 v_left = 1 if vp_left & bit else -1 if vn_left & bit else 0
             else:
                 v_left = 1 if i > k else -1
-            # d == diag + 1  <=>  h(i,j) + v(i,j-1) == 1
-            if h + v_left == 1:
-                ops.append(substitute(g, p))
-                i -= 1
-                j -= 1
-            elif vp & bit:  # d == up + 1
-                ops.append(delete(g))
-                i -= 1
-            else:
-                ops.append(insert(p))
-                j -= 1
+            # d == diag + 1  <=>  h(i,j) + v(i,j-1) == 1; d == up + 1  <=>  vp
+            diagonal, up = h + v_left == 1, vp & bit
+        if diagonal:
+            op = substitute(g, p)
+            i -= 1
+            j -= 1
+            edits.append((i, j, op))
+        elif up:
+            op = delete(g)
+            i -= 1
+            edits.append((i, j, op))
+        else:
+            op = insert(p)
+            j -= 1
+            edits.append((i, j, op))
+        ops.append(op)
     ops.reverse()
+    edits.reverse()
     if i == j:
         head = _matches(gt[:i])
-    else:  # one side is exhausted
-        head = tuple(map(delete, gt[:i])) + tuple(map(insert, pred[:j]))
+    elif i:  # the prediction is exhausted
+        head = tuple(map(delete, gt[:i]))
+        edits[:0] = [(gt_pos, 0, op) for gt_pos, op in enumerate(head)]
+    else:  # the ground truth is exhausted
+        head = tuple(map(insert, pred[:j]))
+        edits[:0] = [(0, pred_pos, op) for pred_pos, op in enumerate(head)]
     script = head + tuple(ops) + _matches(gt[m:])
-    return AlignmentResult(script, distance, len(gt), len(pred), distance / len(gt))
+    return AlignmentResult(
+        script, tuple(edits), distance, len(gt), len(pred), distance / len(gt)
+    )

@@ -18,17 +18,20 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .align import AlignmentResult, OpKind
+from .align import AlignmentResult, Edit, OpKind
 from .errors import ReportError
 
 SCHEMA_VERSION = 1
 
 # Corpus id whose datasets are excluded from the NOD aggregate by default.
 DICTIONARY_CORPUS = "S"
+# Number of most frequent confusion classes in the top-k error share by default.
+DEFAULT_TOP_K = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,58 +46,50 @@ class ConfusionEntry:
     count: int
 
 
+def _merged_runs(edits: Sequence[Edit]) -> Iterator[tuple[str, str]]:
+    """The (gt_seq, pred_seq) classes of one line's edits, each maximal run
+    of adjacent deletions, and separately of insertions, as one class."""
+    run: list[str] = []
+    run_kind = run_next = None  # the run's kind, and the positions that extend it
+    for gt_pos, pred_pos, op in edits:
+        kind = op.kind
+        if run and (kind is not run_kind or (gt_pos, pred_pos) != run_next):
+            yield ("".join(run), "") if run_kind is OpKind.DELETE else ("", "".join(run))
+            run = []
+        if kind is OpKind.DELETE:
+            run.append(op.gt)
+            run_kind, run_next = kind, (gt_pos + 1, pred_pos)
+        elif kind is OpKind.INSERT:
+            run.append(op.pred)
+            run_kind, run_next = kind, (gt_pos, pred_pos + 1)
+        else:
+            yield op.gt, op.pred
+    if run:
+        yield ("".join(run), "") if run_kind is OpKind.DELETE else ("", "".join(run))
+
+
 def confusion_stats(
     results: Iterable[AlignmentResult], merge_runs: bool = False
 ) -> tuple[ConfusionEntry, ...]:
-    """Aggregate non-match ops into a ranked confusion table.
+    """Aggregate the edits of alignment results into a ranked confusion table.
 
-    Default granularity is one edit op per entry. With merge_runs, maximal
-    runs of adjacent insertions (and, separately, deletions) inside a line
-    collapse into one multi-character entry; substitutions stay single ops.
+    Only each result's edits are read, never its match ops. Default
+    granularity is one edit op per entry. With merge_runs, maximal runs of
+    adjacent insertions (and, separately, deletions) inside a line collapse
+    into one multi-character entry; substitutions stay single ops. Two
+    consecutive edits of a line are adjacent when no match lies between
+    them: for deletions the gt position goes up by one and the pred
+    position stays the same, for insertions the other way round.
     Ranking: count descending, ties by (gt_seq, pred_seq).
     """
-    counts: dict[tuple[str, str], int] = {}
-
-    def bump(gt_seq: str, pred_seq: str) -> None:
-        key = (gt_seq, pred_seq)
-        counts[key] = counts.get(key, 0) + 1
-
+    counts: Counter[tuple[str, str]] = Counter()
     for result in results:
-        if not result.distance:  # all matches
+        if not result.edits:
             continue
-        if not merge_runs:
-            for op in result.ops:
-                if op.kind is OpKind.SUBSTITUTE:
-                    bump(op.gt, op.pred)
-                elif op.kind is OpKind.DELETE:
-                    bump(op.gt, "")
-                elif op.kind is OpKind.INSERT:
-                    bump("", op.pred)
-            continue
-        run_kind: OpKind | None = None
-        run_chars: list[str] = []
-
-        def flush() -> None:
-            nonlocal run_kind, run_chars
-            if run_kind is OpKind.DELETE:
-                bump("".join(run_chars), "")
-            elif run_kind is OpKind.INSERT:
-                bump("", "".join(run_chars))
-            run_kind = None
-            run_chars = []
-
-        for op in result.ops:
-            if op.kind in (OpKind.DELETE, OpKind.INSERT):
-                if op.kind is not run_kind:
-                    flush()
-                    run_kind = op.kind
-                run_chars.append(op.gt if op.kind is OpKind.DELETE else op.pred)
-            else:
-                flush()
-                if op.kind is OpKind.SUBSTITUTE:
-                    bump(op.gt, op.pred)
-        flush()
-
+        if merge_runs:
+            counts.update(_merged_runs(result.edits))
+        else:
+            counts.update((op.gt or "", op.pred or "") for _, _, op in result.edits)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
     return tuple(ConfusionEntry(g, p, n) for (g, p), n in ranked)
 
@@ -259,7 +254,7 @@ def build_report(
     engines: Sequence[str],
     cells: Mapping[str, Mapping[str, CerCell]],
     confusion: Mapping[str, Sequence[ConfusionEntry]] | None = None,
-    k: int = 3,
+    k: int = DEFAULT_TOP_K,
     metadata: Mapping[str, object] | None = None,
     dictionary_corpus: str = DICTIONARY_CORPUS,
 ) -> EvaluationReport:

@@ -25,7 +25,13 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .analytics import emit_errors_report, emit_report, report_from_json
+from .analytics import (
+    DEFAULT_TOP_K,
+    DICTIONARY_CORPUS,
+    emit_errors_report,
+    emit_report,
+    report_from_json,
+)
 from .codec import Codec, codec_coverage_report, default_codec, load_codec
 from .errors import ManifestError, ReportError, ToolkitError, VotingError
 from .lines import TranscriptionLine, line_id_of
@@ -198,7 +204,7 @@ def _load_confidences(conf_path: Path | None, text: str):
         return None
     tokens = read_text_file(conf_path).split()
     try:
-        values = tuple(float(t) for t in tokens)
+        values = tuple(map(float, tokens))
     except ValueError as exc:
         raise VotingError(f"{conf_path}: malformed confidence value: {exc}") from None
     if len(values) != len(text):
@@ -433,8 +439,14 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
         "--datasets", type=_dataset_ids, help="comma-separated dataset order (default: sorted)"
     )
     parser.add_argument("--merge-runs", action="store_true", help="merge adjacent insert/delete runs in confusion stats")
-    parser.add_argument("--k", type=_int_at_least(1), default=3, help="k for top-k error share")
-    parser.add_argument("--dictionary-corpus", default="S", help="corpus excluded from the NOD aggregate")
+    parser.add_argument(
+        "--k", type=_int_at_least(1), default=DEFAULT_TOP_K, help="k for top-k error share"
+    )
+    parser.add_argument(
+        "--dictionary-corpus",
+        default=DICTIONARY_CORPUS,
+        help="corpus excluded from the NOD aggregate",
+    )
     parser.add_argument("--out", required=True, help="output file")
     parser.add_argument("--format", choices=FORMATS, default="json")
 

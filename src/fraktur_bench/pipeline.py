@@ -11,22 +11,31 @@ Dataset ids are the book directory names.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .align import AlignmentResult, align
-from .analytics import CerCell, EvaluationReport, build_report, confusion_stats
+from .analytics import (
+    DEFAULT_TOP_K,
+    DICTIONARY_CORPUS,
+    CerCell,
+    EvaluationReport,
+    build_report,
+    confusion_stats,
+)
 from .codec import Codec
 from .errors import ManifestError, PairingError
 from .lines import GT_SUFFIX, TranscriptionLine, conf_suffix, list_books, pred_suffix
 from .normalize import NormalizationRuleSet, normalize_line, require_replacement_in_codec
 
-def read_text_file(path: Path) -> str:
+def read_text_file(path: str | Path) -> str:
     """Read one line file: UTF-8, one trailing line ending (CRLF, LF or CR)
     stripped, nothing else."""
     try:
-        raw = path.read_bytes()
+        with open(path, "rb", buffering=0) as f:
+            raw = f.read()
     except OSError as exc:
         raise ManifestError(f"cannot read {path}: {exc}") from exc
     try:
@@ -47,8 +56,9 @@ def _read_tree(
     tree: dict[str, dict[str, str]] = {}
     sidecars: dict[str, dict[str, Path]] = {}
     for book_dir, names in list_books(root, label):
+        prefix = os.path.join(book_dir, "")  # str joins: no Path per file
         lines = {
-            name[: -len(suffix)]: read_text_file(book_dir / name)
+            name[: -len(suffix)]: read_text_file(prefix + name)
             for name in names
             if name.endswith(suffix)
         }
@@ -119,9 +129,9 @@ def eval_pipeline(
     on_unmapped: str = "fail",
     replacement: str | None = None,
     merge_runs: bool = False,
-    top_k: int = 3,
+    top_k: int = DEFAULT_TOP_K,
     seed: int = 0,
-    dictionary_corpus: str = "S",
+    dictionary_corpus: str = DICTIONARY_CORPUS,
 ) -> EvaluationReport:
     """Evaluate every engine against the ground-truth tree.
 

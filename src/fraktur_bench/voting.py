@@ -8,13 +8,14 @@ deletion) and one per gap (the characters it inserts there, usually
 nothing). The symbol with a strict majority wins a slot; a unique
 plurality also wins; remaining ties fall to the configured tie-break.
 
-Slots exist only where voters disagree. Each voter's edit script is
-walked once for its edits; a character slot where every voter casts the
-pivot's character, or a gap where nobody inserts, has one symbol with all
-the votes, so it keeps the pivot's text at no cost. Only the contested
-slots are built, cast in the same order (pivot first, then the voters by
-index, so confidence sums round the same) and resolved; their results
-are spliced into the pivot text.
+Slots exist only where voters disagree. Each voter's edits, which its
+alignment result records with their positions, are read once; a
+character slot where every voter casts the pivot's character, or a gap
+where nobody inserts, has one symbol with all the votes, so it keeps the
+pivot's text at no cost. Only the contested slots are built, cast in the
+same order (pivot first, then the voters by index, so confidence sums
+round the same) and resolved; their results are spliced into the pivot
+text.
 
 This is star alignment, linear in the number of voters, not a full
 multiple sequence alignment.
@@ -26,7 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .align import OpKind, align
+from .align import Edit, OpKind, align
 from .errors import VotingError
 
 VOTED_ENGINE_ID = "voted"
@@ -52,6 +53,9 @@ class VoterOutput:
                     f"engine {self.engine_id!r}: {len(self.confidences)} confidences "
                     f"for {len(self.text)} characters"
                 )
+            # One chained comparison per value; it also rejects NaN. A bulk
+            # check costs more in CPython 3.11: min and max each take about
+            # as long as this loop, and a sum is still needed to catch NaN.
             for value in self.confidences:
                 if not 0.0 <= value <= 1.0:
                     raise VotingError(
@@ -126,13 +130,13 @@ def _resolve(slot: _Slot, config: VotingConfig) -> str:
 
 
 class _Edits:
-    """One voter's edit script against the pivot, reduced to its edits.
+    """One voter's edits against the pivot (AlignmentResult.edits).
 
     Slot keys: 2*g is the gap before pivot character g, 2*i+1 is pivot
     character i, so sorted keys follow the text.
     """
 
-    def __init__(self, index: int, voter: VoterOutput, ops) -> None:
+    def __init__(self, index: int, voter: VoterOutput, edits: Sequence[Edit]) -> None:
         self.index = index
         self.voter = voter
         # slot key -> voter range cast there: empty for a deletion, one
@@ -142,19 +146,10 @@ class _Edits:
         # i + shifts[k], k the last index with starts[k] <= i.
         self.starts = [0]
         self.shifts = [0]
-        p = q = 0  # pivot and voter positions
-        last = -1
-        edits = [j for j, op in enumerate(ops) if op.kind is not OpKind.MATCH]
-        for j in edits:
-            run = j - last - 1  # matches since the previous edit
-            p += run
-            q += run
-            last = j
-            kind = ops[j].kind
+        for p, q, op in edits:  # pivot and voter characters before the edit
+            kind = op.kind
             if kind is OpKind.SUBSTITUTE:
                 self.spans[2 * p + 1] = (q, q + 1)
-                p += 1
-                q += 1
                 continue
             if kind is OpKind.INSERT:
                 key = 2 * p
@@ -201,7 +196,7 @@ def vote_line(outputs: Sequence[VoterOutput], config: VotingConfig) -> VoterOutp
     pivot = outputs[pivot_idx]
     text = pivot.text
     voters = [
-        _Edits(v_idx, voter, align(text, voter.text).ops)
+        _Edits(v_idx, voter, align(text, voter.text).edits)
         for v_idx, voter in enumerate(outputs)
         if v_idx != pivot_idx
     ]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraktur_bench.align import (
+    AlignmentResult,
     OpKind,
     align,
     delete,
@@ -239,3 +240,69 @@ class TestTrimmedPaths:
     def test_match_ops_are_shared(self):
         ops = align("abab", "abab").ops
         assert ops[0] is ops[2] and ops[0] == match("a")
+
+
+def replayed_edits(ops):
+    """The non-match ops of a script, each with the numbers of ground-truth
+    and prediction characters before it."""
+    edits = []
+    gt_pos = pred_pos = 0
+    for op in ops:
+        if op.kind is not OpKind.MATCH:
+            edits.append((gt_pos, pred_pos, op))
+        gt_pos += op.gt is not None
+        pred_pos += op.pred is not None
+    return tuple(edits)
+
+
+# Tie-heavy alphabets and empty sides.
+edit_text = st.text(alphabet="ab ", max_size=30) | st.text(alphabet="aab", max_size=30)
+
+
+class TestEdits:
+    """result.edits is the script's non-match ops with their positions."""
+
+    @staticmethod
+    def assert_edits(gt, pred):
+        result = align(gt, pred)
+        assert result.edits == replayed_edits(result.ops)
+        assert len(result.edits) == result.distance
+
+    @settings(max_examples=300)
+    @given(edit_text, edit_text)
+    def test_edits_are_replayed_non_match_ops(self, gt, pred):
+        self.assert_edits(gt, pred)
+
+    @given(edit_text, edit_text, edit_text, edit_text)
+    def test_with_shared_prefix_and_suffix(self, prefix, a, b, suffix):
+        self.assert_edits(prefix + a + suffix, prefix + b + suffix)
+
+    @pytest.mark.parametrize(
+        "gt, pred, edits",
+        [
+            ("", "", ()),
+            ("ab", "ab", ()),
+            ("", "ab", ((0, 0, insert("a")), (0, 1, insert("b")))),
+            ("ab", "", ((0, 0, delete("a")), (1, 0, delete("b")))),
+            ("ab", "b", ((0, 0, delete("a")),)),  # the prediction runs out in the head
+            ("b", "ab", ((0, 0, insert("a")),)),  # the ground truth runs out in the head
+            ("abc", "axc", ((1, 1, substitute("b", "x")),)),
+            ("ab", "axyb", ((1, 1, insert("x")), (1, 2, insert("y")))),
+            ("xxabc", "abcyy", ((0, 0, delete("x")), (1, 0, delete("x")),
+                                (5, 3, insert("y")), (5, 4, insert("y")))),
+        ],
+    )
+    def test_explicit_cases(self, gt, pred, edits):
+        assert align(gt, pred).edits == edits
+        self.assert_edits(gt, pred)
+
+    def test_long_noisy_line(self):
+        rng = random.Random(20262)
+        gt = "".join(rng.choice("ab c") for _ in range(500))
+        pred = "".join(c for c in gt if rng.random() > 0.05).replace("a", "aa", 7)
+        self.assert_edits(gt, pred)
+
+    def test_edits_are_required(self):
+        # a result without edits would read as error-free to every consumer
+        with pytest.raises(TypeError, match="edits"):
+            AlignmentResult(ops=(substitute("a", "b"),), distance=1, gt_len=1, pred_len=1, cer=1.0)

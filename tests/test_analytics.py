@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fraktur_bench.align import AlignmentResult, align
+from fraktur_bench.align import AlignmentResult, OpKind, align, delete, insert
 from fraktur_bench.analytics import (
     CerCell,
     ConfusionEntry,
@@ -25,6 +27,62 @@ from fraktur_bench.analytics import (
     top_k_error_share,
 )
 from fraktur_bench.errors import ReportError
+
+
+def reference_confusion_stats(
+    results: Iterable[AlignmentResult], merge_runs: bool = False
+) -> tuple[ConfusionEntry, ...]:
+    """Aggregate non-match ops into a ranked confusion table.
+
+    Default granularity is one edit op per entry. With merge_runs, maximal
+    runs of adjacent insertions (and, separately, deletions) inside a line
+    collapse into one multi-character entry; substitutions stay single ops.
+    Ranking: count descending, ties by (gt_seq, pred_seq).
+    """
+    counts: dict[tuple[str, str], int] = {}
+
+    def bump(gt_seq: str, pred_seq: str) -> None:
+        key = (gt_seq, pred_seq)
+        counts[key] = counts.get(key, 0) + 1
+
+    for result in results:
+        if not result.distance:  # all matches
+            continue
+        if not merge_runs:
+            for op in result.ops:
+                if op.kind is OpKind.SUBSTITUTE:
+                    bump(op.gt, op.pred)
+                elif op.kind is OpKind.DELETE:
+                    bump(op.gt, "")
+                elif op.kind is OpKind.INSERT:
+                    bump("", op.pred)
+            continue
+        run_kind: OpKind | None = None
+        run_chars: list[str] = []
+
+        def flush() -> None:
+            nonlocal run_kind, run_chars
+            if run_kind is OpKind.DELETE:
+                bump("".join(run_chars), "")
+            elif run_kind is OpKind.INSERT:
+                bump("", "".join(run_chars))
+            run_kind = None
+            run_chars = []
+
+        for op in result.ops:
+            if op.kind in (OpKind.DELETE, OpKind.INSERT):
+                if op.kind is not run_kind:
+                    flush()
+                    run_kind = op.kind
+                run_chars.append(op.gt if op.kind is OpKind.DELETE else op.pred)
+            else:
+                flush()
+                if op.kind is OpKind.SUBSTITUTE:
+                    bump(op.gt, op.pred)
+        flush()
+
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
+    return tuple(ConfusionEntry(g, p, n) for (g, p), n in ranked)
 
 
 def cell(distance: int, gt_chars: int, lines: int = 1) -> CerCell:
@@ -83,6 +141,91 @@ class TestConfusionStats:
         result = align(gt, pred)
         table = confusion_stats([result])
         assert sum(e.count for e in table) == result.distance
+
+
+# Tie-heavy alphabets, so runs of insertions and deletions are common.
+tie_pairs = st.lists(
+    st.tuples(st.text(alphabet="ab ", max_size=14), st.text(alphabet="ab ", max_size=14))
+    | st.tuples(st.text(alphabet="aab", max_size=14), st.text(alphabet="aab", max_size=14)),
+    max_size=8,
+)
+
+SYLLABLES = ("ch", "ſt", "en", "er", "ung", "ei", "lich", "ü", "ß", "zu", "de", "ver")
+ALPHABET = "abcdefghilmnorstuvwzäöüßſ,.-'\""
+
+
+def eval_corpus_pairs(rng: random.Random, rates: tuple[float, float, float, float]):
+    """(ground truth, prediction) pairs in the manner of the benchmark's eval
+    corpus: syllable words on 30-90 character lines, and per-character
+    deletion, substitution, insertion and space-insertion noise."""
+    dele, sub, ins, space = rates
+    pairs = []
+    for length in range(30, 90):
+        for _ in range(4):
+            words = []
+            while sum(len(w) + 1 for w in words) <= length:
+                words.append("".join(rng.choice(SYLLABLES) for _ in range(rng.randint(1, 4))))
+            gt = " ".join(words)[:length].rstrip(" ")
+            pred = []
+            for ch in gt:
+                roll = rng.random()
+                if roll < dele:
+                    pass
+                elif roll < dele + sub:
+                    pred.append(rng.choice(ALPHABET.replace(ch, "")))
+                else:
+                    pred.append(ch)
+                if rng.random() < ins:
+                    pred.append(rng.choice(ALPHABET))
+                if rng.random() < space:
+                    pred.append(" ")
+            pairs.append((gt, "".join(pred)))
+    return pairs
+
+
+class TestConfusionMatchesReference:
+    """confusion_stats reads only edits; it must give the table that walking
+    every op gives, in both modes."""
+
+    @pytest.mark.parametrize("merge_runs", [False, True])
+    @given(pairs=tie_pairs)
+    def test_tie_heavy_scripts(self, merge_runs, pairs):
+        results = [align(gt, pred) for gt, pred in pairs]
+        assert confusion_stats(results, merge_runs) == reference_confusion_stats(
+            results, merge_runs
+        )
+
+    @pytest.mark.parametrize("merge_runs", [False, True])
+    def test_eval_corpus(self, merge_runs):
+        rng = random.Random(20263)
+        engines = {
+            "clean": (0.001, 0.004, 0.001, 0.001),
+            "noisy": (0.004, 0.018, 0.004, 0.006),
+            "bursty": (0.05, 0.05, 0.08, 0.03),  # long insertion and deletion runs
+        }
+        for rates in engines.values():
+            results = [align(gt, pred) for gt, pred in eval_corpus_pairs(rng, rates)]
+            table = confusion_stats(results, merge_runs)
+            assert table == reference_confusion_stats(results, merge_runs)
+            assert sum(e.count for e in table) <= sum(r.distance for r in results)
+
+    def test_deletion_then_insertion_stay_apart(self):
+        # no optimal script holds this pair (one substitution is cheaper),
+        # but a run must not change kind at the position that would extend it
+        ops = (delete("a"), insert("b"))
+        result = AlignmentResult(ops, ((0, 0, ops[0]), (1, 0, ops[1])), 2, 1, 1, 2.0)
+        merged = confusion_stats([result], merge_runs=True)
+        assert merged == (ConfusionEntry("", "b", 1), ConfusionEntry("a", "", 1))
+        assert merged == reference_confusion_stats([result], merge_runs=True)
+
+    def test_runs_do_not_cross_lines(self):
+        # the first line ends in a deletion at (2, 3), and the second line's
+        # deletion sits at (3, 3), where the run's next deletion would be
+        results = [align("aba", "bab"), align("abcd", "abc")]
+        assert [r.edits[-1][:2] for r in results] == [(2, 3), (3, 3)]
+        merged = confusion_stats(results, merge_runs=True)
+        assert merged == reference_confusion_stats(results, merge_runs=True)
+        assert ConfusionEntry("d", "", 1) in merged
 
 
 class TestTopKShare:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import fraktur_bench
-from fraktur_bench.cli import run
+from fraktur_bench.analytics import DEFAULT_TOP_K, DICTIONARY_CORPUS, build_report
+from fraktur_bench.cli import build_parser, run
+from fraktur_bench.pipeline import eval_pipeline
 from fraktur_bench.manifests import BookEntry, manifest_to_json
 
 from conftest import make_gt_tree, make_pred_tree, package_env
@@ -346,9 +349,17 @@ class TestDataErrorsNameTheLine:
                 "VotingError",
                 "book 'B', line 'l2': engine 'e1': confidence 1.5 outside [0, 1]",
             ),
+            (
+                {"pred/B/l2.pred.e1.conf": "0.5 0.5 nan"},
+                ["vote", "--pred", "{root}/pred", "--engine", "e1", "--engine", "e2",
+                 "--engine", "e3", "--out", "{out}"],
+                "VotingError",
+                "book 'B', line 'l2': engine 'e1': confidence nan outside [0, 1]",
+            ),
         ],
         ids=["eval-prediction", "errors-ground-truth", "vote-pivot-absent",
-             "vote-confidences-missing", "vote-confidence-out-of-range"],
+             "vote-confidences-missing", "vote-confidence-out-of-range",
+             "vote-confidence-nan"],
     )
     def test_message(self, tmp_path, capsys, overrides, argv, error_type, message):
         self.build(tmp_path, overrides)
@@ -361,6 +372,26 @@ class TestDataErrorsNameTheLine:
         payload = json.loads(capsys.readouterr().err)
         assert payload == {"error": {"type": error_type, "message": message}}
         assert not out.exists()
+
+
+class TestDefaults:
+    """The defaults of --k and --dictionary-corpus are written once, in
+    analytics, and the CLI and the library read them from there."""
+
+    @pytest.mark.parametrize("command", ["eval", "errors"])
+    def test_parser_defaults(self, command):
+        args = build_parser().parse_args(
+            [command, "--gt", "g", "--pred", "p", "--engine", "e", "--out", "o"]
+        )
+        assert (args.k, args.dictionary_corpus) == (DEFAULT_TOP_K, DICTIONARY_CORPUS)
+
+    def test_library_defaults(self):
+        params = inspect.signature(eval_pipeline).parameters
+        assert params["top_k"].default == DEFAULT_TOP_K
+        assert params["dictionary_corpus"].default == DICTIONARY_CORPUS
+        params = inspect.signature(build_report).parameters
+        assert params["k"].default == DEFAULT_TOP_K
+        assert params["dictionary_corpus"].default == DICTIONARY_CORPUS
 
 
 class TestNormalizeCommand:

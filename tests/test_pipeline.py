@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import errno
+import json
+import os
+
 import pytest
 
-from fraktur_bench.errors import PairingError
+from fraktur_bench.cli import run
+from fraktur_bench.errors import ManifestError, PairingError
 from fraktur_bench.pipeline import (
     check_parity,
     load_gt_tree,
@@ -38,6 +43,47 @@ class TestReadTextFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(Exception):
             read_text_file(tmp_path / "absent.txt")
+
+
+    @pytest.mark.parametrize("as_str", [False, True], ids=["path", "str"])
+    def test_directory_message(self, tmp_path, as_str):
+        d = tmp_path / "l1.gt.txt"
+        d.mkdir()
+        with pytest.raises(ManifestError) as err:
+            read_text_file(str(d) if as_str else d)
+        assert str(err.value) == (
+            f"cannot read {d}: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{d}'"
+        )
+
+
+class TestUnreadableLineFile:
+    """A line file that is listed but cannot be read is a data error with
+    one line naming the file and the reason."""
+
+    @pytest.mark.parametrize(
+        "make, code",
+        [
+            (lambda p: p.mkdir(), errno.EISDIR),
+            (lambda p: p.symlink_to(p.parent / "absent"), errno.ENOENT),
+        ],
+        ids=["directory", "dangling-symlink"],
+    )
+    def test_eval_message(self, tmp_path, capsys, make, code):
+        root = tmp_path.resolve()
+        make_gt_tree(root / "gt", {"b1": {"l0": "a"}})
+        make_pred_tree(root / "pred", "e", {"b1": {"l0": "a", "l1": "b"}})
+        bad = root / "gt" / "b1" / "l1.gt.txt"
+        make(bad)
+        message = f"cannot read {bad}: [Errno {code}] {os.strerror(code)}: '{bad}'"
+        argv = ["eval", "--gt", str(root / "gt"), "--pred", str(root / "pred"),
+                "--engine", "e", "--out", str(root / "out.json")]
+
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": {"type": "ManifestError", "message": message}}
+        assert not (root / "out.json").exists()
 
 
 class TestTrees:

@@ -218,6 +218,29 @@ class TestVoterOutput:
         with pytest.raises(VotingError):
             VoterOutput("", "a")
 
+    @pytest.mark.parametrize(
+        "confidences, bad",
+        [
+            ((float("nan"), 0.5, 0.5), "nan"),
+            ((0.5, 0.5, float("nan")), "nan"),  # min and max of these are in range
+            ((0.5, float("inf"), 0.5), "inf"),
+            ((0.5, float("-inf"), 0.5), "-inf"),
+            ((-0.1, 0.5, 1.5), "-0.1"),  # the first value out of range is named
+            ((0.5, 1.5, -0.1), "1.5"),
+            ((1.0000001, 0.0, 1.0), "1.0000001"),
+        ],
+        ids=["nan-first", "nan-later", "inf", "minus-inf", "low-then-high",
+             "high-then-low", "just-above-one"],
+    )
+    def test_confidence_out_of_range_message(self, confidences, bad):
+        with pytest.raises(VotingError) as err:
+            VoterOutput("e", "abc", confidences)
+        assert str(err.value) == f"engine 'e': confidence {bad} outside [0, 1]"
+
+    @pytest.mark.parametrize("confidences", [(), (0.0,), (1.0,), (0.0, 1.0, 0.5)])
+    def test_confidence_bounds_accepted(self, confidences):
+        assert VoterOutput("e", "x" * len(confidences), confidences).confidences == confidences
+
 
 class TestVotingConfig:
     def test_min_voters_floor(self):
