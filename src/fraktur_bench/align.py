@@ -9,36 +9,31 @@ them all confusion statistics, are reproducible.
 One kernel computes every distance and alignment: Myers' bit-vector
 edit distance (Myers 1999, J. ACM 46(3)) on Python integers, one bit per
 ground-truth character, so each prediction character costs a fixed
-handful of integer operations whatever the line length. It keeps the
-vertical and horizontal deltas of each column, and the traceback reads
-the scores it needs off them (Hyyrö 2004, "A note on bit-parallel
-alignment computation") instead of filling a cost matrix.
+handful of integer operations whatever the line length. It keeps two
+vectors per column, the rows where the vertical delta is +1 and -1, and
+the traceback reads the scores it needs off them by popcount (Hyyrö
+2004, "A note on bit-parallel alignment computation") instead of filling
+a cost matrix.
 
-Work is spent only where the two strings differ. Identical strings
-align to all matches at once. Otherwise the common prefix (length k)
+Work and storage scale with the block where the two texts differ.
+Identical strings align at once. Otherwise the common prefix (length k)
 and the common suffix of what remains (length s, k + s <= both lengths)
-are split off:
+are split off, and the kernel runs on gt[k:m] against pred[k:n] only
+(m, n: the lengths without the suffix). The suffix is all matches: an
+equal-character cell has D[i][j] = D[i-1][j-1], and the traceback
+prefers the diagonal. Outside the block, where i <= k or j <= k, D[i][j]
+= |i - j|, so the block's own DP, started as usual from row k and
+column k, is the full DP inside it, and the traceback needs no columns
+out there.
 
-- The last s characters are matches: an equal-character cell has
-  D[i][j] = D[i-1][j-1], and the traceback prefers the diagonal, so
-  the script ends in s matches whatever lies before them.
-- Column k needs no computation: D[i][j] = |i - j| for every j <= k,
-  so the kernel starts there (v = +1 below row k, -1 down to it,
-  score m - s - k) and runs over the middle columns only.
-- The traceback takes the diagonal at every equal-character cell
-  without reading deltas. At a mismatch in a column j <= k it uses the
-  closed form (delete if i > j, else insert); only the remaining
-  mismatches read the stored deltas.
-
-Match ops are shared per character; EditOp is frozen and compares by
-value, so the sharing is invisible.
-
-Consumers of a script mostly want its edits, which on OCR lines are a
-few percent of the ops. The traceback branches once per edit anyway, so
-it records each one with its position as it goes: AlignmentResult.edits
-holds one (gt_pos, pred_pos, op) triple per non-match op, in script
-order, where gt_pos and pred_pos count the ground-truth and prediction
-characters before the op. Confusion tables and voting read only these.
+A result is (gt, pred, edits): one (gt_pos, pred_pos, op) triple per
+non-match op, in script order, where gt_pos and pred_pos count the
+ground-truth and prediction characters before the op. On OCR lines the
+edits are a few percent of the ops, and confusion tables and voting
+read only them. Distance, lengths and CER are derived from the triple;
+so is the full script, ops, which replays the matches between the edits
+(match ops are shared per character; EditOp is frozen and compares by
+value, so the sharing is invisible).
 """
 
 from __future__ import annotations
@@ -137,47 +132,38 @@ def _trim(gt: str, pred: str) -> tuple[int, int]:
     return k, lo
 
 
-def _bit_columns(
-    gt: str, pred: str, start: int = 0
-) -> tuple[int, list[tuple[int, int, int, int]]]:
+def _bit_columns(gt: str, pred: str) -> tuple[int, list[int], list[int]]:
     """Bit-parallel DP over a non-empty ground truth (Myers 1999, in
-    Hyyrö's global-distance form), from column start on.
+    Hyyrö's global-distance form).
 
     Bit i-1 of each vector stands for ground-truth position i; prediction
-    characters are the columns. The first start characters of gt and pred
-    must be equal (start <= len(gt)): column start is then D[i][start] =
-    |i - start| and is not computed. Returns the distance and, for each
-    column j > start (at index j - start - 1), (VP, VN, HP, HN): the rows
-    where the vertical delta v(i,j) = D[i][j] - D[i-1][j] is +1 / -1 and
-    where the horizontal delta h(i,j) = D[i][j] - D[i][j-1] is +1 / -1.
+    characters are the columns, and D[0][j] = j, D[i][0] = i. Returns
+    D[len(gt)][len(pred)] and, for each column j >= 1 (at index j - 1),
+    VP and VN: the rows where the vertical delta v(i,j) = D[i][j] -
+    D[i-1][j] is +1 and -1. So D[i][j] = j + popcount(VP & low) -
+    popcount(VN & low) with low = (1 << i) - 1.
     """
-    m = len(gt)
-    mask = (1 << m) - 1
-    last = 1 << (m - 1)
+    mask = (1 << len(gt)) - 1
     peq: dict[str, int] = {}
     for i, c in enumerate(gt):
         peq[c] = peq.get(c, 0) | (1 << i)
-    # Column start: v = -1 on rows 1..start, +1 below.
-    vn = (1 << start) - 1
-    vp, score = mask ^ vn, m - start
-    columns = []
-    for c in pred[start:]:
+    vp, vn = mask, 0  # column 0: v = +1 on every row
+    vps: list[int] = []
+    vns: list[int] = []
+    for c in pred:
         eq = peq.get(c, 0)
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = (vn | ~(xh | vp)) & mask
-        hn = vp & xh
-        if hp & last:
-            score += 1
-        elif hn & last:
-            score -= 1
-        # Row 0 is D[0][j] = j, so +1 enters every column from above.
-        hp_in = ((hp << 1) | 1) & mask
-        hn_in = (hn << 1) & mask
-        vp = (hn_in | ~(xv | hp_in)) & mask
-        vn = hp_in & xv
-        columns.append((vp, vn, hp, hn))
-    return score, columns
+        # The horizontal deltas, moved one row down; row 0 is D[0][j] = j,
+        # so +1 enters every column from above. Bits past the last row
+        # are cut by the masks below.
+        hp = ((vn | ~(xh | vp) & mask) << 1) | 1
+        hn = (vp & xh) << 1
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+        vps.append(vp)
+        vns.append(vn)
+    return len(pred) + vp.bit_count() - vn.bit_count(), vps, vns
 
 
 def levenshtein(gt: str, pred: str) -> int:
@@ -188,102 +174,108 @@ def levenshtein(gt: str, pred: str) -> int:
     m, n = len(gt) - s, len(pred) - s
     if m == k:
         return n - k
-    return _bit_columns(gt[:m], pred[:n], k)[0]
+    return _bit_columns(gt[k:m], pred[k:n])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignmentResult:
-    """Optimal edit script with its distance and CER.
+    """Optimal alignment of pred to gt, held as its edits.
+
+    edits holds the non-match ops of the edit script, in order, each as
+    (gt_pos, pred_pos, op): gt_pos and pred_pos count the ground-truth and
+    prediction characters before the op, so a deletion consumes gt[gt_pos],
+    an insertion pred[pred_pos] and a substitution both. Every other
+    character is a match. It has no default: a result built without it
+    would read as error-free.
 
     cer is distance / gt_len for non-empty ground truth. For empty ground
     truth the line scores pred_len (every hallucinated character counts as
     one error over a virtual length of 1); such lines are excluded from
     macro averages but still feed micro sums.
-
-    edits holds the non-match ops of ops, in order, each as (gt_pos,
-    pred_pos, op): gt_pos and pred_pos count the ground-truth and
-    prediction characters before the op, so a deletion consumes gt[gt_pos],
-    an insertion pred[pred_pos] and a substitution both. It has no default:
-    a result built without it would read as error-free.
     """
 
-    ops: EditScript
+    gt: str
+    pred: str
     edits: tuple[Edit, ...]
-    distance: int
-    gt_len: int
-    pred_len: int
-    cer: float
+
+    @property
+    def distance(self) -> int:
+        return len(self.edits)
+
+    @property
+    def gt_len(self) -> int:
+        return len(self.gt)
+
+    @property
+    def pred_len(self) -> int:
+        return len(self.pred)
+
+    @property
+    def cer(self) -> float:
+        return len(self.edits) / len(self.gt) if self.gt else float(len(self.pred))
+
+    @property
+    def ops(self) -> EditScript:
+        """The full edit script: the edits with the matches between them.
+        Built anew on each read."""
+        ops: list[EditOp] = []
+        gt_pos = 0
+        for edit_gt_pos, _, op in self.edits:
+            ops += _matches(self.gt[gt_pos:edit_gt_pos])
+            ops.append(op)
+            gt_pos = edit_gt_pos + (op.gt is not None)
+        ops += _matches(self.gt[gt_pos:])
+        return tuple(ops)
 
 
 def align(gt: str, pred: str) -> AlignmentResult:
     """Cost-optimal alignment of a prediction to its ground truth."""
     if gt == pred:
-        return AlignmentResult(_matches(gt), (), 0, len(gt), len(pred), 0.0)
-    if not gt:
-        ops = tuple(map(insert, pred))
-        edits = tuple((0, pred_pos, op) for pred_pos, op in enumerate(ops))
-        return AlignmentResult(ops, edits, len(pred), 0, len(pred), float(len(pred)))
+        return AlignmentResult(gt, pred, ())
     k, s = _trim(gt, pred)
     m, n = len(gt) - s, len(pred) - s
-    if m == 0:  # gt is a suffix of pred
-        distance, columns = n, []
-    else:
-        distance, columns = _bit_columns(gt[:m], pred[:n], k)
-    # Walk back from (m, n). With d = D[i][j]: up = d - v(i,j),
-    # left = d - h(i,j), diag = left - v(i,j-1). Columns j <= k are
-    # D[i][j] = |i - j|. Preference on cost ties: diagonal
-    # (match/substitute), then delete, then insert. The walk stops at
-    # i == j <= k, where gt[:i] == pred[:j] leaves only matches. Each edit
-    # is recorded as it is taken, with (i, j) after the step: the numbers
-    # of characters before it.
-    ops: list[EditOp] = []
+    if m > k:
+        d, vps, vns = _bit_columns(gt[k:m], pred[k:n])
+    # Walk back from (m, n) with d = D[i][j]: a match keeps it, an edit
+    # lowers it by one. At a mismatch outside the block the diagonal costs
+    # more (D = |i - j|): delete if i > j, else insert. Inside it the
+    # columns give D[i-1][j-1] by popcount (column k is D[i][k] = i - k),
+    # and v(i,j) = +1 exactly where deleting is optimal. Cost ties prefer
+    # the diagonal, then delete, then insert. The walk stops at i == j <= k,
+    # where only matches are left. Each edit is recorded with (i, j) after
+    # the step: the numbers of characters before it.
     edits: list[Edit] = []
     i, j = m, n
     while i > 0 and j > 0 and (i != j or j > k):
         g, p = gt[i - 1], pred[j - 1]
         if g == p:  # D[i][j] == D[i-1][j-1]
-            ops.append(match(g))
             i -= 1
             j -= 1
             continue
-        if j <= k:  # the diagonal costs |i - j| + 1 > D[i][j]
+        if i <= k or j <= k:
             diagonal, up = False, i > j
         else:
-            bit = 1 << (i - 1)
-            vp, vn, hp, hn = columns[j - k - 1]
-            h = 1 if hp & bit else -1 if hn & bit else 0
-            if j - 1 > k:
-                vp_left, vn_left = columns[j - k - 2][:2]
-                v_left = 1 if vp_left & bit else -1 if vn_left & bit else 0
+            row, c = i - k - 1, j - k - 1  # bit of row i, index of column j
+            if c:
+                low = (1 << row) - 1
+                diag = c + (vps[c - 1] & low).bit_count() - (vns[c - 1] & low).bit_count()
             else:
-                v_left = 1 if i > k else -1
-            # d == diag + 1  <=>  h(i,j) + v(i,j-1) == 1; d == up + 1  <=>  vp
-            diagonal, up = h + v_left == 1, vp & bit
+                diag = row
+            diagonal, up = diag + 1 == d, vps[c] >> row & 1
+            d -= 1
         if diagonal:
-            op = substitute(g, p)
             i -= 1
             j -= 1
-            edits.append((i, j, op))
+            edits.append((i, j, substitute(g, p)))
         elif up:
-            op = delete(g)
             i -= 1
-            edits.append((i, j, op))
+            edits.append((i, j, delete(g)))
         else:
-            op = insert(p)
             j -= 1
-            edits.append((i, j, op))
-        ops.append(op)
-    ops.reverse()
+            edits.append((i, j, insert(p)))
     edits.reverse()
-    if i == j:
-        head = _matches(gt[:i])
-    elif i:  # the prediction is exhausted
-        head = tuple(map(delete, gt[:i]))
-        edits[:0] = [(gt_pos, 0, op) for gt_pos, op in enumerate(head)]
-    else:  # the ground truth is exhausted
-        head = tuple(map(insert, pred[:j]))
-        edits[:0] = [(0, pred_pos, op) for pred_pos, op in enumerate(head)]
-    script = head + tuple(ops) + _matches(gt[m:])
-    return AlignmentResult(
-        script, tuple(edits), distance, len(gt), len(pred), distance / len(gt)
-    )
+    if i > j:  # the prediction is exhausted
+        edits[:0] = [(gt_pos, 0, delete(c)) for gt_pos, c in enumerate(gt[:i])]
+    elif j > i:  # the ground truth is exhausted
+        edits[:0] = [(0, pred_pos, insert(c)) for pred_pos, c in enumerate(pred[:j])]
+    return AlignmentResult(gt, pred, tuple(edits))

@@ -372,7 +372,8 @@ def _cmd_prepare_verify(args: argparse.Namespace) -> int:
         write_atomic(Path(args.out).resolve(), data)
     else:
         sys.stdout.write(data.decode("utf-8"))
-    print(f"{len(problems)} discrepancy(ies)")
+    # With the JSON on stdout, the status line goes to stderr so that stdout parses.
+    print(f"{len(problems)} discrepancy(ies)", file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from fraktur_bench.align import (
     AlignmentResult,
     OpKind,
+    _bit_columns,
+    _trim,
     align,
     delete,
     insert,
@@ -57,6 +59,17 @@ def reference_alignment(a: str, b: str):
             j -= 1
     ops.reverse()
     return tuple(ops), D[m][n]
+
+
+def reference_matrix(a: str, b: str) -> list[list[int]]:
+    """The full unit-cost DP matrix D, D[i][j] the distance of a[:i] and b[:j]."""
+    D = [list(range(len(b) + 1))]
+    for i, ca in enumerate(a, 1):
+        prev, row = D[-1], [i]
+        for j, cb in enumerate(b, 1):
+            row.append(min(prev[j - 1] + (ca != cb), prev[j] + 1, row[j - 1] + 1))
+        D.append(row)
+    return D
 
 
 class TestLevenshtein:
@@ -242,6 +255,58 @@ class TestTrimmedPaths:
         assert ops[0] is ops[2] and ops[0] == match("a")
 
 
+class TestBlockKernel:
+    """The kernel runs on the block between the shared prefix (k) and
+    suffix; its columns must give the full DP inside the block, and
+    D[i][j] = |i - j| must hold outside it."""
+
+    @given(tie_affix, tie_text, tie_text, tie_affix)
+    def test_columns_give_the_full_matrix(self, prefix, a, b, suffix):
+        gt, pred = prefix + a + suffix, prefix + b + suffix
+        D = reference_matrix(gt, pred)
+        k, s = _trim(gt, pred)
+        m, n = len(gt) - s, len(pred) - s
+        for i, row in enumerate(D):
+            for j, d in enumerate(row):
+                if i <= k or j <= k:
+                    assert d == abs(i - j), (i, j)
+        if m == k:  # no block: align and levenshtein run no kernel
+            return
+        distance, vps, vns = _bit_columns(gt[k:m], pred[k:n])
+        assert distance == D[m][n] == D[-1][-1]
+        assert len(vps) == len(vns) == n - k
+        for i in range(k + 1, m + 1):
+            low = (1 << (i - k)) - 1
+            for j in range(k + 1, n + 1):
+                vp, vn = vps[j - k - 1], vns[j - k - 1]
+                assert D[i][j] == j - k + (vp & low).bit_count() - (vn & low).bit_count(), (i, j)
+
+
+class TestDerivedViews:
+    """A result holds (gt, pred, edits); distance, lengths, CER and the
+    full script are derived from them."""
+
+    @pytest.mark.parametrize(
+        "gt, pred, distance, cer, ops",
+        [
+            ("", "abc", 3, 3.0, (insert("a"), insert("b"), insert("c"))),
+            ("abc", "", 3, 1.0, (delete("a"), delete("b"), delete("c"))),
+            ("", "", 0, 0.0, ()),
+            ("abc", "abc", 0, 0.0, (match("a"), match("b"), match("c"))),
+            ("ab", "abcd", 2, 1.0, (match("a"), match("b"), insert("c"), insert("d"))),
+            ("abcd", "ab", 2, 0.5, (match("a"), match("b"), delete("c"), delete("d"))),
+        ],
+        ids=["empty-gt", "empty-pred", "both-empty", "identical", "gt-prefix", "pred-prefix"],
+    )
+    def test_views(self, gt, pred, distance, cer, ops):
+        result = align(gt, pred)
+        assert (result.distance, result.gt_len, result.pred_len) == (distance, len(gt), len(pred))
+        assert type(result.cer) is float and result.cer == cer
+        assert result.ops == ops
+        assert (script_gt_text(result.ops), script_pred_text(result.ops)) == (gt, pred)
+        assert script_distance(result.ops) == distance
+
+
 def replayed_edits(ops):
     """The non-match ops of a script, each with the numbers of ground-truth
     and prediction characters before it."""
@@ -305,4 +370,4 @@ class TestEdits:
     def test_edits_are_required(self):
         # a result without edits would read as error-free to every consumer
         with pytest.raises(TypeError, match="edits"):
-            AlignmentResult(ops=(substitute("a", "b"),), distance=1, gt_len=1, pred_len=1, cer=1.0)
+            AlignmentResult(gt="a", pred="b")

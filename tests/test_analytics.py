@@ -213,7 +213,8 @@ class TestConfusionMatchesReference:
         # no optimal script holds this pair (one substitution is cheaper),
         # but a run must not change kind at the position that would extend it
         ops = (delete("a"), insert("b"))
-        result = AlignmentResult(ops, ((0, 0, ops[0]), (1, 0, ops[1])), 2, 1, 1, 2.0)
+        result = AlignmentResult("a", "b", ((0, 0, ops[0]), (1, 0, ops[1])))
+        assert (result.ops, result.distance, result.cer) == (ops, 2, 2.0)
         merged = confusion_stats([result], merge_runs=True)
         assert merged == (ConfusionEntry("", "b", 1), ConfusionEntry("a", "", 1))
         assert merged == reference_confusion_stats([result], merge_runs=True)

@@ -727,6 +727,22 @@ class TestPrepareCommands:
         assert json.loads(out.read_text(encoding="utf-8")) == []
         capsys.readouterr()
 
+    def test_verify_without_out_prints_only_json(self, corpus, tmp_path, capsys):
+        manifest = tmp_path / "N.json"
+        assert run(["prepare", "scan", "--root", str(corpus / "gt"), "--corpus", "N", "--out", str(manifest)]) == 0
+        capsys.readouterr()
+        expected = tmp_path / "expected.csv"
+        expected.write_text("corpus_id,books,lines\nN,2,4\n", encoding="utf-8")
+        out = tmp_path / "verify.json"
+        args = ["prepare", "verify", "--manifest", str(manifest), "--expected", str(expected)]
+        assert run([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "1 discrepancy(ies)\n"
+        assert run(args) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == [{"corpus_id": "N", "field": "lines", "expected": 4, "actual": 3}]
+        assert captured.out.encode("utf-8") == out.read_bytes()
+        assert captured.err == "1 discrepancy(ies)\n"
+
     def test_refine_caps_thirty_nine_books(self, tmp_path, capsys):
         # 39 books, each one at or above the cap, cap 50: exactly 39 * 50
         # lines survive regardless of how large the books are
