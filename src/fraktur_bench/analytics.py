@@ -292,14 +292,27 @@ def _cell_payload(cell: CerCell) -> dict[str, object]:
     }
 
 
-def _cell_from_payload(data: Mapping[str, object]) -> CerCell:
-    return CerCell(
-        lines=int(data["lines"]),
-        gt_chars=int(data["gt_chars"]),
-        distance=int(data["distance"]),
-        macro_lines=int(data["macro_lines"]),
-        cer_sum=float(data["cer_sum"]),
-    )
+_CELL_COUNTS = ("lines", "gt_chars", "distance", "macro_lines")
+
+
+def _cell_from_payload(data: Mapping[str, object], ds: str, eng: str) -> CerCell:
+    counts = [data[name] for name in _CELL_COUNTS]
+    for name, value in zip(_CELL_COUNTS, counts):
+        if type(value) is not int:
+            raise ReportError(
+                f"malformed report: cell {ds!r}/{eng!r}: {name} is {value!r}, not an integer"
+            )
+    return CerCell(*counts, cer_sum=float(data["cer_sum"]))
+
+
+def _names_from_payload(payload: Mapping[str, object], key: str) -> tuple[str, ...]:
+    names = payload[key]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ReportError(f"malformed report: {key} must be a list of strings")
+    repeated = [n for n, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise ReportError(f"malformed report: {key} repeat {', '.join(map(repr, repeated))}")
+    return tuple(names)
 
 
 def _errors_payload(report: EvaluationReport) -> dict[str, object]:
@@ -366,10 +379,10 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
     if version != SCHEMA_VERSION:
         raise ReportError(f"unsupported report schema_version {version!r}")
     try:
-        engines = tuple(payload["engines"])
-        datasets = tuple(payload["datasets"])
+        engines = _names_from_payload(payload, "engines")
+        datasets = _names_from_payload(payload, "datasets")
         cells = {
-            ds: {eng: _cell_from_payload(payload["cells"][ds][eng]) for eng in engines}
+            ds: {eng: _cell_from_payload(payload["cells"][ds][eng], ds, eng) for eng in engines}
             for ds in datasets
         }
         confusion = {

@@ -113,15 +113,14 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     codec = _resolve_codec(args.codec)
     rules = _resolve_rules(args.rules)
     rules.require_codec_closed(codec)
-    policy, replacement = args.on_unmapped
-    require_replacement_in_codec(policy, replacement, codec)
+    require_replacement_in_codec(args.replacement, codec)
     src = Path(args.input).resolve()
     dst = Path(args.out).resolve()
 
     def normalized(in_file: Path) -> bytes:
         text = read_text_file(in_file)
         line = TranscriptionLine(in_file.parent.name, line_id_of(in_file.name), text)
-        return (normalize_line(line, rules, codec, policy, replacement).text + "\n").encode("utf-8")
+        return (normalize_line(line, rules, codec, args.replacement).text + "\n").encode("utf-8")
 
     if src.is_file():
         write_atomic(dst, normalized(src))
@@ -168,7 +167,6 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 def _run_eval(args: argparse.Namespace):
     codec = _resolve_codec(args.codec)
     rules = _resolve_rules(args.rules)
-    policy, replacement = args.on_unmapped
     return eval_pipeline(
         Path(args.gt).resolve(),
         _engine_trees(args),
@@ -176,8 +174,7 @@ def _run_eval(args: argparse.Namespace):
         rules,
         raw_pred=args.raw_pred,
         datasets=args.datasets,
-        on_unmapped=policy,
-        replacement=replacement,
+        replacement=args.replacement,
         merge_runs=args.merge_runs,
         top_k=args.k,
         seed=args.seed,
@@ -384,7 +381,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _unmapped_policy(spec: str) -> tuple[str, str | None]:
+def _unmapped_policy(spec: str) -> str | None:
     try:
         return parse_unmapped_policy(spec)
     except ValueError as exc:
@@ -424,6 +421,8 @@ def _add_codec_rules_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rules", default="default", help="rules TSV, or 'default'")
     parser.add_argument(
         "--on-unmapped",
+        dest="replacement",
+        metavar="ON_UNMAPPED",
         type=_unmapped_policy,
         default="fail",
         help="policy for residual non-codec characters: fail, drop or replace=<char>",

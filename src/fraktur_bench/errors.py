@@ -24,15 +24,9 @@ class ConvergenceError(RuleSetError):
 
 
 class NormalizationError(ToolkitError):
-    """Raised when normalized text still contains characters outside the codec.
-
-    Carries the offending positions so callers can apply a replacement policy
-    instead of failing.
-    """
-
-    def __init__(self, message: str, violations: list[tuple[int, str]]):
-        super().__init__(message)
-        self.violations = violations
+    """Raised when normalized text still contains characters outside the
+    codec and no replacement was given, or when a replacement is not a codec
+    character."""
 
 
 class PairingError(ToolkitError):

@@ -268,14 +268,16 @@ def manifest_from_json(data: bytes | str) -> list[BookEntry]:
     try:
         for item in payload["books"]:
             meta = item.get("metadata", {})
+            book_id, corpus_id, lines = item["book_id"], item["corpus_id"], item["lines"]
+            where = f"malformed manifest: book {book_id!r}"
+            if not isinstance(book_id, str) or not isinstance(corpus_id, str):
+                raise ManifestError(f"{where}: book_id and corpus_id must be strings")
+            if not isinstance(lines, list) or not all(isinstance(i, str) for i in lines):
+                raise ManifestError(f"{where}: lines must be a list of strings")
+            if not isinstance(meta, dict):
+                raise ManifestError(f"{where}: metadata is not a JSON object")
             books.append(
-                BookEntry(
-                    book_id=item["book_id"],
-                    corpus_id=item["corpus_id"],
-                    line_ids=tuple(item["lines"]),
-                    century=meta.get("century"),
-                    language=meta.get("language"),
-                )
+                BookEntry(book_id, corpus_id, tuple(lines), meta.get("century"), meta.get("language"))
             )
     except KeyError as exc:
         raise ManifestError(f"malformed manifest: book without member {exc}") from exc

@@ -152,32 +152,27 @@ def normalize_text(text: str, rules: NormalizationRuleSet) -> str:
     )
 
 
-def require_replacement_in_codec(on_unmapped: str, replacement: str | None, codec: Codec) -> None:
-    """Under the ``replace`` policy, check the replacement once, before any
-    line is read, so the outcome does not depend on whether some line
-    needs it."""
-    if on_unmapped == "replace" and (
-        replacement is None or len(replacement) != 1 or replacement not in codec
-    ):
-        raise NormalizationError(
-            f"replacement {replacement!r} is not a single codec character", []
-        )
+def require_replacement_in_codec(replacement: str | None, codec: Codec) -> None:
+    """Check a replacement once, before any line is read, so the outcome
+    does not depend on whether some line needs it. ``None`` (fail) and
+    ``""`` (drop) always pass."""
+    if replacement and replacement not in codec:
+        raise NormalizationError(f"replacement {replacement!r} is not a single codec character")
 
 
 def normalize_line(
     line: TranscriptionLine,
     rules: NormalizationRuleSet,
     codec: Codec,
-    on_unmapped: str = "fail",
     replacement: str | None = None,
 ) -> TranscriptionLine:
     """Normalize one line and enforce codec closure.
 
-    Characters that remain outside the codec after all rules are handled by
-    policy: ``fail`` raises NormalizationError listing character, code point,
-    book, line and engine (or ground truth); ``drop`` deletes them;
-    ``replace`` substitutes ``replacement`` (which must be a single codec
-    character).
+    Characters that remain outside the codec after all rules are each
+    replaced by ``replacement``: ``""`` drops them, a single codec
+    character stands in for them. With ``None`` they raise
+    NormalizationError listing character, code point and position, book,
+    line and engine (or ground truth).
 
     Book, line and engine are preserved; only the text changes. The operation
     is idempotent for any text it accepts.
@@ -185,38 +180,32 @@ def normalize_line(
     text = normalize_text(line.text, rules)
     if codec.covers(text):
         return line if text == line.text else replace(line, text=text)
+    if replacement is not None:
+        require_replacement_in_codec(replacement, codec)
+        return replace(line, text="".join(ch if ch in codec else replacement for ch in text))
     violations = [(i, ch) for i, ch in enumerate(text) if ch not in codec]
-
-    if on_unmapped == "fail":
-        shown = ", ".join(f"{ch!r} (U+{ord(ch):04X}) at {i}" for i, ch in violations[:10])
-        more = "" if len(violations) <= 10 else f" and {len(violations) - 10} more"
-        side = "ground truth" if line.engine_id is None else f"engine {line.engine_id!r}"
-        raise NormalizationError(
-            f"book {line.book_id!r}, line {line.line_id!r} ({side}): {len(violations)} "
-            f"character(s) outside codec {codec.name!r} after normalization: {shown}{more}",
-            violations,
-        )
-    if on_unmapped == "drop":
-        bad = {i for i, _ in violations}
-        return replace(line, text="".join(ch for i, ch in enumerate(text) if i not in bad))
-    if on_unmapped == "replace":
-        require_replacement_in_codec(on_unmapped, replacement, codec)
-        bad = {i for i, _ in violations}
-        return replace(
-            line, text="".join(replacement if i in bad else ch for i, ch in enumerate(text))
-        )
-    raise ValueError(f"unknown on_unmapped policy {on_unmapped!r}")
+    shown = ", ".join(f"{ch!r} (U+{ord(ch):04X}) at {i}" for i, ch in violations[:10])
+    more = "" if len(violations) <= 10 else f" and {len(violations) - 10} more"
+    side = "ground truth" if line.engine_id is None else f"engine {line.engine_id!r}"
+    raise NormalizationError(
+        f"book {line.book_id!r}, line {line.line_id!r} ({side}): {len(violations)} "
+        f"character(s) outside codec {codec.name!r} after normalization: {shown}{more}"
+    )
 
 
-def parse_unmapped_policy(spec: str) -> tuple[str, str | None]:
-    """Parse a CLI policy spec: ``fail``, ``drop`` or ``replace=<char>``."""
-    if spec in ("fail", "drop"):
-        return spec, None
+def parse_unmapped_policy(spec: str) -> str | None:
+    """Parse a CLI policy spec into the replacement for unmapped characters:
+    ``fail`` gives ``None``, ``drop`` gives ``""`` (replacement by nothing)
+    and ``replace=<char>`` gives that one character."""
+    if spec == "fail":
+        return None
+    if spec == "drop":
+        return ""
     if spec.startswith("replace="):
         ch = spec[len("replace="):]
         if len(ch) != 1:
             raise ValueError(f"replace policy needs exactly one character, got {ch!r}")
-        return "replace", ch
+        return ch
     raise ValueError(f"unknown policy {spec!r}; want fail, drop or replace=<char>")
 
 

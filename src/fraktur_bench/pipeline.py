@@ -126,7 +126,6 @@ def eval_pipeline(
     rules: NormalizationRuleSet,
     raw_pred: bool = False,
     datasets: Sequence[str] | None = None,
-    on_unmapped: str = "fail",
     replacement: str | None = None,
     merge_runs: bool = False,
     top_k: int = DEFAULT_TOP_K,
@@ -138,11 +137,12 @@ def eval_pipeline(
     pred_roots maps engine id to the root of that engine's prediction tree
     (possibly the ground-truth tree itself, predictions being sibling
     files). Ground truth always goes through normalization; predictions do
-    too unless raw_pred is set. The rule-set checksum lands in the report
-    metadata, pinning that both sides saw the same rules.
+    too unless raw_pred is set. Every normalized line gets normalize_line's
+    replacement for characters left outside the codec. The rule-set checksum
+    lands in the report metadata, pinning that both sides saw the same rules.
     """
     rules.require_codec_closed(codec)
-    require_replacement_in_codec(on_unmapped, replacement, codec)
+    require_replacement_in_codec(replacement, codec)
     gt_tree = load_gt_tree(gt_root)
     if datasets is None:
         dataset_list = sorted(gt_tree)
@@ -155,7 +155,7 @@ def eval_pipeline(
 
     def normalized_gt(ds: str) -> list[TranscriptionLine]:
         return [
-            normalize_line(TranscriptionLine(ds, lid, text), rules, codec, on_unmapped, replacement)
+            normalize_line(TranscriptionLine(ds, lid, text), rules, codec, replacement)
             for lid, text in sorted(gt_tree[ds].items())
         ]
 
@@ -173,9 +173,7 @@ def eval_pipeline(
                 for lid, text in sorted(pred_tree[ds].items())
             ]
             if not raw_pred:
-                preds = [
-                    normalize_line(ln, rules, codec, on_unmapped, replacement) for ln in preds
-                ]
+                preds = [normalize_line(ln, rules, codec, replacement) for ln in preds]
             # check_parity gave both sides the same line ids; both are sorted by id
             pairs = zip(gt_by_dataset[ds], preds, strict=True)
             results = [align(g.text, p.text) for g, p in pairs]

@@ -32,7 +32,7 @@ from fraktur_bench.manifests import BookEntry, refinement_sample
 from fraktur_bench.normalize import default_rules, normalize_line
 from fraktur_bench.voting import VoterOutput, VotingConfig, vote_line
 
-from conftest import make_gt_tree, make_pred_tree, package_env
+from trees import make_gt_tree, make_pred_tree, package_env
 
 
 @contextmanager

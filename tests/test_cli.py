@@ -14,7 +14,7 @@ from fraktur_bench.cli import build_parser, run
 from fraktur_bench.pipeline import eval_pipeline
 from fraktur_bench.manifests import BookEntry, manifest_to_json
 
-from conftest import make_gt_tree, make_pred_tree, package_env
+from trees import make_gt_tree, make_pred_tree, package_env
 
 
 @pytest.fixture
@@ -260,6 +260,95 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def _set(path: tuple, value):
+    """A mutation that sets one member, reached by keys and indexes."""
+
+    def mutate(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+class TestWrongJsonTypes:
+    """A manifest or report member of the wrong JSON type is a data error,
+    never coerced: a string of line ids is not a list of one-character ids."""
+
+    BOOK = ("books", 0)
+
+    @pytest.mark.parametrize(
+        "kind, mutate, message",
+        [
+            ("manifest", _set((*BOOK, "lines"), "l10"),
+             "malformed manifest: book 'N-1781': lines must be a list of strings"),
+            ("manifest", _set((*BOOK, "lines"), ["l1", 2]),
+             "malformed manifest: book 'N-1781': lines must be a list of strings"),
+            ("manifest", _set((*BOOK, "book_id"), 1781),
+             "malformed manifest: book 1781: book_id and corpus_id must be strings"),
+            ("manifest", _set((*BOOK, "corpus_id"), None),
+             "malformed manifest: book 'N-1781': book_id and corpus_id must be strings"),
+            ("manifest", _set((*BOOK, "metadata"), None),
+             "malformed manifest: book 'N-1781': metadata is not a JSON object"),
+            ("manifest", _set((*BOOK, "metadata"), ["18"]),
+             "malformed manifest: book 'N-1781': metadata is not a JSON object"),
+            ("report", _set(("engines",), "abbyy"), "malformed report: engines must be a list of strings"),
+            ("report", _set(("engines",), ["abbyy", "abbyy"]), "malformed report: engines repeat 'abbyy'"),
+            ("report", _set(("datasets",), "N-1781"), "malformed report: datasets must be a list of strings"),
+            ("report", _set(("datasets",), ["N-1781", 1803]),
+             "malformed report: datasets must be a list of strings"),
+            ("report", _set(("datasets",), ["N-1803", "N-1803"]), "malformed report: datasets repeat 'N-1803'"),
+            ("report", _set(("cells", "N-1781", "abbyy", "lines"), 1.9),
+             "malformed report: cell 'N-1781'/'abbyy': lines is 1.9, not an integer"),
+            ("report", _set(("cells", "N-1803", "abbyy", "gt_chars"), "9"),
+             "malformed report: cell 'N-1803'/'abbyy': gt_chars is '9', not an integer"),
+            ("report", _set(("cells", "N-1781", "abbyy", "distance"), True),
+             "malformed report: cell 'N-1781'/'abbyy': distance is True, not an integer"),
+            ("report", _set(("cells", "N-1781", "abbyy", "macro_lines"), 2.0),
+             "malformed report: cell 'N-1781'/'abbyy': macro_lines is 2.0, not an integer"),
+        ],
+        ids=[
+            "lines-string", "lines-not-strings", "book-id-number", "corpus-id-null", "metadata-null",
+            "metadata-list", "engines-string", "engines-repeated", "datasets-string",
+            "datasets-not-strings", "datasets-repeated", "cell-lines-float", "cell-gt-chars-string",
+            "cell-distance-bool", "cell-macro-lines-float",
+        ],
+    )
+    def test_rejected(self, corpus, tmp_path, capsys, kind, mutate, message):
+        out = tmp_path / "o"
+        if kind == "manifest":
+            payload = {
+                "schema_version": 1,
+                "books": [{"book_id": "N-1781", "corpus_id": "N", "lines": ["l1", "l2"], "metadata": {}}],
+            }
+            expected = tmp_path / "counts.csv"
+            expected.write_text("corpus_id,books,lines\nN,1,3\n", encoding="utf-8")
+            bad = tmp_path / "m.json"
+            commands = [
+                ["prepare", "refine", "--manifest", str(bad), "--cap", "2", "--out", str(out)],
+                ["prepare", "verify", "--manifest", str(bad), "--expected", str(expected), "--out", str(out)],
+            ]
+        else:
+            stored = tmp_path / "report.json"
+            argv = ["eval", *EVAL_ARGS, "--engine", "tess"]
+            assert run([a.format(root=corpus, out=stored) for a in argv]) == 0
+            payload = json.loads(stored.read_bytes())
+            bad = tmp_path / "bad.json"
+            commands = [["report", "--in", str(bad), "--format", "csv", "--out", str(out)]]
+        mutate(payload)
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+
+        for argv in commands:
+            assert run(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert run(["--error-json", *argv]) == 1
+            error_type = "ManifestError" if kind == "manifest" else "ReportError"
+            assert json.loads(capsys.readouterr().err) == {"error": {"type": error_type, "message": message}}
+            assert not out.exists()
+
+
 class TestReplacementOutsideCodec:
     """replace=<char> with a character outside the codec fails before any
     line is read, whether or not some line would need the replacement."""
@@ -442,6 +531,15 @@ class TestNormalizeCommand:
         dst = tmp_path / "o.txt"
         assert run(["normalize", "--in", str(src), "--out", str(dst), "--on-unmapped", "drop"]) == 0
         assert dst.read_text(encoding="utf-8") == "ab\n"
+        capsys.readouterr()
+
+    def test_unmapped_replace(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("a†b€\n", encoding="utf-8")
+        dst = tmp_path / "o.txt"
+        argv = ["normalize", "--in", str(src), "--out", str(dst), "--on-unmapped", "replace=?"]
+        assert run(argv) == 0
+        assert dst.read_bytes() == b"a?b?\n"
         capsys.readouterr()
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from fraktur_bench.cli import run
 
-from conftest import make_gt_tree, make_pred_tree
+from trees import make_gt_tree, make_pred_tree
 
 GT = {
     "N-1781": {
@@ -94,6 +94,36 @@ VOTE_DIGESTS = {
 }
 
 
+# Characters outside the default codec (dagger, euro sign) in the ground
+# truth and in engine a's predictions, for the --on-unmapped policies.
+UNMAPPED_GT = {
+    "N-1781": {"l1": "Preis 3 \u20ac, sagt er", "l2": "der Tod\u2020 im Jahr"},
+    "O-1800": {"l1": "\u2020 gestorben 1800", "l2": "die alte Ordnung"},
+}
+
+UNMAPPED_PREDS = {
+    "a": {
+        "N-1781": {"l1": "Preis 3 \u20ac sagt er", "l2": "der Tod im Iahr\u2020"},
+        "O-1800": {"l1": "\u2020\u2020 geftorben 1800", "l2": "die alte \u20acrdnung"},
+    },
+    "b": {
+        "N-1781": {"l1": "Preis 3 E, sagt er", "l2": "der Tod im Jahr"},
+        "O-1800": {"l1": "gestorben 1800", "l2": "die alte Ordnung"},
+    },
+}
+
+UNMAPPED_DIGESTS = {
+    ("eval", "json", "drop"): "a3667d2f9ee9754b91aa78a4ea9f66fbe43d3e94b8a7389309d7f061240f6134",
+    ("eval", "json", "replace=?"): "527f3e443e6892b402f3e1ce7580f80ed6f6ca9900eaab5e95679491ae629f33",
+    ("eval", "markdown", "drop"): "3865a567707c411aef3bcdb2dc13370f80bd2abb23b2d580f3fd127498bd66b3",
+    ("eval", "markdown", "replace=?"): "5fcdd09725710f5402104623c3a64141c2aea6c846d51377d3187693e35097a3",
+    ("errors", "json", "drop"): "2eb4ced104e56391777d19d508b7aa986e332cce7486568fb508169c353a6bf3",
+    ("errors", "json", "replace=?"): "5a8bde844dce6467ac658f7c48d551257b78d858c25a719ede29b1cc0060a130",
+    ("errors", "markdown", "drop"): "aa12916e8097f885f670f7daf67c44f37efbdc0848c7ff3af9fe4f1da7c8c2e7",
+    ("errors", "markdown", "replace=?"): "18fa8286b4bc8cca2e039245704709ff09c2ebab842e1ff0bdf4b9ba29d9e683",
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -108,6 +138,15 @@ def eval_tree(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("golden-eval")
     make_gt_tree(root / "gt", GT)
     for engine, books in PREDS.items():
+        make_pred_tree(root / "pred", engine, books)
+    return root
+
+
+@pytest.fixture(scope="module")
+def unmapped_tree(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("golden-unmapped")
+    make_gt_tree(root / "gt", UNMAPPED_GT)
+    for engine, books in UNMAPPED_PREDS.items():
         make_pred_tree(root / "pred", engine, books)
     return root
 
@@ -139,6 +178,23 @@ def test_eval_and_errors_reports(eval_tree, tmp_path, capsys, command, fmt, merg
     ]
     assert run(argv + ["--merge-runs"] if merge_runs else argv) == 0, capsys.readouterr().err
     assert sha256(out.read_bytes()) == EVAL_DIGESTS[command, fmt, merge_runs]
+
+
+@pytest.mark.parametrize("command, fmt, policy", list(UNMAPPED_DIGESTS))
+def test_unmapped_policy_reports(unmapped_tree, tmp_path, capsys, command, fmt, policy):
+    out = tmp_path / "report.out"
+    argv = [
+        command,
+        "--gt", str(unmapped_tree / "gt"),
+        "--pred", str(unmapped_tree / "pred"),
+        "--engine", "a",
+        "--engine", "b",
+        "--format", fmt,
+        "--on-unmapped", policy,
+        "--out", str(out),
+    ]
+    assert run(argv) == 0, capsys.readouterr().err
+    assert sha256(out.read_bytes()) == UNMAPPED_DIGESTS[command, fmt, policy]
 
 
 def eval_argv(eval_tree: Path, fmt: str, out: Path, *flags: str) -> list[str]:

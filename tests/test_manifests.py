@@ -21,7 +21,7 @@ from fraktur_bench.manifests import (
     verify_counts,
 )
 
-from conftest import make_gt_tree
+from trees import make_gt_tree
 
 
 def book(book_id: str, n_lines: int, corpus_id: str = "N") -> BookEntry:

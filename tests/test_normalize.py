@@ -146,19 +146,19 @@ class TestNormalizeLine:
             normalize_line(line, rules, codec)
         msg = str(err.value)
         assert "U+2020" in msg and "l9" in msg
-        assert err.value.violations == [(1, "\u2020")]
+        assert "'\u2020' (U+2020) at 1" in msg
 
     def test_drop_policy(self):
         codec = default_codec()
         rules = default_rules()
         line = TranscriptionLine("b", "l", "a\u2020b")
-        assert normalize_line(line, rules, codec, "drop").text == "ab"
+        assert normalize_line(line, rules, codec, "").text == "ab"
 
     def test_replace_policy(self):
         codec = default_codec()
         rules = default_rules()
         line = TranscriptionLine("b", "l", "a\u2020b")
-        out = normalize_line(line, rules, codec, "replace", "?")
+        out = normalize_line(line, rules, codec, "?")
         assert out.text == "a?b"
 
     def test_replace_requires_codec_char(self):
@@ -166,7 +166,15 @@ class TestNormalizeLine:
         rules = default_rules()
         line = TranscriptionLine("b", "l", "a\u2020b")
         with pytest.raises(NormalizationError):
-            normalize_line(line, rules, codec, "replace", "\u2020")
+            normalize_line(line, rules, codec, "\u2020")
+
+    def test_stale_policy_name_is_not_a_replacement(self):
+        codec = default_codec()
+        rules = default_rules()
+        line = TranscriptionLine("b", "l", "a\u2020b")
+        with pytest.raises(NormalizationError) as err:
+            normalize_line(line, rules, codec, "drop")
+        assert str(err.value) == "replacement 'drop' is not a single codec character"
 
     def test_identity_preserved(self):
         codec = default_codec()
@@ -181,13 +189,13 @@ class TestNormalizeLine:
 
 class TestUnmappedPolicyParsing:
     def test_fail(self):
-        assert parse_unmapped_policy("fail") == ("fail", None)
+        assert parse_unmapped_policy("fail") is None
 
     def test_drop(self):
-        assert parse_unmapped_policy("drop") == ("drop", None)
+        assert parse_unmapped_policy("drop") == ""
 
     def test_replace(self):
-        assert parse_unmapped_policy("replace=?") == ("replace", "?")
+        assert parse_unmapped_policy("replace=?") == "?"
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from fraktur_bench.pipeline import (
     read_text_file,
 )
 
-from conftest import make_gt_tree, make_pred_tree
+from trees import make_gt_tree, make_pred_tree
 
 
 class TestReadTextFile:
