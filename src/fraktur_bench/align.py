@@ -26,14 +26,17 @@ prefers the diagonal. Outside the block, where i <= k or j <= k, D[i][j]
 column k, is the full DP inside it, and the traceback needs no columns
 out there.
 
-A result is (gt, pred, edits): one (gt_pos, pred_pos, op) triple per
-non-match op, in script order, where gt_pos and pred_pos count the
-ground-truth and prediction characters before the op. On OCR lines the
-edits are a few percent of the ops, and confusion tables and voting
-read only them. Distance, lengths and CER are derived from the triple;
-so is the full script, ops, which replays the matches between the edits
-(match ops are shared per character; EditOp is frozen and compares by
-value, so the sharing is invisible).
+A result is (gt, pred, edits): one (gt_pos, pred_pos, gt, pred) tuple per
+non-match op, in script order. gt_pos and pred_pos count the ground-truth
+and prediction characters before the op; gt and pred are its characters,
+"" for the side it lacks, so a deletion has pred == "", an insertion
+gt == "" and a substitution neither. On OCR lines the edits are a few
+percent of the ops, and confusion tables and voting read only them.
+Distance, lengths and CER are derived from the three members. The full
+script of EditOps, ops, replays the matches between the edits; no command
+reads it, and it is kept for the benchmark's reference-DP check (match
+ops are shared per character; EditOp is frozen and compares by value, so
+the sharing is invisible).
 """
 
 from __future__ import annotations
@@ -51,62 +54,37 @@ class OpKind(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class EditOp:
-    """One alignment step. gt/pred are None exactly where the op has no symbol."""
+    """One step of the full script that AlignmentResult.ops replays.
+    gt/pred are None exactly where the op has no symbol."""
 
     kind: OpKind
     gt: str | None
     pred: str | None
 
 
-EditScript = tuple[EditOp, ...]
-# (gt_pos, pred_pos, op): a non-match op and the number of ground-truth and
-# prediction characters that come before it in its script.
-Edit = tuple[int, int, EditOp]
+# (gt_pos, pred_pos, gt, pred): a non-match op, the number of ground-truth and
+# prediction characters that come before it in its script, and its two
+# characters, "" for the side it lacks.
+Edit = tuple[int, int, str, str]
 
 
 # One MATCH op per character seen, so long scripts share a few objects.
 _MATCH_OPS: dict[str, EditOp] = {}
 
 
-def match(c: str) -> EditOp:
+def _match(c: str) -> EditOp:
     op = _MATCH_OPS.get(c)
     if op is None:
         op = _MATCH_OPS[c] = EditOp(OpKind.MATCH, c, c)
     return op
 
 
-def _matches(text: str) -> EditScript:
-    """match(c) for every character of text."""
+def _matches(text: str) -> tuple[EditOp, ...]:
+    """_match(c) for every character of text."""
     try:
         return tuple(map(_MATCH_OPS.__getitem__, text))
     except KeyError:  # a character not seen before
-        return tuple(map(match, text))
-
-
-def substitute(gt_c: str, pred_c: str) -> EditOp:
-    return EditOp(OpKind.SUBSTITUTE, gt_c, pred_c)
-
-
-def insert(pred_c: str) -> EditOp:
-    return EditOp(OpKind.INSERT, None, pred_c)
-
-
-def delete(gt_c: str) -> EditOp:
-    return EditOp(OpKind.DELETE, gt_c, None)
-
-
-def script_gt_text(ops: EditScript) -> str:
-    """Replay the ground-truth side of a script."""
-    return "".join(op.gt for op in ops if op.gt is not None)
-
-
-def script_pred_text(ops: EditScript) -> str:
-    """Replay the prediction side of a script."""
-    return "".join(op.pred for op in ops if op.pred is not None)
-
-
-def script_distance(ops: EditScript) -> int:
-    return sum(1 for op in ops if op.kind is not OpKind.MATCH)
+        return tuple(map(_match, text))
 
 
 def _trim(gt: str, pred: str) -> tuple[int, int]:
@@ -182,11 +160,12 @@ class AlignmentResult:
     """Optimal alignment of pred to gt, held as its edits.
 
     edits holds the non-match ops of the edit script, in order, each as
-    (gt_pos, pred_pos, op): gt_pos and pred_pos count the ground-truth and
-    prediction characters before the op, so a deletion consumes gt[gt_pos],
-    an insertion pred[pred_pos] and a substitution both. Every other
-    character is a match. It has no default: a result built without it
-    would read as error-free.
+    (gt_pos, pred_pos, gt, pred): gt_pos and pred_pos count the ground-truth
+    and prediction characters before the op, and gt and pred are its
+    characters, "" for the side it lacks. So a deletion (pred == "")
+    consumes gt[gt_pos], an insertion (gt == "") pred[pred_pos] and a
+    substitution both. Every other character is a match. It has no
+    default: a result built without it would read as error-free.
 
     cer is distance / gt_len for non-empty ground truth. For empty ground
     truth the line scores pred_len (every hallucinated character counts as
@@ -215,15 +194,17 @@ class AlignmentResult:
         return len(self.edits) / len(self.gt) if self.gt else float(len(self.pred))
 
     @property
-    def ops(self) -> EditScript:
-        """The full edit script: the edits with the matches between them.
-        Built anew on each read."""
+    def ops(self) -> tuple[EditOp, ...]:
+        """The full edit script as EditOps: the edits with the matches
+        between them, built anew on each read. No command reads it; it is
+        kept for the benchmark's reference-DP check."""
         ops: list[EditOp] = []
         gt_pos = 0
-        for edit_gt_pos, _, op in self.edits:
+        for edit_gt_pos, _, g, p in self.edits:
             ops += _matches(self.gt[gt_pos:edit_gt_pos])
-            ops.append(op)
-            gt_pos = edit_gt_pos + (op.gt is not None)
+            kind = OpKind.SUBSTITUTE if g and p else OpKind.DELETE if g else OpKind.INSERT
+            ops.append(EditOp(kind, g or None, p or None))
+            gt_pos = edit_gt_pos + len(g)
         ops += _matches(self.gt[gt_pos:])
         return tuple(ops)
 
@@ -266,16 +247,16 @@ def align(gt: str, pred: str) -> AlignmentResult:
         if diagonal:
             i -= 1
             j -= 1
-            edits.append((i, j, substitute(g, p)))
+            edits.append((i, j, g, p))
         elif up:
             i -= 1
-            edits.append((i, j, delete(g)))
+            edits.append((i, j, g, ""))
         else:
             j -= 1
-            edits.append((i, j, insert(p)))
+            edits.append((i, j, "", p))
     edits.reverse()
     if i > j:  # the prediction is exhausted
-        edits[:0] = [(gt_pos, 0, delete(c)) for gt_pos, c in enumerate(gt[:i])]
+        edits[:0] = [(gt_pos, 0, c, "") for gt_pos, c in enumerate(gt[:i])]
     elif j > i:  # the ground truth is exhausted
-        edits[:0] = [(0, pred_pos, insert(c)) for pred_pos, c in enumerate(pred[:j])]
+        edits[:0] = [(0, pred_pos, "", c) for pred_pos, c in enumerate(pred[:j])]
     return AlignmentResult(gt, pred, tuple(edits))

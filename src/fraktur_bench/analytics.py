@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .align import AlignmentResult, Edit, OpKind
+from .align import AlignmentResult, Edit
 from .errors import ReportError
 
 SCHEMA_VERSION = 1
@@ -49,23 +49,20 @@ class ConfusionEntry:
 def _merged_runs(edits: Sequence[Edit]) -> Iterator[tuple[str, str]]:
     """The (gt_seq, pred_seq) classes of one line's edits, each maximal run
     of adjacent deletions, and separately of insertions, as one class."""
-    run: list[str] = []
-    run_kind = run_next = None  # the run's kind, and the positions that extend it
-    for gt_pos, pred_pos, op in edits:
-        kind = op.kind
-        if run and (kind is not run_kind or (gt_pos, pred_pos) != run_next):
-            yield ("".join(run), "") if run_kind is OpKind.DELETE else ("", "".join(run))
-            run = []
-        if kind is OpKind.DELETE:
-            run.append(op.gt)
-            run_kind, run_next = kind, (gt_pos + 1, pred_pos)
-        elif kind is OpKind.INSERT:
-            run.append(op.pred)
-            run_kind, run_next = kind, (gt_pos, pred_pos + 1)
+    run_gt = run_pred = ""  # the run so far; one side stays empty
+    run_next = None  # where the edit that extends the run sits, and its sides
+    for gt_pos, pred_pos, g, p in edits:
+        if (run_gt or run_pred) and (gt_pos, pred_pos, bool(g), bool(p)) != run_next:
+            yield run_gt, run_pred
+            run_gt = run_pred = ""
+        if g and p:  # a substitution
+            yield g, p
         else:
-            yield op.gt, op.pred
-    if run:
-        yield ("".join(run), "") if run_kind is OpKind.DELETE else ("", "".join(run))
+            run_gt += g
+            run_pred += p
+            run_next = (gt_pos + len(g), pred_pos + len(p), bool(g), bool(p))
+    if run_gt or run_pred:
+        yield run_gt, run_pred
 
 
 def confusion_stats(
@@ -89,7 +86,7 @@ def confusion_stats(
         if merge_runs:
             counts.update(_merged_runs(result.edits))
         else:
-            counts.update((op.gt or "", op.pred or "") for _, _, op in result.edits)
+            counts.update((g, p) for _, _, g, p in result.edits)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
     return tuple(ConfusionEntry(g, p, n) for (g, p), n in ranked)
 
@@ -259,7 +256,9 @@ def build_report(
     dictionary_corpus: str = DICTIONARY_CORPUS,
 ) -> EvaluationReport:
     """Assemble a report; aggregates, whitespace buckets and top-k shares
-    are derived here so every emitter sees the same numbers."""
+    are derived here so every emitter sees the same numbers. The
+    dictionary corpus the aggregates were built with is recorded in the
+    metadata, over any value given there."""
     for ds in datasets:
         for eng in engines:
             if eng not in cells.get(ds, {}):
@@ -274,7 +273,7 @@ def build_report(
         confusion=conf_frozen,
         whitespace={eng: classify_whitespace_errors(entries) for eng, entries in conf_frozen.items()},
         top_share={eng: TopShare(k, top_k_error_share(entries, k)) for eng, entries in conf_frozen.items()},
-        metadata=dict(metadata or {}),
+        metadata={**(metadata or {}), "dictionary_corpus": dictionary_corpus},
     )
 
 
@@ -302,7 +301,20 @@ def _cell_from_payload(data: Mapping[str, object], ds: str, eng: str) -> CerCell
             raise ReportError(
                 f"malformed report: cell {ds!r}/{eng!r}: {name} is {value!r}, not an integer"
             )
-    return CerCell(*counts, cer_sum=float(data["cer_sum"]))
+    # An int where no line was macro-eligible (the empty sum), else a float;
+    # kept as it is so that it is emitted again as it was.
+    cer_sum = data["cer_sum"]
+    if type(cer_sum) not in (int, float):
+        raise ReportError(
+            f"malformed report: cell {ds!r}/{eng!r}: cer_sum is {cer_sum!r}, not a number"
+        )
+    return CerCell(*counts, cer_sum=cer_sum)
+
+
+def _count_from_payload(value: object, member: str) -> int:
+    if type(value) is not int or value < 1:
+        raise ReportError(f"malformed report: {member} is {value!r}, not an integer >= 1")
+    return value
 
 
 def _names_from_payload(payload: Mapping[str, object], key: str) -> tuple[str, ...]:
@@ -386,10 +398,18 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
             for ds in datasets
         }
         confusion = {
-            eng: tuple(ConfusionEntry(e["gt"], e["pred"], int(e["count"])) for e in entries)
+            eng: tuple(
+                ConfusionEntry(
+                    e["gt"], e["pred"], _count_from_payload(e["count"], f"confusion {eng!r} count")
+                )
+                for e in entries
+            )
             for eng, entries in payload.get("confusion", {}).items()
         }
-        ks = {int(payload["top_share"][eng]["k"]) for eng in confusion}
+        ks = {
+            _count_from_payload(payload["top_share"][eng]["k"], f"top_share {eng!r} k")
+            for eng in confusion
+        }
         if len(ks) > 1:
             raise ReportError(f"malformed report: top_share entries disagree on k: {sorted(ks)}")
         metadata = dict(payload.get("metadata", {}))
@@ -451,7 +471,7 @@ def _report_to_markdown(report: EvaluationReport) -> bytes:
     if any(name == "NOD" for name, _ in report.aggregates):
         out.append(
             f"NOD aggregates every dataset outside the dictionary corpus "
-            f"({report.metadata.get('dictionary_corpus', DICTIONARY_CORPUS)})."
+            f"({report.metadata['dictionary_corpus']})."
         )
     if report.top_share:
         out.append("")

@@ -216,8 +216,7 @@ def _cmd_vote(args: argparse.Namespace) -> int:
     config = VotingConfig(
         min_voters=args.min_voters,
         tie_break=args.tie_break,
-        pivot="engine" if args.pivot not in ("longest", "first") else args.pivot,
-        pivot_engine=None if args.pivot in ("longest", "first") else args.pivot,
+        pivot=args.pivot,
     )
     per_engine, sidecars = {}, {}
     for eng, tree in trees.items():

@@ -191,7 +191,6 @@ def eval_pipeline(
         "rules_sha256": rules.checksum,
         "raw_pred": raw_pred,
         "merge_runs": merge_runs,
-        "dictionary_corpus": dictionary_corpus,
     }
     return build_report(
         dataset_list,

@@ -27,13 +27,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .align import Edit, OpKind, align
+from .align import Edit, align
 from .errors import VotingError
 
 VOTED_ENGINE_ID = "voted"
 
 TIE_BREAKS = ("first_voter", "confidence", "abstain_to_pivot")
-PIVOT_CHOICES = ("longest", "first", "engine")
 
 
 @dataclass(frozen=True)
@@ -65,20 +64,18 @@ class VoterOutput:
 
 @dataclass(frozen=True)
 class VotingConfig:
+    """pivot is "longest" (the first of the longest texts), "first", or the
+    id of the engine whose text is the pivot."""
+
     min_voters: int = 2
     tie_break: str = "first_voter"
     pivot: str = "longest"
-    pivot_engine: str | None = None
 
     def __post_init__(self):
         if self.min_voters < 2:
             raise VotingError(f"min_voters must be >= 2, got {self.min_voters}")
         if self.tie_break not in TIE_BREAKS:
             raise VotingError(f"unknown tie_break {self.tie_break!r}")
-        if self.pivot not in PIVOT_CHOICES:
-            raise VotingError(f"unknown pivot choice {self.pivot!r}")
-        if self.pivot == "engine" and not self.pivot_engine:
-            raise VotingError("pivot='engine' requires pivot_engine")
 
 
 @dataclass
@@ -97,11 +94,11 @@ class _Slot:
 def _pick_pivot(outputs: Sequence[VoterOutput], config: VotingConfig) -> int:
     if config.pivot == "first":
         return 0
-    if config.pivot == "engine":
+    if config.pivot != "longest":
         for i, out in enumerate(outputs):
-            if out.engine_id == config.pivot_engine:
+            if out.engine_id == config.pivot:
                 return i
-        raise VotingError(f"pivot engine {config.pivot_engine!r} not among voters")
+        raise VotingError(f"pivot engine {config.pivot!r} not among voters")
     best = 0
     for i, out in enumerate(outputs):
         if len(out.text) > len(outputs[best].text):
@@ -146,16 +143,16 @@ class _Edits:
         # i + shifts[k], k the last index with starts[k] <= i.
         self.starts = [0]
         self.shifts = [0]
-        for p, q, op in edits:  # pivot and voter characters before the edit
-            kind = op.kind
-            if kind is OpKind.SUBSTITUTE:
+        # pivot and voter characters before the edit, and its two characters
+        for p, q, pivot_c, voter_c in edits:
+            if pivot_c and voter_c:  # a substitution
                 self.spans[2 * p + 1] = (q, q + 1)
                 continue
-            if kind is OpKind.INSERT:
+            if not pivot_c:  # an insertion
                 key = 2 * p
                 self.spans[key] = (self.spans.get(key, (q, q))[0], q + 1)
                 q += 1
-            else:  # DELETE
+            else:  # a deletion
                 self.spans[2 * p + 1] = (q, q)
                 p += 1
             # insertions and deletions shift the matches after them

@@ -6,15 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraktur_bench.align import (
-    AlignmentResult,
-    OpKind,
-    _bit_columns,
-    _trim,
-    align,
+from fraktur_bench.align import AlignmentResult, OpKind, _bit_columns, _trim, align, levenshtein
+
+from edit_scripts import (
     delete,
     insert,
-    levenshtein,
     match,
     script_distance,
     script_gt_text,
@@ -309,12 +305,13 @@ class TestDerivedViews:
 
 def replayed_edits(ops):
     """The non-match ops of a script, each with the numbers of ground-truth
-    and prediction characters before it."""
+    and prediction characters before it and its two characters, "" for a
+    side it lacks."""
     edits = []
     gt_pos = pred_pos = 0
     for op in ops:
         if op.kind is not OpKind.MATCH:
-            edits.append((gt_pos, pred_pos, op))
+            edits.append((gt_pos, pred_pos, op.gt or "", op.pred or ""))
         gt_pos += op.gt is not None
         pred_pos += op.pred is not None
     return tuple(edits)
@@ -330,6 +327,7 @@ class TestEdits:
     @staticmethod
     def assert_edits(gt, pred):
         result = align(gt, pred)
+        assert all(tuple(map(type, edit)) == (int, int, str, str) for edit in result.edits)
         assert result.edits == replayed_edits(result.ops)
         assert len(result.edits) == result.distance
 
@@ -347,14 +345,14 @@ class TestEdits:
         [
             ("", "", ()),
             ("ab", "ab", ()),
-            ("", "ab", ((0, 0, insert("a")), (0, 1, insert("b")))),
-            ("ab", "", ((0, 0, delete("a")), (1, 0, delete("b")))),
-            ("ab", "b", ((0, 0, delete("a")),)),  # the prediction runs out in the head
-            ("b", "ab", ((0, 0, insert("a")),)),  # the ground truth runs out in the head
-            ("abc", "axc", ((1, 1, substitute("b", "x")),)),
-            ("ab", "axyb", ((1, 1, insert("x")), (1, 2, insert("y")))),
-            ("xxabc", "abcyy", ((0, 0, delete("x")), (1, 0, delete("x")),
-                                (5, 3, insert("y")), (5, 4, insert("y")))),
+            ("", "ab", ((0, 0, "", "a"), (0, 1, "", "b"))),
+            ("ab", "", ((0, 0, "a", ""), (1, 0, "b", ""))),
+            ("ab", "b", ((0, 0, "a", ""),)),  # the prediction runs out in the head
+            ("b", "ab", ((0, 0, "", "a"),)),  # the ground truth runs out in the head
+            ("abc", "axc", ((1, 1, "b", "x"),)),
+            ("ab", "axyb", ((1, 1, "", "x"), (1, 2, "", "y"))),
+            ("xxabc", "abcyy", ((0, 0, "x", ""), (1, 0, "x", ""),
+                                (5, 3, "", "y"), (5, 4, "", "y"))),
         ],
     )
     def test_explicit_cases(self, gt, pred, edits):

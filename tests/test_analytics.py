@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fraktur_bench.align import AlignmentResult, OpKind, align, delete, insert
+from fraktur_bench.align import AlignmentResult, OpKind, align
 from fraktur_bench.analytics import (
     CerCell,
     ConfusionEntry,
@@ -27,6 +27,8 @@ from fraktur_bench.analytics import (
     top_k_error_share,
 )
 from fraktur_bench.errors import ReportError
+
+from edit_scripts import delete, insert
 
 
 def reference_confusion_stats(
@@ -212,9 +214,8 @@ class TestConfusionMatchesReference:
     def test_deletion_then_insertion_stay_apart(self):
         # no optimal script holds this pair (one substitution is cheaper),
         # but a run must not change kind at the position that would extend it
-        ops = (delete("a"), insert("b"))
-        result = AlignmentResult("a", "b", ((0, 0, ops[0]), (1, 0, ops[1])))
-        assert (result.ops, result.distance, result.cer) == (ops, 2, 2.0)
+        result = AlignmentResult("a", "b", ((0, 0, "a", ""), (1, 0, "", "b")))
+        assert (result.ops, result.distance, result.cer) == ((delete("a"), insert("b")), 2, 2.0)
         merged = confusion_stats([result], merge_runs=True)
         assert merged == (ConfusionEntry("", "b", 1), ConfusionEntry("a", "", 1))
         assert merged == reference_confusion_stats([result], merge_runs=True)
@@ -426,6 +427,53 @@ class TestReportRoundTrip:
         payload["top_share"]["tess"]["k"] = 5
         with pytest.raises(ReportError, match="disagree on k"):
             report_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("confusion", "tess", 0, "count"), 1.9, "confusion 'tess' count is 1.9, not an integer >= 1"),
+            (("confusion", "tess", 0, "count"), -4, "confusion 'tess' count is -4, not an integer >= 1"),
+            (("confusion", "tess", 0, "count"), True, "confusion 'tess' count is True, not an integer >= 1"),
+            (("top_share", "abbyy", "k"), "3", "top_share 'abbyy' k is '3', not an integer >= 1"),
+            (("top_share", "abbyy", "k"), 0, "top_share 'abbyy' k is 0, not an integer >= 1"),
+            (("cells", "N-1803", "tess", "cer_sum"), "0.5",
+             "cell 'N-1803'/'tess': cer_sum is '0.5', not a number"),
+            (("cells", "N-1803", "tess", "cer_sum"), True,
+             "cell 'N-1803'/'tess': cer_sum is True, not a number"),
+        ],
+        ids=["count-float", "count-negative", "count-bool", "k-string", "k-zero",
+             "cer-sum-string", "cer-sum-bool"],
+    )
+    def test_counts_and_cer_sums_are_not_coerced(self, path, value, message):
+        payload = json.loads(report_to_json(small_report()))
+        member = payload
+        for key in path[:-1]:
+            member = member[key]
+        member[path[-1]] = value
+        with pytest.raises(ReportError) as err:
+            report_from_json(json.dumps(payload))
+        assert str(err.value) == f"malformed report: {message}"
+
+    def test_cer_sum_of_a_cell_without_eligible_lines_reemits_unchanged(self):
+        # an empty-ground-truth line is not macro-eligible: the cell's
+        # cer_sum is the empty sum, the int 0
+        cells = {"N-1781": {"e1": CerCell.from_results([align("", "ab")])}}
+        data = report_to_json(build_report(["N-1781"], ["e1"], cells))
+        assert json.loads(data)["cells"]["N-1781"]["e1"]["cer_sum"] == 0
+        assert report_to_json(report_from_json(data)) == data
+
+    def test_dictionary_corpus_is_recorded(self):
+        # built without metadata: the NOD row leaves out O, and so must the
+        # footnote and a report read back
+        datasets = ["N-1781", "O-1800", "S-1850"]
+        cells = {ds: {"e1": cell(n, 100)} for ds, n in zip(datasets, (1, 2, 4))}
+        report = build_report(datasets, ["e1"], cells, dictionary_corpus="O")
+        assert report.metadata == {"dictionary_corpus": "O"}
+        assert dict(report.aggregates)["NOD"]["e1"].distance == 5
+        assert "outside the dictionary corpus (O)." in emit_report(report, "markdown").decode()
+        back = report_from_json(report_to_json(report))
+        for fmt in ("json", "csv", "markdown"):
+            assert emit_report(back, fmt) == emit_report(report, fmt)
 
     def test_json_deterministic(self):
         assert report_to_json(small_report()) == report_to_json(small_report())

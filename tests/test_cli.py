@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 import fraktur_bench
-from fraktur_bench.analytics import DEFAULT_TOP_K, DICTIONARY_CORPUS, build_report
+from fraktur_bench.analytics import (
+    DEFAULT_TOP_K,
+    DICTIONARY_CORPUS,
+    CerCell,
+    ConfusionEntry,
+    build_report,
+    report_to_json,
+)
 from fraktur_bench.cli import build_parser, run
 from fraktur_bench.pipeline import eval_pipeline
 from fraktur_bench.manifests import BookEntry, manifest_to_json
@@ -43,6 +50,19 @@ def corpus(tmp_path: Path):
         },
     )
     return tmp_path
+
+
+def report_with(edit) -> str:
+    """A valid one-cell report with one member changed in place by edit."""
+    report = build_report(
+        ["N-1"],
+        ["e"],
+        {"N-1": {"e": CerCell(1, 2, 1, 1, 0.5)}},
+        confusion={"e": [ConfusionEntry("a", "b", 1)]},
+    )
+    payload = json.loads(report_to_json(report))
+    edit(payload)
+    return json.dumps(payload)
 
 
 EVAL_ARGS = ("--gt", "{root}/gt", "--pred", "{root}/pred", "--engine", "abbyy", "--out", "{out}")
@@ -156,12 +176,28 @@ class TestExitCodes:
              b'{"schema_version": 1, "engines": ["\xff"]}', "ReportError"),
             (["prepare", "refine", "--manifest", "{bad}", "--cap", "1", "--out", "{out}"],
              b'{"schema_version": 1, "books": ["\xff"]}', "ManifestError"),
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+             report_with(lambda r: r["confusion"]["e"][0].update(count=1.9)), "ReportError"),
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+             report_with(lambda r: r["confusion"]["e"][0].update(count=-4)), "ReportError"),
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+             report_with(lambda r: r["confusion"]["e"][0].update(count=True)), "ReportError"),
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+             report_with(lambda r: r["top_share"]["e"].update(k="3")), "ReportError"),
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+             report_with(lambda r: r["top_share"]["e"].update(k=0)), "ReportError"),
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+             report_with(lambda r: r["cells"]["N-1"]["e"].update(cer_sum="0.5")), "ReportError"),
+            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+             report_with(lambda r: r["cells"]["N-1"]["e"].update(cer_sum=False)), "ReportError"),
         ],
         ids=[
             "report-not-object", "report-no-engines", "report-no-cells", "report-no-aggregates",
             "manifest-no-books", "manifest-not-object", "manifest-book-without-id",
             "expected-no-columns", "expected-empty", "expected-not-integer", "expected-short-row",
             "expected-not-utf8", "report-not-utf8", "manifest-not-utf8",
+            "report-count-float", "report-count-negative", "report-count-bool",
+            "report-k-string", "report-k-zero", "report-cer-sum-string", "report-cer-sum-bool",
         ],
     )
     def test_malformed_input(self, tmp_path, capsys, argv, content, error_type):

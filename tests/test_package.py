@@ -52,3 +52,21 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in module_imports(tree) if name not in used | exported(tree)]
     assert unused == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "align.py"], ids=lambda path: path.name
+)
+def test_only_align_names_the_op_vocabulary(path):
+    """Edits are plain (gt_pos, pred_pos, gt, pred) tuples whose empty side
+    gives the kind; OpKind and EditOp serve only align's ops replay."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= {node.name.rpartition(".")[2], node.asname}
+    assert names & {"OpKind", "EditOp"} == set()

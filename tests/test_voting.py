@@ -45,11 +45,11 @@ class _Slot:
 def _pick_pivot(outputs: Sequence[VoterOutput], config: VotingConfig) -> int:
     if config.pivot == "first":
         return 0
-    if config.pivot == "engine":
+    if config.pivot != "longest":
         for i, out in enumerate(outputs):
-            if out.engine_id == config.pivot_engine:
+            if out.engine_id == config.pivot:
                 return i
-        raise VotingError(f"pivot engine {config.pivot_engine!r} not among voters")
+        raise VotingError(f"pivot engine {config.pivot!r} not among voters")
     best = 0
     for i, out in enumerate(outputs):
         if len(out.text) > len(outputs[best].text):
@@ -155,7 +155,7 @@ def every_config(outputs: Sequence[VoterOutput]):
         yield VotingConfig(tie_break=tie_break, pivot="longest")
         yield VotingConfig(tie_break=tie_break, pivot="first")
         for out in outputs:
-            yield VotingConfig(tie_break=tie_break, pivot="engine", pivot_engine=out.engine_id)
+            yield VotingConfig(tie_break=tie_break, pivot=out.engine_id)
 
 
 def outcome(vote, outputs: Sequence[VoterOutput], config: VotingConfig):
@@ -247,17 +247,15 @@ class TestVotingConfig:
         with pytest.raises(VotingError):
             VotingConfig(min_voters=1)
 
-    def test_engine_pivot_needs_id(self):
-        with pytest.raises(VotingError):
-            VotingConfig(pivot="engine")
-
     def test_unknown_tie_break(self):
         with pytest.raises(VotingError):
             VotingConfig(tie_break="coin_flip")
 
     def test_unknown_pivot(self):
-        with pytest.raises(VotingError):
-            VotingConfig(pivot="shortest")
+        # a pivot other than "longest" and "first" names an engine
+        config = VotingConfig(pivot="shortest")
+        with pytest.raises(VotingError, match="^pivot engine 'shortest' not among voters$"):
+            vote_line(voters("ab", "ac"), config)
 
 
 class TestVoteLine:
@@ -327,12 +325,12 @@ class TestVoteLine:
         assert out.text == "ab"
 
     def test_pivot_by_engine(self):
-        config = VotingConfig(pivot="engine", pivot_engine="e1", tie_break="abstain_to_pivot")
+        config = VotingConfig(pivot="e1", tie_break="abstain_to_pivot")
         out = vote_line(voters("ab", "ac"), config)
         assert out.text == "ac"
 
     def test_pivot_engine_absent(self):
-        config = VotingConfig(pivot="engine", pivot_engine="zz")
+        config = VotingConfig(pivot="zz")
         with pytest.raises(VotingError, match="zz"):
             vote_line(voters("ab", "ac"), config)
 
