@@ -412,7 +412,9 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
         }
         if len(ks) > 1:
             raise ReportError(f"malformed report: top_share entries disagree on k: {sorted(ks)}")
-        metadata = dict(payload.get("metadata", {}))
+        metadata = payload.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ReportError("malformed report: metadata is not a JSON object")
         return build_report(
             datasets,
             engines,

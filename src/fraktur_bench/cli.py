@@ -23,6 +23,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .analytics import (
@@ -56,8 +57,8 @@ from .normalize import (
     parse_unmapped_policy,
     require_replacement_in_codec,
 )
-from .pipeline import eval_pipeline, load_pred_tree, read_text_file
-from .voting import VoterOutput, VotingConfig, vote_line
+from .pipeline import eval_pipeline, load_pred_trees, read_text_file
+from .voting import TIE_BREAKS, VoterOutput, VotingConfig, vote_line
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -219,8 +220,8 @@ def _cmd_vote(args: argparse.Namespace) -> int:
         pivot=args.pivot,
     )
     per_engine, sidecars = {}, {}
-    for eng, tree in trees.items():
-        per_engine[eng], sidecars[eng] = load_pred_tree(tree, eng)
+    for eng, texts, found in load_pred_trees(trees):
+        per_engine[eng], sidecars[eng] = texts, found
     books = sorted({book for tree in per_engine.values() for book in tree})
     if not books:
         raise VotingError("no predictions found for any engine")
@@ -450,6 +451,94 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS, default="json")
 
 
+class _ChosenSubParsers(argparse._SubParsersAction):
+    """Sub-commands whose arguments are added only to the chosen one: every
+    sub-parser is registered with its name and help, and filled with its
+    arguments when the command line names it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._fillers: dict[str, Callable[[argparse.ArgumentParser], None]] = {}
+
+    def add_parser(
+        self, name: str, fill: Callable[[argparse.ArgumentParser], None], **kwargs
+    ) -> argparse.ArgumentParser:
+        self._fillers[name] = fill
+        return super().add_parser(name, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        # popped: a parser that parses twice is filled once
+        fill = self._fillers.pop(values[0], None)
+        if fill is not None:
+            fill(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _normalize_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--in", dest="input", required=True, help="input file or tree")
+    p.add_argument("--out", required=True, help="output file or tree")
+    p.add_argument("--pattern", default="*.gt.txt", help="glob for tree mode")
+    _add_codec_rules_flags(p)
+
+
+def _coverage_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--in", dest="input", required=True)
+    p.add_argument("--pattern", default="*.gt.txt")
+    p.add_argument("--codec", default="default")
+    p.add_argument("--out", default="", help="output file (default: stdout)")
+
+
+def _vote_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pred", action="append", required=True, help="prediction tree root (repeatable)")
+    p.add_argument("--engine", action="append", required=True, help="engine id (repeatable)")
+    p.add_argument("--out", required=True, help="output tree for voted lines")
+    p.add_argument("--min-voters", type=_int_at_least(2), default=2)
+    p.add_argument("--tie-break", choices=TIE_BREAKS, default="first_voter")
+    p.add_argument("--pivot", default="longest", help="'longest', 'first', or an engine id")
+
+
+def _prepare_args(p: argparse.ArgumentParser) -> None:
+    prep = p.add_subparsers(dest="prepare_command", required=True, action=_ChosenSubParsers)
+    for name, fill, handler, text in (
+        ("scan", _scan_args, _cmd_prepare_scan, "scan a line-pair tree into a manifest"),
+        ("refine", _refine_args, _cmd_prepare_refine, "capped per-book refinement subset"),
+        ("schedule", _schedule_args, _cmd_prepare_schedule, "expand the staged training plan"),
+        ("verify", _verify_args, _cmd_prepare_verify, "check manifest counts against expectations"),
+    ):
+        prep.add_parser(name, fill, help=text).set_defaults(handler=handler)
+
+
+def _scan_args(q: argparse.ArgumentParser) -> None:
+    q.add_argument("--root", required=True)
+    q.add_argument("--corpus", required=True)
+    q.add_argument("--out", required=True)
+
+
+def _refine_args(q: argparse.ArgumentParser) -> None:
+    q.add_argument("--manifest", action="append", required=True)
+    q.add_argument("--cap", type=_int_at_least(1), required=True)
+    q.add_argument("--out", required=True)
+
+
+def _schedule_args(q: argparse.ArgumentParser) -> None:
+    q.add_argument("--manifest", action="append", required=True)
+    q.add_argument("--stage", action="append", required=True, help="name=corpus[,corpus...] (repeatable)")
+    q.add_argument("--cap", type=_int_at_least(1), default=50, help="per-book cap for the refinement stage")
+    q.add_argument("--out", required=True)
+
+
+def _verify_args(q: argparse.ArgumentParser) -> None:
+    q.add_argument("--manifest", action="append", required=True)
+    q.add_argument("--expected", required=True, help="CSV with corpus_id,books,lines")
+    q.add_argument("--out", default="", help="output file (default: stdout)")
+
+
+def _report_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--in", dest="input", required=True, help="JSON report file")
+    p.add_argument("--format", choices=FORMATS, required=True)
+    p.add_argument("--out", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fraktur-bench",
@@ -458,73 +547,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=0, help="seed for all sampling (recorded in outputs)")
     parser.add_argument("--error-json", action="store_true", help="emit errors as JSON on stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", help="normalize transcriptions into the codec")
-    p.add_argument("--in", dest="input", required=True, help="input file or tree")
-    p.add_argument("--out", required=True, help="output file or tree")
-    p.add_argument("--pattern", default="*.gt.txt", help="glob for tree mode")
-    _add_codec_rules_flags(p)
-    p.set_defaults(handler=_cmd_normalize)
-
-    p = sub.add_parser("coverage", help="codec coverage frequencies over a tree")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--pattern", default="*.gt.txt")
-    p.add_argument("--codec", default="default")
-    p.add_argument("--out", default="", help="output file (default: stdout)")
-    p.set_defaults(handler=_cmd_coverage)
-
-    p = sub.add_parser("eval", help="character error rate evaluation")
-    _add_eval_flags(p)
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("errors", help="confusion and whitespace error analytics")
-    _add_eval_flags(p)
-    p.set_defaults(handler=_cmd_errors)
-
-    p = sub.add_parser("vote", help="combine engine outputs by sequence voting")
-    p.add_argument("--pred", action="append", required=True, help="prediction tree root (repeatable)")
-    p.add_argument("--engine", action="append", required=True, help="engine id (repeatable)")
-    p.add_argument("--out", required=True, help="output tree for voted lines")
-    p.add_argument("--min-voters", type=_int_at_least(2), default=2)
-    p.add_argument("--tie-break", choices=("first_voter", "confidence", "abstain_to_pivot"), default="first_voter")
-    p.add_argument("--pivot", default="longest", help="'longest', 'first', or an engine id")
-    p.set_defaults(handler=_cmd_vote)
-
-    p = sub.add_parser("prepare", help="manifests, sampling and schedules")
-    prep = p.add_subparsers(dest="prepare_command", required=True)
-
-    q = prep.add_parser("scan", help="scan a line-pair tree into a manifest")
-    q.add_argument("--root", required=True)
-    q.add_argument("--corpus", required=True)
-    q.add_argument("--out", required=True)
-    q.set_defaults(handler=_cmd_prepare_scan)
-
-    q = prep.add_parser("refine", help="capped per-book refinement subset")
-    q.add_argument("--manifest", action="append", required=True)
-    q.add_argument("--cap", type=_int_at_least(1), required=True)
-    q.add_argument("--out", required=True)
-    q.set_defaults(handler=_cmd_prepare_refine)
-
-    q = prep.add_parser("schedule", help="expand the staged training plan")
-    q.add_argument("--manifest", action="append", required=True)
-    q.add_argument("--stage", action="append", required=True, help="name=corpus[,corpus...] (repeatable)")
-    q.add_argument("--cap", type=_int_at_least(1), default=50, help="per-book cap for the refinement stage")
-    q.add_argument("--out", required=True)
-    q.set_defaults(handler=_cmd_prepare_schedule)
-
-    q = prep.add_parser("verify", help="check manifest counts against expectations")
-    q.add_argument("--manifest", action="append", required=True)
-    q.add_argument("--expected", required=True, help="CSV with corpus_id,books,lines")
-    q.add_argument("--out", default="", help="output file (default: stdout)")
-    q.set_defaults(handler=_cmd_prepare_verify)
-
-    p = sub.add_parser("report", help="re-emit a JSON report in another format")
-    p.add_argument("--in", dest="input", required=True, help="JSON report file")
-    p.add_argument("--format", choices=FORMATS, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_report)
-
+    sub = parser.add_subparsers(dest="command", required=True, action=_ChosenSubParsers)
+    for name, fill, handler, text in (
+        ("normalize", _normalize_args, _cmd_normalize, "normalize transcriptions into the codec"),
+        ("coverage", _coverage_args, _cmd_coverage, "codec coverage frequencies over a tree"),
+        ("eval", _add_eval_flags, _cmd_eval, "character error rate evaluation"),
+        ("errors", _add_eval_flags, _cmd_errors, "confusion and whitespace error analytics"),
+        ("vote", _vote_args, _cmd_vote, "combine engine outputs by sequence voting"),
+        ("prepare", _prepare_args, None, "manifests, sampling and schedules"),
+        ("report", _report_args, _cmd_report, "re-emit a JSON report in another format"),
+    ):
+        sub.add_parser(name, fill, help=text).set_defaults(handler=handler)
     return parser
 
 

@@ -108,31 +108,33 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
     root = Path(root)
     books: list[BookEntry] = []
     for book_dir, names in list_books(root, "corpus root"):
-        present = set(names)
-        line_ids: list[str] = []
-        for name in names:
-            if not name.endswith(GT_SUFFIX):
-                continue
-            line_id = name[: -len(GT_SUFFIX)]
-            if present.isdisjoint([line_id + suffix for suffix in IMAGE_SUFFIXES]):
-                logger.warning(
-                    "%s/%s: line %r has ground truth but no image sibling, excluded",
-                    corpus_id,
-                    book_dir.name,
-                    line_id,
-                )
-                continue
-            line_ids.append(line_id)
-        for name in names:
-            if name.endswith(IMAGE_SUFFIXES) and (
-                strip_suffix(name, IMAGE_SUFFIXES) + GT_SUFFIX not in present
-            ):
-                logger.warning(
-                    "%s/%s: image %r has no ground-truth sibling, excluded",
-                    corpus_id,
-                    book_dir.name,
-                    name,
-                )
+        gt_ids = [name[: -len(GT_SUFFIX)] for name in names if name.endswith(GT_SUFFIX)]
+        images = [name for name in names if name.endswith(IMAGE_SUFFIXES)]
+        # Every line id an image can be the sibling of: l1.bin.png serves
+        # both l1 and l1.bin.
+        imaged = {name[: -len(s)] for s in IMAGE_SUFFIXES for name in images if name.endswith(s)}
+        line_ids = [line_id for line_id in gt_ids if line_id in imaged]
+        if len(line_ids) < len(gt_ids):
+            for line_id in gt_ids:
+                if line_id not in imaged:
+                    logger.warning(
+                        "%s/%s: line %r has ground truth but no image sibling, excluded",
+                        corpus_id,
+                        book_dir.name,
+                        line_id,
+                    )
+        with_gt = set(gt_ids)
+        # An image belongs to the line its longest suffix leaves; when every
+        # line id any image serves has ground truth, so does that one.
+        if not with_gt.issuperset(imaged):
+            for name in images:
+                if strip_suffix(name, IMAGE_SUFFIXES) not in with_gt:
+                    logger.warning(
+                        "%s/%s: image %r has no ground-truth sibling, excluded",
+                        corpus_id,
+                        book_dir.name,
+                        name,
+                    )
         books.append(BookEntry(book_dir.name, corpus_id, tuple(line_ids)))
     if not books:
         raise ManifestError(f"corpus root {root} contains no book directories")

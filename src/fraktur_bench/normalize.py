@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -179,10 +179,13 @@ def normalize_line(
     """
     text = normalize_text(line.text, rules)
     if codec.covers(text):
-        return line if text == line.text else replace(line, text=text)
+        if text == line.text:
+            return line
+        return TranscriptionLine(line.book_id, line.line_id, text, line.engine_id)
     if replacement is not None:
         require_replacement_in_codec(replacement, codec)
-        return replace(line, text="".join(ch if ch in codec else replacement for ch in text))
+        text = "".join(ch if ch in codec else replacement for ch in text)
+        return TranscriptionLine(line.book_id, line.line_id, text, line.engine_id)
     violations = [(i, ch) for i, ch in enumerate(text) if ch not in codec]
     shown = ", ".join(f"{ch!r} (U+{ord(ch):04X}) at {i}" for i, ch in violations[:10])
     more = "" if len(violations) <= 10 else f" and {len(violations) - 10} more"

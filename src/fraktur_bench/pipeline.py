@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .align import AlignmentResult, align
@@ -30,14 +30,27 @@ from .errors import ManifestError, PairingError
 from .lines import GT_SUFFIX, TranscriptionLine, conf_suffix, list_books, pred_suffix
 from .normalize import NormalizationRuleSet, normalize_line, require_replacement_in_codec
 
+
+# Bytes asked of each os.read; a line file is read until a read returns none.
+_CHUNK = 1 << 16
+
+
 def read_text_file(path: str | Path) -> str:
     """Read one line file: UTF-8, one trailing line ending (CRLF, LF or CR)
     stripped, nothing else."""
     try:
-        with open(path, "rb", buffering=0) as f:
-            raw = f.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
+        if exc.filename is None:  # os.read names no file, e.g. for a directory
+            exc = OSError(exc.errno, exc.strerror, os.fspath(path))
         raise ManifestError(f"cannot read {path}: {exc}") from exc
+    raw = b"".join(chunks)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -47,15 +60,15 @@ def read_text_file(path: str | Path) -> str:
     return text[:-1] if text.endswith(("\n", "\r")) else text
 
 
-def _read_tree(
-    root: Path, label: str, suffix: str, sidecar_suffix: str | None = None
+def _match_books(
+    books: Sequence[tuple[Path, tuple[str, ...]]], suffix: str, sidecar_suffix: str | None = None
 ) -> tuple[dict[str, dict[str, str]], dict[str, dict[str, Path]]]:
-    """dataset id -> line id -> text of every file whose name ends with
-    suffix, and dataset id -> line id -> path of every file whose name ends
-    with sidecar_suffix, found in the same listing and not read."""
+    """dataset id -> line id -> text of every listed file whose name ends
+    with suffix, and dataset id -> line id -> path of every listed file
+    whose name ends with sidecar_suffix, not read."""
     tree: dict[str, dict[str, str]] = {}
     sidecars: dict[str, dict[str, Path]] = {}
-    for book_dir, names in list_books(root, label):
+    for book_dir, names in books:
         prefix = os.path.join(book_dir, "")  # str joins: no Path per file
         lines = {
             name[: -len(suffix)]: read_text_file(prefix + name)
@@ -78,20 +91,30 @@ def _read_tree(
 def load_gt_tree(root: str | Path) -> dict[str, dict[str, str]]:
     """dataset id -> line id -> ground-truth text."""
     root = Path(root)
-    tree, _ = _read_tree(root, "ground-truth root", GT_SUFFIX)
+    tree, _ = _match_books(list_books(root, "ground-truth root"), GT_SUFFIX)
     if not tree:
         raise ManifestError(f"no ground-truth lines found under {root}")
     return tree
 
 
-def load_pred_tree(
-    root: str | Path, engine_id: str
-) -> tuple[dict[str, dict[str, str]], dict[str, dict[str, Path]]]:
-    """dataset id -> line id -> predicted text, for one engine, and dataset
-    id -> line id -> path of that engine's confidence sidecars."""
-    return _read_tree(
-        Path(root), "prediction root", pred_suffix(engine_id), conf_suffix(engine_id)
-    )
+def load_pred_trees(
+    pred_roots: Mapping[str, str | Path],
+) -> Iterator[tuple[str, dict[str, dict[str, str]], dict[str, dict[str, Path]]]]:
+    """For each engine of pred_roots, in its order: the engine id, dataset
+    id -> line id -> predicted text, and dataset id -> line id -> path of
+    the engine's confidence sidecars.
+
+    Engines that share a root share its listing: each distinct root is
+    listed once, when its first engine comes up, and each engine's files
+    are read when it comes up.
+    """
+    listings: dict[Path, list[tuple[Path, tuple[str, ...]]]] = {}
+    for engine, root in pred_roots.items():
+        root = Path(root)
+        if root not in listings:
+            listings[root] = list_books(root, "prediction root")
+        tree, sidecars = _match_books(listings[root], pred_suffix(engine), conf_suffix(engine))
+        yield engine, tree, sidecars
 
 
 def check_parity(
@@ -163,8 +186,7 @@ def eval_pipeline(
 
     cells: dict[str, dict[str, CerCell]] = {ds: {} for ds in dataset_list}
     confusion: dict[str, tuple] = {}
-    for engine in engines:
-        pred_tree, _ = load_pred_tree(pred_roots[engine], engine)
+    for engine, pred_tree, _ in load_pred_trees({e: pred_roots[e] for e in engines}):
         check_parity(gt_tree, pred_tree, engine, dataset_list)
         engine_results: list[AlignmentResult] = []
         for ds in dataset_list:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import inspect
 import json
 import subprocess
@@ -190,6 +191,11 @@ class TestExitCodes:
              report_with(lambda r: r["cells"]["N-1"]["e"].update(cer_sum="0.5")), "ReportError"),
             (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
              report_with(lambda r: r["cells"]["N-1"]["e"].update(cer_sum=False)), "ReportError"),
+            (["report", "--in", "{bad}", "--format", "json", "--out", "{out}"],
+             report_with(lambda r: r.update(metadata=[["seed", 7], ["dictionary_corpus", "O"]])),
+             "ReportError"),
+            (["report", "--in", "{bad}", "--format", "json", "--out", "{out}"],
+             report_with(lambda r: r.update(metadata=[])), "ReportError"),
         ],
         ids=[
             "report-not-object", "report-no-engines", "report-no-cells", "report-no-aggregates",
@@ -198,6 +204,7 @@ class TestExitCodes:
             "expected-not-utf8", "report-not-utf8", "manifest-not-utf8",
             "report-count-float", "report-count-negative", "report-count-bool",
             "report-k-string", "report-k-zero", "report-cer-sum-string", "report-cer-sum-bool",
+            "report-metadata-pairs", "report-metadata-empty-list",
         ],
     )
     def test_malformed_input(self, tmp_path, capsys, argv, content, error_type):
@@ -343,12 +350,16 @@ class TestWrongJsonTypes:
              "malformed report: cell 'N-1781'/'abbyy': distance is True, not an integer"),
             ("report", _set(("cells", "N-1781", "abbyy", "macro_lines"), 2.0),
              "malformed report: cell 'N-1781'/'abbyy': macro_lines is 2.0, not an integer"),
+            ("report", _set(("metadata",), [["seed", 7], ["dictionary_corpus", "O"]]),
+             "malformed report: metadata is not a JSON object"),
+            ("report", _set(("metadata",), []), "malformed report: metadata is not a JSON object"),
         ],
         ids=[
             "lines-string", "lines-not-strings", "book-id-number", "corpus-id-null", "metadata-null",
             "metadata-list", "engines-string", "engines-repeated", "datasets-string",
             "datasets-not-strings", "datasets-repeated", "cell-lines-float", "cell-gt-chars-string",
-            "cell-distance-bool", "cell-macro-lines-float",
+            "cell-distance-bool", "cell-macro-lines-float", "report-metadata-pairs",
+            "report-metadata-empty-list",
         ],
     )
     def test_rejected(self, corpus, tmp_path, capsys, kind, mutate, message):
@@ -517,6 +528,47 @@ class TestDefaults:
         params = inspect.signature(build_report).parameters
         assert params["k"].default == DEFAULT_TOP_K
         assert params["dictionary_corpus"].default == DICTIONARY_CORPUS
+
+
+USAGE_CASES = json.loads(
+    (Path(__file__).parent / "data" / "cli_usage.json").read_text(encoding="utf-8")
+)
+
+
+class TestParser:
+    """Help and usage errors, byte for byte as the parser that added every
+    command's arguments up front printed them. They were captured under
+    CPython 3.11 with COLUMNS=80, since argparse wraps help to the
+    terminal width."""
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11), reason="other versions of argparse word help differently"
+    )
+    @pytest.mark.parametrize(
+        "case", USAGE_CASES, ids=[" ".join(c["argv"]) or "no-arguments" for c in USAGE_CASES]
+    )
+    def test_output_unchanged(self, monkeypatch, capsys, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(list(case["argv"])) == case["code"]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (case["stdout"], case["stderr"])
+
+    def test_only_the_chosen_command_gets_arguments(self, monkeypatch):
+        calls = []
+        real = argparse._ActionsContainer.add_argument
+
+        def add_argument(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", add_argument)
+        args = build_parser().parse_args(
+            ["prepare", "scan", "--root", "r", "--corpus", "N", "--out", "o"]
+        )
+        assert (args.root, args.corpus, args.out) == ("r", "N", "o")
+        # the root's four, one -h per sub-parser and scan's three: 18, where
+        # building every command's arguments made 73
+        assert len(calls) <= 25
 
 
 class TestNormalizeCommand:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from fraktur_bench.errors import ManifestError
 from fraktur_bench.lines import IMAGE_SUFFIXES, line_id_of, strip_suffix
 from fraktur_bench.manifests import BookEntry, scan_corpus
-from fraktur_bench.pipeline import load_gt_tree, load_pred_tree, read_text_file
+from fraktur_bench.pipeline import load_gt_tree, load_pred_trees, read_text_file
 
 logger = logging.getLogger("reference_scan")
 
@@ -195,10 +195,22 @@ def logged(name: str):
         target.setLevel(old_level)
 
 
-def load_pred_texts(root: str | Path, engine_id: str) -> dict[str, dict[str, str]]:
-    """The predictions load_pred_tree reads, without its sidecar paths."""
-    texts, _ = load_pred_tree(root, engine_id)
-    return texts
+def load_pred_texts(root: str | Path, engine_ids) -> dict[str, dict[str, dict[str, str]]]:
+    """engine id -> the predictions load_pred_trees reads for engines that
+    share root, without their sidecar paths."""
+    return {e: texts for e, texts, _ in load_pred_trees(dict.fromkeys(engine_ids, root))}
+
+
+def reference_pred_texts(root: str | Path, engine_ids) -> dict[str, dict[str, dict[str, str]]]:
+    """engine id -> reference_load_pred_tree's tree, one walk per engine."""
+    return {e: reference_load_pred_tree(root, e) for e in engine_ids}
+
+
+def _ordered(value):
+    """Nested dicts as lists of items, so that comparing them compares order."""
+    if isinstance(value, dict):
+        return [(key, _ordered(item)) for key, item in value.items()]
+    return value
 
 
 def outcome(fn, *args):
@@ -207,9 +219,7 @@ def outcome(fn, *args):
         result = fn(*args)
     except ManifestError as exc:
         return ("error", str(exc))
-    if isinstance(result, dict):
-        return ("ok", [(book, list(lines.items())) for book, lines in result.items()])
-    return ("ok", result)
+    return ("ok", _ordered(result))
 
 
 class TestAgainstReference:
@@ -225,10 +235,9 @@ class TestAgainstReference:
             assert scanned == expected
             assert got == want
             assert outcome(load_gt_tree, root) == outcome(reference_load_gt_tree, root)
-            for engine in ENGINES:
-                assert outcome(load_pred_texts, root, engine) == outcome(
-                    reference_load_pred_tree, root, engine
-                )
+            assert outcome(load_pred_texts, root, ENGINES) == outcome(
+                reference_pred_texts, root, ENGINES
+            )
 
     @pytest.mark.parametrize("reader", ["scan", "gt", "pred"])
     def test_missing_root_matches(self, tmp_path, reader):
@@ -236,7 +245,7 @@ class TestAgainstReference:
         new, old = {
             "scan": ((scan_corpus, missing, "N"), (reference_scan_corpus, missing, "N")),
             "gt": ((load_gt_tree, missing), (reference_load_gt_tree, missing)),
-            "pred": ((load_pred_texts, missing, "e"), (reference_load_pred_tree, missing, "e")),
+            "pred": ((load_pred_texts, missing, ENGINES), (reference_pred_texts, missing, ENGINES)),
         }[reader]
         assert outcome(*new) == outcome(*old)
         assert outcome(*new)[0] == "error"
@@ -245,7 +254,7 @@ class TestAgainstReference:
 READERS = {
     "scan": lambda root: scan_corpus(root, "N"),
     "gt": load_gt_tree,
-    "pred": lambda root: load_pred_tree(root, "e"),
+    "pred": lambda root: load_pred_texts(root, ("e",)),
 }
 
 
