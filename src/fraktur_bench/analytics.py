@@ -186,12 +186,6 @@ class CerCell:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class TopShare:
-    k: int
-    share: Fraction
-
-
 def corpus_of(dataset_id: str) -> str:
     """Corpus id of a dataset: the prefix before the first dash."""
     return dataset_id.split("-", 1)[0] if "-" in dataset_id else dataset_id
@@ -199,7 +193,8 @@ def corpus_of(dataset_id: str) -> str:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """The full evaluation matrix plus per-engine error analytics."""
+    """The full evaluation matrix plus per-engine error analytics; each
+    engine's top-k share is taken over the same k."""
 
     engines: tuple[str, ...]
     datasets: tuple[str, ...]
@@ -207,7 +202,8 @@ class EvaluationReport:
     aggregates: tuple[tuple[str, Mapping[str, CerCell]], ...]
     confusion: Mapping[str, tuple[ConfusionEntry, ...]]
     whitespace: Mapping[str, WhitespaceSummary]
-    top_share: Mapping[str, TopShare]
+    k: int
+    top_share: Mapping[str, Fraction]
     metadata: Mapping[str, object]
 
 
@@ -272,7 +268,8 @@ def build_report(
         aggregates=compute_aggregates(datasets, engines, cells, dictionary_corpus),
         confusion=conf_frozen,
         whitespace={eng: classify_whitespace_errors(entries) for eng, entries in conf_frozen.items()},
-        top_share={eng: TopShare(k, top_k_error_share(entries, k)) for eng, entries in conf_frozen.items()},
+        k=k,
+        top_share={eng: top_k_error_share(entries, k) for eng, entries in conf_frozen.items()},
         metadata={**(metadata or {}), "dictionary_corpus": dictionary_corpus},
     )
 
@@ -345,12 +342,12 @@ def _errors_payload(report: EvaluationReport) -> dict[str, object]:
         },
         "top_share": {
             eng: {
-                "k": ts.k,
-                "numerator": ts.share.numerator,
-                "denominator": ts.share.denominator,
-                "value": float(ts.share),
+                "k": report.k,
+                "numerator": share.numerator,
+                "denominator": share.denominator,
+                "value": float(share),
             }
-            for eng, ts in report.top_share.items()
+            for eng, share in report.top_share.items()
         },
     }
 
@@ -482,10 +479,9 @@ def _report_to_markdown(report: EvaluationReport) -> bytes:
         for eng in report.engines:
             if eng not in report.top_share:
                 continue
-            ts = report.top_share[eng]
             w = report.whitespace[eng]
             out.append(
-                f"| {_md_escape(eng)} | {float(ts.share) * 100:.2f}% (k={ts.k}) "
+                f"| {_md_escape(eng)} | {float(report.top_share[eng]) * 100:.2f}% (k={report.k}) "
                 f"| {w.space_insertions} | {w.space_deletions} | {w.other} |"
             )
     out.append("")
@@ -534,12 +530,11 @@ def emit_errors_report(report: EvaluationReport, format: str) -> bytes:
                 continue
             entries = report.confusion[eng]
             w = report.whitespace[eng]
-            ts = report.top_share[eng]
             out.append(f"## {_md_escape(eng)}")
             out.append("")
             out.append(
-                f"{sum(e.count for e in entries)} errors; top-{ts.k} share "
-                f"{float(ts.share) * 100:.2f}%; space insertions {w.space_insertions}, "
+                f"{sum(e.count for e in entries)} errors; top-{report.k} share "
+                f"{float(report.top_share[eng]) * 100:.2f}%; space insertions {w.space_insertions}, "
                 f"space deletions {w.space_deletions}, other {w.other}."
             )
             out.append("")

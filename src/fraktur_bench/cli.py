@@ -35,10 +35,9 @@ from .analytics import (
 )
 from .codec import Codec, codec_coverage_report, default_codec, load_codec
 from .errors import ManifestError, ReportError, ToolkitError, VotingError
-from .lines import TranscriptionLine, line_id_of
+from .lines import TranscriptionLine, line_id_of, pred_suffix
 from .manifests import (
     BookEntry,
-    CountExpectation,
     TrainingSchedule,
     TrainingStage,
     build_schedule,
@@ -58,24 +57,30 @@ from .normalize import (
     require_replacement_in_codec,
 )
 from .pipeline import eval_pipeline, load_pred_trees, read_text_file
-from .voting import TIE_BREAKS, VoterOutput, VotingConfig, vote_line
+from .voting import TIE_BREAKS, VOTED_ENGINE_ID, VoterOutput, VotingConfig, vote_line
 
 FORMATS = ("json", "csv", "markdown")
 
 
 def write_atomic(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    """Write through a temp file and a rename; a path that cannot be
+    written is a data error."""
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        tmp = None  # renamed: nothing left to remove
+    except OSError as exc:
+        raise ToolkitError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 def _read_input(path: str, error: type[ToolkitError]) -> bytes:
@@ -147,15 +152,13 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     files = sorted(src.rglob(args.pattern))
     if not files:
         raise ManifestError(f"no files matching {args.pattern!r} under {src}")
-    lines = [
-        TranscriptionLine(f.parent.name, line_id_of(f.name), read_text_file(f)) for f in files
-    ]
-    report = codec_coverage_report(lines, codec)
+    texts = [read_text_file(f) for f in files]
+    in_codec, out_of_codec = codec_coverage_report(texts, codec)
     payload = {
         "codec": codec.name,
-        "total_chars": report.total_chars,
-        "in_codec": [{"char": c, "count": n} for c, n in report.in_codec],
-        "out_of_codec": [{"char": c, "count": n} for c, n in report.out_of_codec],
+        "total_chars": sum(map(len, texts)),
+        "in_codec": [{"char": c, "count": n} for c, n in in_codec],
+        "out_of_codec": [{"char": c, "count": n} for c, n in out_of_codec],
     }
     data = (json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode()
     if args.out:
@@ -254,10 +257,10 @@ def _cmd_vote(args: argparse.Namespace) -> int:
                     inputs.append((eng, text, _load_confidences(conf_path, text)))
             try:
                 voters = [VoterOutput(eng, text, conf) for eng, text, conf in inputs]
-                text = vote_line(voters, config).text
+                text = vote_line(voters, config)
             except VotingError as exc:
                 raise VotingError(f"book {book!r}, line {lid!r}: {exc}") from None
-            voted.append((out_root / book / f"{lid}.pred.voted.txt", text))
+            voted.append((out_root / book / (lid + pred_suffix(VOTED_ENGINE_ID)), text))
     for path, text in voted:
         write_atomic(path, (text + "\n").encode("utf-8"))
     print(f"voted {len(voted)} line(s) across {len(books)} book(s) -> {out_root}")
@@ -333,7 +336,7 @@ def _cmd_prepare_schedule(args: argparse.Namespace) -> int:
 
 def _cmd_prepare_verify(args: argparse.Namespace) -> int:
     books = _load_manifests(args.manifest)
-    expected: list[CountExpectation] = []
+    expected: list[tuple[str, int, int]] = []
     try:
         text = _read_input(args.expected, ManifestError).decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -346,25 +349,14 @@ def _cmd_prepare_verify(args: argparse.Namespace) -> int:
         )
     for row in reader:
         try:
-            expected.append(
-                CountExpectation(row["corpus_id"], int(row["books"]), int(row["lines"]))
-            )
+            expected.append((row["corpus_id"], int(row["books"]), int(row["lines"])))
         except (TypeError, ValueError) as exc:
             raise ManifestError(
                 f"{args.expected}:{reader.line_num}: books and lines must be integers, "
                 f"got {row['books']!r} and {row['lines']!r}"
             ) from exc
     problems = verify_counts(books, expected)
-    payload = [
-        {
-            "corpus_id": d.corpus_id,
-            "field": d.field,
-            "expected": d.expected,
-            "actual": d.actual,
-        }
-        for d in problems
-    ]
-    data = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    data = (json.dumps(problems, sort_keys=True, indent=2) + "\n").encode("utf-8")
     if args.out:
         write_atomic(Path(args.out).resolve(), data)
     else:

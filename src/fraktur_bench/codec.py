@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CodecError
-from .lines import TranscriptionLine
 
 _DEFAULT_CODEC_RESOURCE = "codec_default.txt"
 
@@ -154,36 +153,29 @@ def default_codec() -> Codec:
     return _parse_codec_text(content, _DEFAULT_CODEC_RESOURCE, "default")
 
 
-def validate_against_codec(line: TranscriptionLine, codec: Codec) -> list[tuple[int, str]]:
+def validate_against_codec(text: str, codec: Codec) -> list[tuple[int, str]]:
     """Return (position, character) for every character outside the codec.
 
     Positions are character indices, not byte offsets. Total function: an
-    empty result means the line is codec-clean.
+    empty result means the text is codec-clean.
     """
-    return [(i, ch) for i, ch in enumerate(line.text) if ch not in codec]
+    return [(i, ch) for i, ch in enumerate(text) if ch not in codec]
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    """Character frequencies partitioned by codec membership.
-
-    Both tables are sorted by frequency descending, ties by code point, so
-    a report is deterministic for a given input.
-    """
-
-    in_codec: tuple[tuple[str, int], ...]
-    out_of_codec: tuple[tuple[str, int], ...]
-    total_chars: int
-
-
-def codec_coverage_report(lines: Iterable[TranscriptionLine], codec: Codec) -> CoverageReport:
+def codec_coverage_report(
+    texts: Iterable[str], codec: Codec
+) -> tuple[tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]]:
+    """Character frequencies of texts, partitioned by codec membership:
+    (in_codec, out_of_codec). Both tables are sorted by frequency
+    descending, ties by code point, so they are deterministic for a given
+    input."""
     counts: Counter[str] = Counter()
-    for line in lines:
-        counts.update(line.text)
+    for text in texts:
+        counts.update(text)
 
     def ordered(items: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(items, key=lambda kv: (-kv[1], ord(kv[0]))))
 
     inside = ordered((c, n) for c, n in counts.items() if c in codec)
     outside = ordered((c, n) for c, n in counts.items() if c not in codec)
-    return CoverageReport(inside, outside, sum(counts.values()))
+    return inside, outside

@@ -194,28 +194,16 @@ def build_schedule(
     return out
 
 
-@dataclass(frozen=True)
-class CountExpectation:
-    corpus_id: str
-    books: int
-    lines: int
-
-
-@dataclass(frozen=True)
-class Discrepancy:
-    corpus_id: str
-    field: str
-    expected: int
-    actual: int
-
-
 def verify_counts(
-    manifest: Sequence[BookEntry], expected: Iterable[CountExpectation]
-) -> list[Discrepancy]:
-    """Compare scanned book/line counts against an expectation table.
+    manifest: Sequence[BookEntry], expected: Iterable[tuple[str, int, int]]
+) -> list[dict[str, object]]:
+    """Compare scanned book/line counts against an expectation table of
+    (corpus_id, books, lines) rows.
 
-    Discrepancies are data, not errors: an empty list means all expectations
-    hold. Corpora absent from the manifest count as zero.
+    Discrepancies are data, not errors: each is a row
+    ``{"corpus_id", "field", "expected", "actual"}`` with field "books" or
+    "lines", and an empty list means all expectations hold. Corpora
+    absent from the manifest count as zero.
     """
     books_by_corpus: dict[str, int] = {}
     lines_by_corpus: dict[str, int] = {}
@@ -224,14 +212,16 @@ def verify_counts(
         lines_by_corpus[entry.corpus_id] = (
             lines_by_corpus.get(entry.corpus_id, 0) + entry.line_count
         )
-    problems: list[Discrepancy] = []
-    for exp in expected:
-        actual_books = books_by_corpus.get(exp.corpus_id, 0)
-        actual_lines = lines_by_corpus.get(exp.corpus_id, 0)
-        if actual_books != exp.books:
-            problems.append(Discrepancy(exp.corpus_id, "books", exp.books, actual_books))
-        if actual_lines != exp.lines:
-            problems.append(Discrepancy(exp.corpus_id, "lines", exp.lines, actual_lines))
+    problems: list[dict[str, object]] = []
+    for corpus_id, books, lines in expected:
+        for field, want, actual in (
+            ("books", books, books_by_corpus.get(corpus_id, 0)),
+            ("lines", lines, lines_by_corpus.get(corpus_id, 0)),
+        ):
+            if actual != want:
+                problems.append(
+                    {"corpus_id": corpus_id, "field": field, "expected": want, "actual": actual}
+                )
     return problems
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .codec import Codec, unescape_entry
+from .codec import Codec, unescape_entry, validate_against_codec
 from .errors import CodecError, ConvergenceError, NormalizationError, RuleSetError
 from .lines import TranscriptionLine
 
@@ -186,7 +186,7 @@ def normalize_line(
         require_replacement_in_codec(replacement, codec)
         text = "".join(ch if ch in codec else replacement for ch in text)
         return TranscriptionLine(line.book_id, line.line_id, text, line.engine_id)
-    violations = [(i, ch) for i, ch in enumerate(text) if ch not in codec]
+    violations = validate_against_codec(text, codec)
     shown = ", ".join(f"{ch!r} (U+{ord(ch):04X}) at {i}" for i, ch in violations[:10])
     more = "" if len(violations) <= 10 else f" and {len(violations) - 10} more"
     side = "ground truth" if line.engine_id is None else f"engine {line.engine_id!r}"

@@ -78,19 +78,6 @@ class VotingConfig:
             raise VotingError(f"unknown tie_break {self.tie_break!r}")
 
 
-@dataclass
-class _Slot:
-    # votes: symbol -> voter indices; a symbol is one char (slots), a string
-    # of inserted chars (gaps), or "" for no opinion.
-    votes: dict[str, list[int]]
-    confidence: dict[str, float]
-    pivot_symbol: str
-
-    def cast(self, symbol: str, voter: int, confidence: float) -> None:
-        self.votes.setdefault(symbol, []).append(voter)
-        self.confidence[symbol] = self.confidence.get(symbol, 0.0) + confidence
-
-
 def _pick_pivot(outputs: Sequence[VoterOutput], config: VotingConfig) -> int:
     if config.pivot == "first":
         return 0
@@ -110,20 +97,28 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _resolve(slot: _Slot, config: VotingConfig) -> str:
-    top = max(len(v) for v in slot.votes.values())
-    leaders = sorted(sym for sym, v in slot.votes.items() if len(v) == top)
+def _resolve(casts: Sequence[tuple[str, int, float]], config: VotingConfig) -> str:
+    """The symbol a slot elects from its (symbol, voter index, confidence)
+    casts, the pivot's first. A symbol is one character (slots), the
+    inserted characters (gaps), or "" for no opinion."""
+    votes: dict[str, list[int]] = {}
+    confidence: dict[str, float] = {}
+    for symbol, voter, conf in casts:
+        votes.setdefault(symbol, []).append(voter)
+        confidence[symbol] = confidence.get(symbol, 0.0) + conf
+    top = max(len(v) for v in votes.values())
+    leaders = sorted(sym for sym, v in votes.items() if len(v) == top)
     if len(leaders) == 1:
         return leaders[0]
     if config.tie_break == "abstain_to_pivot":
-        return slot.pivot_symbol
+        return casts[0][0]
     if config.tie_break == "confidence":
-        best = max(slot.confidence.get(s, 0.0) for s in leaders)
-        leaders = [s for s in leaders if slot.confidence.get(s, 0.0) == best]
+        best = max(confidence[s] for s in leaders)
+        leaders = [s for s in leaders if confidence[s] == best]
         if len(leaders) == 1:
             return leaders[0]
     # first_voter, and the fallback for exact confidence ties
-    return min(leaders, key=lambda s: min(slot.votes[s]))
+    return min(leaders, key=lambda s: min(votes[s]))
 
 
 class _Edits:
@@ -159,24 +154,24 @@ class _Edits:
             self.starts.append(p)
             self.shifts.append(q - p)
 
-    def vote(self, key: int, pivot_text: str) -> tuple[str, float]:
-        """The symbol this voter casts at a slot, and its confidence."""
+    def vote(self, key: int, pivot_text: str) -> tuple[str, int, float]:
+        """This voter's cast at a slot: its symbol, index and confidence."""
         text, conf = self.voter.text, self.voter.confidences
         span = self.spans.get(key)
         if span is None:
             if not key & 1:
-                return "", 0.0
+                return "", self.index, 0.0
             i = key >> 1
             q = i + self.shifts[bisect_right(self.starts, i) - 1]
-            return pivot_text[i], conf[q] if conf is not None else 0.0
+            return pivot_text[i], self.index, conf[q] if conf is not None else 0.0
         q0, q1 = span
         if conf is None or q0 == q1:
-            return text[q0:q1], 0.0
-        return text[q0:q1], conf[q0] if key & 1 else _mean(conf[q0:q1])
+            return text[q0:q1], self.index, 0.0
+        return text[q0:q1], self.index, conf[q0] if key & 1 else _mean(conf[q0:q1])
 
 
-def vote_line(outputs: Sequence[VoterOutput], config: VotingConfig) -> VoterOutput:
-    """Combine outputs for one line into a single voted output."""
+def vote_line(outputs: Sequence[VoterOutput], config: VotingConfig) -> str:
+    """Combine outputs for one line into the voted text."""
     if len(outputs) < config.min_voters:
         raise VotingError(
             f"insufficient voters: got {len(outputs)}, need {config.min_voters}"
@@ -199,7 +194,7 @@ def vote_line(outputs: Sequence[VoterOutput], config: VotingConfig) -> VoterOutp
     ]
     contested = set().union(*(v.spans for v in voters))
     if not contested:
-        return VoterOutput(VOTED_ENGINE_ID, text)
+        return text
 
     pieces: list[str] = []
     done = 0  # pivot characters already in pieces
@@ -207,17 +202,13 @@ def vote_line(outputs: Sequence[VoterOutput], config: VotingConfig) -> VoterOutp
         pos = key >> 1
         # The pivot votes its own text: its character, or no insertion.
         if key & 1:
-            slot = _Slot({}, {}, text[pos])
             conf = pivot.confidences[pos] if pivot.confidences is not None else 0.0
-            slot.cast(text[pos], pivot_idx, conf)
+            casts = [(text[pos], pivot_idx, conf)]
         else:
-            slot = _Slot({}, {}, "")
-            slot.cast("", pivot_idx, 0.0)
-        for voter in voters:
-            symbol, conf = voter.vote(key, text)
-            slot.cast(symbol, voter.index, conf)
+            casts = [("", pivot_idx, 0.0)]
+        casts += [voter.vote(key, text) for voter in voters]
         pieces.append(text[done:pos])
-        pieces.append(_resolve(slot, config))
+        pieces.append(_resolve(casts, config))
         done = pos + (key & 1)
     pieces.append(text[done:])
-    return VoterOutput(VOTED_ENGINE_ID, "".join(pieces))
+    return "".join(pieces)

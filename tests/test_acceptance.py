@@ -134,7 +134,7 @@ def test_normalization_idempotent_and_codec_closed():
             succeeded += 1
             again = normalize_line(once, rules, codec)
             assert again.text == once.text, f"not idempotent on {text!r}"
-            assert validate_against_codec(once, codec) == [], f"not closed on {text!r}"
+            assert validate_against_codec(once.text, codec) == [], f"not closed on {text!r}"
         # the fuzz alphabet is built from rule sources and codec members,
         # so failures should be rare; guard against a silently skipped suite
         assert succeeded >= 900, f"only {succeeded} fuzz cases normalized cleanly"
@@ -308,14 +308,14 @@ def test_voting_unanimity_and_majority():
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
             n = rng.randint(2, 5)
             voters = [VoterOutput(f"e{i}", text) for i in range(n)]
-            assert vote_line(voters, config).text == text
+            assert vote_line(voters, config) == text
         for _ in range(1_000):
             good = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
             bad = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
             copies = rng.randint(2, 4)
             voters = [VoterOutput(f"g{i}", good) for i in range(copies)]
             voters.append(VoterOutput("dissent", bad))
-            assert vote_line(voters, config).text == good, (good, bad)
+            assert vote_line(voters, config) == good, (good, bad)
 
 
 def test_voting_beats_mean_single_cer():
@@ -329,7 +329,7 @@ def test_voting_beats_mean_single_cer():
             rng = random.Random(1_000 + trial)
             copies = [corrupt(truth, 0.02, rng, alphabet) for _ in range(5)]
             voters = [VoterOutput(f"e{i}", c) for i, c in enumerate(copies)]
-            voted = vote_line(voters, config).text
+            voted = vote_line(voters, config)
             voted_cer = align(truth, voted).cer
             mean_single = sum(align(truth, c).cer for c in copies) / len(copies)
             if voted_cer < mean_single:

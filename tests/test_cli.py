@@ -425,6 +425,42 @@ class TestReplacementOutsideCodec:
         assert not out.exists()
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is a data error: one line,
+    exit 1, --error-json honoured, and no temp file left behind."""
+
+    @pytest.mark.parametrize(
+        "argv, out, written, reason",
+        [
+            (["eval", *EVAL_ARGS], "{root}/taken", "{root}/taken", "Is a directory"),
+            (["eval", *EVAL_ARGS], "{root}/file/r.json", "{root}/file/r.json", "File exists"),
+            (["normalize", "--in", "{root}/gt/N-1781/l1.gt.txt", "--out", "{out}"],
+             "{root}/taken", "{root}/taken", "Is a directory"),
+            # vote fails on its first voted line
+            (["vote", "--pred", "{root}/pred", "--engine", "abbyy", "--engine", "tess",
+              "--out", "{out}"], "{root}/file", "{root}/file/N-1781/l1.pred.voted.txt",
+             "Not a directory"),
+        ],
+        ids=["eval-out-is-directory", "eval-out-under-file", "normalize-out-is-directory",
+             "vote-out-is-file"],
+    )
+    def test_one_line_error(self, corpus, capsys, argv, out, written, reason):
+        (corpus / "taken").mkdir()
+        (corpus / "file").write_text("x\n", encoding="utf-8")
+        argv = [a.format(root=corpus, out=out.format(root=corpus)) for a in argv]
+        written = written.format(root=corpus)
+
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: cannot write {written}: {reason}\n"
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {
+            "error": {"type": "ToolkitError", "message": f"cannot write {written}: {reason}"}
+        }
+        assert list((corpus / "taken").iterdir()) == []
+        assert (corpus / "file").read_text(encoding="utf-8") == "x\n"
+
+
 class TestDataErrorsNameTheLine:
     """A data error in one line names its book and line, and whose text it
     is: an engine's or the ground truth."""
@@ -631,6 +667,66 @@ class TestNormalizeCommand:
         capsys.readouterr()
 
 
+COVERAGE_JSON = """\
+{
+  "codec": "default",
+  "in_codec": [
+    {
+      "char": "a",
+      "count": 2
+    },
+    {
+      "char": "ſ",
+      "count": 2
+    },
+    {
+      "char": " ",
+      "count": 1
+    },
+    {
+      "char": "ä",
+      "count": 1
+    }
+  ],
+  "out_of_codec": [
+    {
+      "char": "“",
+      "count": 1
+    },
+    {
+      "char": "„",
+      "count": 1
+    },
+    {
+      "char": "†",
+      "count": 1
+    }
+  ],
+  "total_chars": 9
+}
+"""
+
+
+class TestCoverageCommand:
+    """The coverage JSON, byte for byte: total_chars counts every character
+    of every matched file, and both tables run by count, then code point."""
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_output_bytes(self, tmp_path, capsys, to_file):
+        gt = make_gt_tree(tmp_path / "gt", {"A": {"l1": "„ſa“ ä"}, "B": {"l1": "ſa†"}})
+        make_pred_tree(gt, "e", {"B": {"l1": "not matched by the pattern"}})
+        argv = ["coverage", "--in", str(gt)]
+        out = tmp_path / "coverage.json"
+        assert run([*argv, "--out", str(out)] if to_file else argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if to_file:
+            assert captured.out == ""
+            assert out.read_bytes() == COVERAGE_JSON.encode("utf-8")
+        else:
+            assert captured.out == COVERAGE_JSON
+
+
 class TestEvalCommand:
     def eval_args(self, corpus: Path, out: Path, *extra: str) -> list[str]:
         return [
@@ -792,6 +888,18 @@ class TestVoteCommand:
         assert (out / "N-1803" / "l1.pred.voted.txt").read_text(encoding="utf-8") == "mehr Zeit\n"
         capsys.readouterr()
 
+    def test_output_file_names(self, tmp_path, capsys):
+        # one <line id>.pred.voted.txt per line, in its book; a line id may hold dots
+        make_pred_tree(tmp_path / "pred", "e0", {"A": {"l1": "ab", "l1.bin": "x"}, "B": {"l2": "c"}})
+        make_pred_tree(tmp_path / "pred", "e1", {"A": {"l1": "ab", "l1.bin": "x"}, "B": {"l2": "c"}})
+        out = tmp_path / "voted"
+        argv = ["vote", "--pred", str(tmp_path / "pred"), "--engine", "e0", "--engine", "e1"]
+        assert run([*argv, "--out", str(out)]) == 0
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "A", "A/l1.bin.pred.voted.txt", "A/l1.pred.voted.txt", "B", "B/l2.pred.voted.txt",
+        ]
+        assert capsys.readouterr().out == f"voted 3 line(s) across 2 book(s) -> {out}\n"
+
     def test_min_voters_enforced(self, tmp_path, capsys):
         # book A is complete; book B has one complete line and two short ones
         make_pred_tree(tmp_path / "pred", "e0", {"A": {"l1": "ab"}, "B": {"l1": "a", "l2": "b", "l3": "c"}})
@@ -928,6 +1036,32 @@ class TestPrepareCommands:
         assert json.loads(captured.out) == [{"corpus_id": "N", "field": "lines", "expected": 4, "actual": 3}]
         assert captured.out.encode("utf-8") == out.read_bytes()
         assert captured.err == "1 discrepancy(ies)\n"
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_verify_output_bytes(self, tmp_path, capsys, to_file):
+        # verify, unlike the other JSON writers, escapes non-ASCII ids
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(
+            manifest_to_json([BookEntry("Ä-1", "Ä", ("l1", "l2")), BookEntry("Ä-2", "Ä", ("l1",))])
+        )
+        expected = tmp_path / "expected.csv"
+        expected.write_text("corpus_id,books,lines\nÄ,3,4\nN,1,0\nÄ,2,3\n", encoding="utf-8")
+        argv = ["prepare", "verify", "--manifest", str(manifest), "--expected", str(expected)]
+        out = tmp_path / "verify.json"
+        assert run([*argv, "--out", str(out)] if to_file else argv) == 0
+        captured = capsys.readouterr()
+        data = (
+            "[\n"
+            '  {\n    "actual": 2,\n    "corpus_id": "\\u00c4",\n    "expected": 3,\n    "field": "books"\n  },\n'
+            '  {\n    "actual": 3,\n    "corpus_id": "\\u00c4",\n    "expected": 4,\n    "field": "lines"\n  },\n'
+            '  {\n    "actual": 0,\n    "corpus_id": "N",\n    "expected": 1,\n    "field": "books"\n  }\n'
+            "]\n"
+        )
+        if to_file:
+            assert out.read_bytes() == data.encode("ascii")
+            assert (captured.out, captured.err) == ("3 discrepancy(ies)\n", "")
+        else:
+            assert (captured.out, captured.err) == (data, "3 discrepancy(ies)\n")
 
     def test_refine_caps_thirty_nine_books(self, tmp_path, capsys):
         # 39 books, each one at or above the cap, cap 50: exactly 39 * 50

@@ -8,8 +8,6 @@ import pytest
 from fraktur_bench.errors import ManifestError
 from fraktur_bench.manifests import (
     BookEntry,
-    CountExpectation,
-    Discrepancy,
     TrainingSchedule,
     TrainingStage,
     build_schedule,
@@ -164,7 +162,7 @@ class TestTableShapedFixtures:
         sizes = [300, 250, 280, 310, 240, 260, 290, 270, 255, 265, 245, 258, 260]
         assert sum(sizes) == 3_483
         books = [book(f"novel{i:02d}", n) for i, n in enumerate(sizes)]
-        assert verify_counts(books, [CountExpectation("N", books=13, lines=3_483)]) == []
+        assert verify_counts(books, [("N", 13, 3_483)]) == []
 
     def test_mostly_small_books_fall_under_cap_times_books(self):
         # 103 books, nearly all under the cap: refinement total lands
@@ -212,19 +210,19 @@ class TestBuildSchedule:
 class TestVerifyCounts:
     def test_all_good(self):
         books = [book("b1", 10), book("b2", 20)]
-        expected = [CountExpectation("N", books=2, lines=30)]
-        assert verify_counts(books, expected) == []
+        assert verify_counts(books, [("N", 2, 30)]) == []
 
     def test_mismatch_reported(self):
         books = [book("b1", 10)]
-        expected = [CountExpectation("N", books=2, lines=30)]
-        problems = verify_counts(books, expected)
-        assert Discrepancy("N", "books", 2, 1) in problems
-        assert Discrepancy("N", "lines", 30, 10) in problems
+        problems = verify_counts(books, [("N", 2, 30)])
+        assert problems == [
+            {"corpus_id": "N", "field": "books", "expected": 2, "actual": 1},
+            {"corpus_id": "N", "field": "lines", "expected": 30, "actual": 10},
+        ]
 
     def test_absent_corpus_counts_zero(self):
-        problems = verify_counts([], [CountExpectation("Q", books=1, lines=5)])
-        assert Discrepancy("Q", "books", 1, 0) in problems
+        problems = verify_counts([], [("Q", 1, 5)])
+        assert {"corpus_id": "Q", "field": "books", "expected": 1, "actual": 0} in problems
 
 
 class TestManifestJson:

@@ -70,3 +70,21 @@ def test_only_align_names_the_op_vocabulary(path):
         elif isinstance(node, ast.alias):
             names |= {node.name.rpartition(".")[2], node.asname}
     assert names & {"OpKind", "EditOp"} == set()
+
+
+def test_few_dataclasses():
+    """Each @dataclass costs about 1 ms to create when the package is
+    imported (CPython 3.11, 2-core VM), and every command imports them
+    all: the 20 declared before the record types that only copied or
+    repeated state were deleted took 15-32 ms of a 63-136 ms
+    ``import fraktur_bench.cli``, timed by wrapping
+    ``dataclasses._process_class``. A new record type has to fit under
+    this count, or replace one."""
+    count = 0
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    count += isinstance(target, ast.Name) and target.id == "dataclass"
+    assert count <= 15
