@@ -23,8 +23,6 @@ from .errors import ToolkitError
 from .lines import TranscriptionLine
 from .manifests import (
     BookEntry,
-    TrainingSchedule,
-    TrainingStage,
     build_schedule,
     refinement_sample,
     scan_corpus,
@@ -41,8 +39,6 @@ __all__ = [
     "EvaluationReport",
     "NormalizationRuleSet",
     "ToolkitError",
-    "TrainingSchedule",
-    "TrainingStage",
     "TranscriptionLine",
     "VoterOutput",
     "VotingConfig",

@@ -38,8 +38,6 @@ from .errors import ManifestError, ReportError, ToolkitError, VotingError
 from .lines import TranscriptionLine, line_id_of, pred_suffix
 from .manifests import (
     BookEntry,
-    TrainingSchedule,
-    TrainingStage,
     build_schedule,
     manifest_from_json,
     manifest_to_json,
@@ -62,6 +60,10 @@ from .voting import TIE_BREAKS, VOTED_ENGINE_ID, VoterOutput, VotingConfig, vote
 FORMATS = ("json", "csv", "markdown")
 
 
+def _cannot_write(path: Path, exc: OSError) -> ToolkitError:
+    return ToolkitError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def write_atomic(path: Path, data: bytes) -> None:
     """Write through a temp file and a rename; a path that cannot be
     written is a data error."""
@@ -74,13 +76,30 @@ def write_atomic(path: Path, data: bytes) -> None:
         os.replace(tmp, path)
         tmp = None  # renamed: nothing left to remove
     except OSError as exc:
-        raise ToolkitError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise _cannot_write(path, exc) from exc
     finally:
         if tmp is not None:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
+
+
+def _write_tree(outputs: list[tuple[Path, bytes]]) -> None:
+    """Write each (path, data) with write_atomic, after making every
+    directory they go in, in first-seen order: a directory that cannot be
+    made fails the command before any file is written. Its error names the
+    first file meant for it, as write_atomic's would."""
+    first_file: dict[Path, Path] = {}
+    for path, _ in outputs:
+        first_file.setdefault(path.parent, path)
+    for parent, path in first_file.items():
+        try:
+            parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from exc
+    for path, data in outputs:
+        write_atomic(path, data)
 
 
 def _read_input(path: str, error: type[ToolkitError]) -> bytes:
@@ -139,9 +158,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         raise ManifestError(f"no files matching {args.pattern!r} under {src}")
     # Every file is normalized before any is written: a bad line in a later
     # file leaves no partial output tree.
-    outputs = [(dst / f.relative_to(src), normalized(f)) for f in files]
-    for out_file, data in outputs:
-        write_atomic(out_file, data)
+    _write_tree([(dst / f.relative_to(src), normalized(f)) for f in files])
     print(f"normalized {len(files)} file(s) -> {dst}")
     return 0
 
@@ -245,7 +262,7 @@ def _cmd_vote(args: argparse.Namespace) -> int:
                 f"need {config.min_voters}: {', '.join(short[:10])}"
             )
         lines_by_book[book] = sorted(voter_count)
-    voted: list[tuple[Path, str]] = []
+    voted: list[tuple[Path, bytes]] = []
     out_root = Path(args.out).resolve()
     for book, line_ids in lines_by_book.items():
         for lid in line_ids:
@@ -260,9 +277,9 @@ def _cmd_vote(args: argparse.Namespace) -> int:
                 text = vote_line(voters, config)
             except VotingError as exc:
                 raise VotingError(f"book {book!r}, line {lid!r}: {exc}") from None
-            voted.append((out_root / book / (lid + pred_suffix(VOTED_ENGINE_ID)), text))
-    for path, text in voted:
-        write_atomic(path, (text + "\n").encode("utf-8"))
+            path = out_root / book / (lid + pred_suffix(VOTED_ENGINE_ID))
+            voted.append((path, (text + "\n").encode("utf-8")))
+    _write_tree(voted)
     print(f"voted {len(voted)} line(s) across {len(books)} book(s) -> {out_root}")
     return 0
 
@@ -309,7 +326,8 @@ def _cmd_prepare_refine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_stage_specs(specs, cap: int | None) -> list[TrainingStage]:
+def _parse_stage_specs(specs) -> list[tuple[str, tuple[str, ...]]]:
+    """Each name=corpus[,corpus...] spec as a (name, corpus ids) pair."""
     stages = []
     for spec in specs:
         if "=" not in spec:
@@ -318,18 +336,16 @@ def _parse_stage_specs(specs, cap: int | None) -> list[TrainingStage]:
         corpus_ids = tuple(c for c in corpora.split(",") if c)
         if not corpus_ids:
             raise ToolkitError(f"stage {name!r} lists no corpora")
-        stages.append(
-            TrainingStage(name, corpus_ids, cap_per_book=cap if name == "refinement" else None)
-        )
+        stages.append((name, corpus_ids))
     return stages
 
 
 def _cmd_prepare_schedule(args: argparse.Namespace) -> int:
     books = _load_manifests(args.manifest)
-    schedule = TrainingSchedule(tuple(_parse_stage_specs(args.stage, args.cap)), seed=args.seed)
-    expanded = build_schedule(books, schedule)
-    write_atomic(Path(args.out).resolve(), schedule_to_json(schedule, expanded))
-    counts = ", ".join(f"{s.name}: {len(expanded[s.name])}" for s in schedule.stages)
+    stages = _parse_stage_specs(args.stage)
+    expanded = build_schedule(books, stages, args.cap, args.seed)
+    write_atomic(Path(args.out).resolve(), schedule_to_json(stages, args.cap, args.seed, expanded))
+    counts = ", ".join(f"{name}: {len(items)}" for name, items in expanded.items())
     print(f"schedule written -> {args.out} ({counts})")
     return 0
 

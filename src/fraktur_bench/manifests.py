@@ -57,47 +57,6 @@ class BookEntry:
         return len(self.line_ids)
 
 
-@dataclass(frozen=True)
-class TrainingStage:
-    name: str
-    corpora: tuple[str, ...]
-    cap_per_book: int | None = None
-
-    def __post_init__(self):
-        if self.name not in STAGE_ORDER:
-            raise ManifestError(
-                f"unknown stage {self.name!r}, expected one of {', '.join(STAGE_ORDER)}"
-            )
-        if self.name == "refinement":
-            if self.cap_per_book is None or self.cap_per_book < 1:
-                raise ManifestError("refinement stage requires a positive cap_per_book")
-        elif self.cap_per_book is not None:
-            raise ManifestError(f"stage {self.name!r} must not set cap_per_book")
-
-
-@dataclass(frozen=True)
-class TrainingSchedule:
-    """Ordered stages plus the seed that drives refinement sampling.
-
-    Stages must follow the canonical order (pretraining, synthetic, real,
-    refinement) without repeats; stages may be omitted when a corpus class
-    is unavailable.
-    """
-
-    stages: tuple[TrainingStage, ...]
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.stages:
-            raise ManifestError("schedule has no stages")
-        positions = [STAGE_ORDER.index(s.name) for s in self.stages]
-        if positions != sorted(positions) or len(set(positions)) != len(positions):
-            given = " -> ".join(s.name for s in self.stages)
-            raise ManifestError(
-                f"stages must follow {' -> '.join(STAGE_ORDER)} without repeats, got {given}"
-            )
-
-
 def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
     """Scan a line-pair tree into one BookEntry per book directory.
 
@@ -163,34 +122,55 @@ def refinement_sample(book: BookEntry, cap: int, seed: int) -> list[str]:
 
 
 def build_schedule(
-    manifests: Sequence[BookEntry], schedule: TrainingSchedule
+    books: Sequence[BookEntry],
+    stages: Sequence[tuple[str, Sequence[str]]],
+    cap: int,
+    seed: int,
 ) -> dict[str, list[tuple[str, str]]]:
-    """Expand a schedule into per-stage (book_id, line_id) lists.
+    """Expand (stage name, corpus ids) pairs into per-stage (book_id,
+    line_id) lists.
 
-    Stages draw from the same pool: a line can appear in both the real and
-    the refinement stage. Unknown corpus references are errors.
+    Stages must follow the canonical order (pretraining, synthetic, real,
+    refinement) without repeats; stages may be omitted when a corpus class
+    is unavailable. The refinement stage samples at most cap lines per book
+    with the seed; the others take every line. Stages draw from the same
+    pool: a line can appear in both the real and the refinement stage.
+    Unknown corpus references are errors.
     """
+    if not stages:
+        raise ManifestError("schedule has no stages")
+    for name, _ in stages:
+        if name not in STAGE_ORDER:
+            raise ManifestError(
+                f"unknown stage {name!r}, expected one of {', '.join(STAGE_ORDER)}"
+            )
+    positions = [STAGE_ORDER.index(name) for name, _ in stages]
+    if positions != sorted(positions) or len(set(positions)) != len(positions):
+        given = " -> ".join(name for name, _ in stages)
+        raise ManifestError(
+            f"stages must follow {' -> '.join(STAGE_ORDER)} without repeats, got {given}"
+        )
     by_corpus: dict[str, list[BookEntry]] = {}
-    for entry in manifests:
+    for entry in books:
         by_corpus.setdefault(entry.corpus_id, []).append(entry)
 
     out: dict[str, list[tuple[str, str]]] = {}
-    for stage in schedule.stages:
-        unknown = [c for c in stage.corpora if c not in by_corpus]
+    for name, corpora in stages:
+        unknown = [c for c in corpora if c not in by_corpus]
         if unknown:
             raise ManifestError(
-                f"stage {stage.name!r} references unknown corpora: {', '.join(unknown)}"
+                f"stage {name!r} references unknown corpora: {', '.join(unknown)}"
             )
         items: list[tuple[str, str]] = []
-        for corpus in stage.corpora:
+        for corpus in corpora:
             for book in by_corpus[corpus]:
-                if stage.name == "refinement":
-                    chosen = refinement_sample(book, stage.cap_per_book, schedule.seed)
+                if name == "refinement":
+                    chosen = refinement_sample(book, cap, seed)
                 else:
                     chosen = list(book.line_ids)
                 items.extend((book.book_id, line_id) for line_id in chosen)
-        out[stage.name] = items
-        logger.info("stage %s: %d line(s)", stage.name, len(items))
+        out[name] = items
+        logger.info("stage %s: %d line(s)", name, len(items))
     return out
 
 
@@ -279,20 +259,25 @@ def manifest_from_json(data: bytes | str) -> list[BookEntry]:
 
 
 def schedule_to_json(
-    schedule: TrainingSchedule, expanded: Mapping[str, Sequence[tuple[str, str]]]
+    stages: Sequence[tuple[str, Sequence[str]]],
+    cap: int,
+    seed: int,
+    expanded: Mapping[str, Sequence[tuple[str, str]]],
 ) -> bytes:
+    """The schedule as JSON; a stage's cap_per_book is cap for refinement
+    and null for every other stage."""
     payload = {
         "schema_version": SCHEDULE_SCHEMA_VERSION,
-        "seed": schedule.seed,
+        "seed": seed,
         "stages": [
             {
-                "name": stage.name,
-                "corpora": list(stage.corpora),
-                "cap_per_book": stage.cap_per_book,
-                "count": len(expanded[stage.name]),
-                "items": [list(pair) for pair in expanded[stage.name]],
+                "name": name,
+                "corpora": list(corpora),
+                "cap_per_book": cap if name == "refinement" else None,
+                "count": len(expanded[name]),
+                "items": [list(pair) for pair in expanded[name]],
             }
-            for stage in schedule.stages
+            for name, corpora in stages
         ],
     }
     return (json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -41,61 +41,52 @@ DEFAULT_KEEP = ("ſ", "ß")  # long s, eszett
 
 
 @dataclass(frozen=True)
-class Rule:
-    source: str
-    target: str
-
-    def __post_init__(self):
-        if not self.source:
-            raise RuleSetError("rule with empty source")
-
-
-@dataclass(frozen=True)
 class NormalizationRuleSet:
-    """Ordered rewrite rules; no rule may rewrite a DEFAULT_KEEP character."""
+    """Ordered (source, target) rewrite rules; no source may be empty or
+    contain a DEFAULT_KEEP character."""
 
-    rules: tuple[Rule, ...]
+    rules: tuple[tuple[str, str], ...]
     name: str = "rules"
-    _checksum: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for rule in self.rules:
+        for source, target in self.rules:
+            if not source:
+                raise RuleSetError("rule with empty source")
             for kept in DEFAULT_KEEP:
-                if kept in rule.source:
+                if kept in source:
                     raise RuleSetError(
-                        f"rule {rule.source!r} -> {rule.target!r} rewrites kept "
+                        f"rule {source!r} -> {target!r} rewrites kept "
                         f"character {kept!r} (U+{ord(kept):04X})"
                     )
-        digest = hashlib.sha256()
-        for rule in self.rules:
-            digest.update(rule.source.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(rule.target.encode("utf-8"))
-            digest.update(b"\x01")
-        # still hashed, so that recorded rules_sha256 values stay comparable
-        digest.update("|".join(DEFAULT_KEEP).encode("utf-8"))
-        object.__setattr__(self, "_checksum", digest.hexdigest())
 
     @property
     def checksum(self) -> str:
         """Stable content hash, recorded in reports to pin the rule set used."""
-        return self._checksum
+        digest = hashlib.sha256()
+        for source, target in self.rules:
+            digest.update(source.encode("utf-8"))
+            digest.update(b"\x00")
+            digest.update(target.encode("utf-8"))
+            digest.update(b"\x01")
+        # still hashed, so that recorded rules_sha256 values stay comparable
+        digest.update("|".join(DEFAULT_KEEP).encode("utf-8"))
+        return digest.hexdigest()
 
-    def noncodec_targets(self, codec: Codec) -> list[Rule]:
+    def noncodec_targets(self, codec: Codec) -> list[tuple[str, str]]:
         """Rules whose target contains characters outside the codec."""
-        return [r for r in self.rules if any(ch not in codec for ch in r.target)]
+        return [(s, t) for s, t in self.rules if any(ch not in codec for ch in t)]
 
     def require_codec_closed(self, codec: Codec) -> None:
         bad = self.noncodec_targets(codec)
         if bad:
-            shown = ", ".join(f"{r.source!r}->{r.target!r}" for r in bad[:5])
+            shown = ", ".join(f"{source!r}->{target!r}" for source, target in bad[:5])
             raise RuleSetError(
                 f"{len(bad)} rule target(s) fall outside codec {codec.name!r}: {shown}"
             )
 
 
 def _parse_rules_text(content: str, source_name: str) -> NormalizationRuleSet:
-    rules: list[Rule] = []
+    rules: list[tuple[str, str]] = []
     for lineno, raw in enumerate(content.splitlines(), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
@@ -109,7 +100,7 @@ def _parse_rules_text(content: str, source_name: str) -> NormalizationRuleSet:
             raise RuleSetError(str(exc)) from None
         if not src:
             raise RuleSetError(f"{source_name}:{lineno}: rule with empty source")
-        rules.append(Rule(src, tgt))
+        rules.append((src, tgt))
     return NormalizationRuleSet(tuple(rules), name=source_name)
 
 
@@ -133,9 +124,9 @@ def default_rules() -> NormalizationRuleSet:
 
 def _one_pass(text: str, rules: NormalizationRuleSet) -> str:
     text = unicodedata.normalize("NFC", text)
-    for rule in rules.rules:
-        if rule.source in text:
-            text = text.replace(rule.source, rule.target)
+    for source, target in rules.rules:
+        if source in text:
+            text = text.replace(source, target)
     return unicodedata.normalize("NFC", text)
 
 
@@ -212,10 +203,10 @@ def parse_unmapped_policy(spec: str) -> str | None:
     raise ValueError(f"unknown policy {spec!r}; want fail, drop or replace=<char>")
 
 
-def check_target_stability(rules: NormalizationRuleSet) -> list[Rule]:
+def check_target_stability(rules: NormalizationRuleSet) -> list[tuple[str, str]]:
     """Rules whose target is itself rewritten by the rule set.
 
     An unstable target does not break normalization (the fixpoint loop
     absorbs it) but it usually indicates an ordering mistake in the file.
     """
-    return [r for r in rules.rules if _one_pass(r.target, rules) != r.target]
+    return [(s, t) for s, t in rules.rules if _one_pass(t, rules) != t]

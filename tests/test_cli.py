@@ -427,7 +427,9 @@ class TestReplacementOutsideCodec:
 
 class TestUnwritableOutput:
     """An output path that cannot be written is a data error: one line,
-    exit 1, --error-json honoured, and no temp file left behind."""
+    exit 1, --error-json honoured, and no output or temp file left behind.
+    The directory taken/ holds a regular file N-1803, where a tree writer
+    wants book N-1803's directory: its earlier book must not be written."""
 
     @pytest.mark.parametrize(
         "argv, out, written, reason",
@@ -440,12 +442,18 @@ class TestUnwritableOutput:
             (["vote", "--pred", "{root}/pred", "--engine", "abbyy", "--engine", "tess",
               "--out", "{out}"], "{root}/file", "{root}/file/N-1781/l1.pred.voted.txt",
              "Not a directory"),
+            (["vote", "--pred", "{root}/pred", "--engine", "abbyy", "--engine", "tess",
+              "--out", "{out}"], "{root}/taken", "{root}/taken/N-1803/l1.pred.voted.txt",
+             "File exists"),
+            (["normalize", "--in", "{root}/gt", "--out", "{out}"],
+             "{root}/taken", "{root}/taken/N-1803/l1.gt.txt", "File exists"),
         ],
         ids=["eval-out-is-directory", "eval-out-under-file", "normalize-out-is-directory",
-             "vote-out-is-file"],
+             "vote-out-is-file", "vote-later-book-dir-is-file", "normalize-later-book-dir-is-file"],
     )
     def test_one_line_error(self, corpus, capsys, argv, out, written, reason):
         (corpus / "taken").mkdir()
+        (corpus / "taken" / "N-1803").write_text("x\n", encoding="utf-8")
         (corpus / "file").write_text("x\n", encoding="utf-8")
         argv = [a.format(root=corpus, out=out.format(root=corpus)) for a in argv]
         written = written.format(root=corpus)
@@ -457,7 +465,9 @@ class TestUnwritableOutput:
         assert payload == {
             "error": {"type": "ToolkitError", "message": f"cannot write {written}: {reason}"}
         }
-        assert list((corpus / "taken").iterdir()) == []
+        written_files = [p for p in (corpus / "taken").rglob("*") if p.is_file()]
+        assert written_files == [corpus / "taken" / "N-1803"]
+        assert list(corpus.rglob("*.tmp")) == []
         assert (corpus / "file").read_text(encoding="utf-8") == "x\n"
 
 
@@ -986,6 +996,165 @@ class TestVoteCommand:
         assert "confidence" in capsys.readouterr().err
 
 
+# The manifests of a real corpus with a non-ASCII id, byte for byte: scan,
+# refine with --cap 2 --seed 5, and a three-stage schedule over it and a
+# synthetic corpus S.
+SCAN_JSON = """\
+{
+  "books": [
+    {
+      "book_id": "Ä-1",
+      "corpus_id": "Ä",
+      "lines": [
+        "l1",
+        "l2",
+        "l3",
+        "l4"
+      ],
+      "metadata": {
+        "century": null,
+        "language": null
+      }
+    },
+    {
+      "book_id": "Ä-2",
+      "corpus_id": "Ä",
+      "lines": [
+        "l1"
+      ],
+      "metadata": {
+        "century": null,
+        "language": null
+      }
+    }
+  ],
+  "schema_version": 1
+}
+"""
+
+REFINE_JSON = """\
+{
+  "books": [
+    {
+      "book_id": "Ä-1",
+      "corpus_id": "Ä",
+      "lines": [
+        "l1",
+        "l3"
+      ],
+      "metadata": {
+        "century": null,
+        "language": null
+      }
+    },
+    {
+      "book_id": "Ä-2",
+      "corpus_id": "Ä",
+      "lines": [
+        "l1"
+      ],
+      "metadata": {
+        "century": null,
+        "language": null
+      }
+    }
+  ],
+  "schema_version": 1
+}
+"""
+
+SCHEDULE_JSON = """\
+{
+  "schema_version": 1,
+  "seed": 5,
+  "stages": [
+    {
+      "cap_per_book": null,
+      "corpora": [
+        "S"
+      ],
+      "count": 1,
+      "items": [
+        [
+          "s1",
+          "l1"
+        ]
+      ],
+      "name": "synthetic"
+    },
+    {
+      "cap_per_book": null,
+      "corpora": [
+        "Ä"
+      ],
+      "count": 5,
+      "items": [
+        [
+          "Ä-1",
+          "l1"
+        ],
+        [
+          "Ä-1",
+          "l2"
+        ],
+        [
+          "Ä-1",
+          "l3"
+        ],
+        [
+          "Ä-1",
+          "l4"
+        ],
+        [
+          "Ä-2",
+          "l1"
+        ]
+      ],
+      "name": "real"
+    },
+    {
+      "cap_per_book": 2,
+      "corpora": [
+        "Ä",
+        "S"
+      ],
+      "count": 4,
+      "items": [
+        [
+          "Ä-1",
+          "l1"
+        ],
+        [
+          "Ä-1",
+          "l3"
+        ],
+        [
+          "Ä-2",
+          "l1"
+        ],
+        [
+          "s1",
+          "l1"
+        ]
+      ],
+      "name": "refinement"
+    }
+  ]
+}
+"""
+
+
+def prep_manifests(root: Path) -> list[str]:
+    """Scan a synthetic corpus S and a real corpus Ä; the --manifest flags
+    for both."""
+    make_gt_tree(root / "syn", {"s1": {"l1": "a"}})
+    make_gt_tree(root / "real", {"Ä-1": {f"l{i}": "x" for i in range(1, 5)}, "Ä-2": {"l1": "y"}})
+    for tree, corpus_id in (("syn", "S"), ("real", "Ä")):
+        out = root / f"{tree}.json"
+        assert run(["prepare", "scan", "--root", str(root / tree), "--corpus", corpus_id, "--out", str(out)]) == 0
+    return ["--manifest", str(root / "syn.json"), "--manifest", str(root / "real.json")]
+
+
 class TestPrepareCommands:
     def test_scan_refine_schedule_verify(self, corpus, tmp_path, capsys):
         manifest = tmp_path / "N.json"
@@ -1085,6 +1254,7 @@ class TestPrepareCommands:
     def test_schedule_order_violation(self, corpus, tmp_path, capsys):
         manifest = tmp_path / "N.json"
         run(["prepare", "scan", "--root", str(corpus / "gt"), "--corpus", "N", "--out", str(manifest)])
+        capsys.readouterr()
         code = run(
             [
                 "prepare", "schedule",
@@ -1095,7 +1265,59 @@ class TestPrepareCommands:
             ]
         )
         assert code == 1
+        assert capsys.readouterr().err == (
+            "error: stages must follow pretraining -> synthetic -> real -> refinement "
+            "without repeats, got refinement -> real\n"
+        )
+        assert not (tmp_path / "s.json").exists()
+
+    def test_output_bytes(self, tmp_path, capsys):
+        manifests = prep_manifests(tmp_path)
+        assert (tmp_path / "real.json").read_bytes() == SCAN_JSON.encode("utf-8")
+        refined, sched = tmp_path / "refined.json", tmp_path / "sched.json"
+        argv = ["--seed", "5", "prepare", "refine", *manifests[2:], "--cap", "2", "--out", str(refined)]
+        assert run(argv) == 0
+        assert refined.read_bytes() == REFINE_JSON.encode("utf-8")
+        stages = ["--stage", "synthetic=S", "--stage", "real=Ä", "--stage", "refinement=Ä,S"]
+        argv = ["--seed", "5", "prepare", "schedule", *manifests, *stages, "--cap", "2"]
+        assert run([*argv, "--out", str(sched)]) == 0
+        assert sched.read_bytes() == SCHEDULE_JSON.encode("utf-8")
+        assert capsys.readouterr() == (
+            f"scanned 1 book(s), 1 line(s) -> {tmp_path / 'syn.json'}\n"
+            f"scanned 2 book(s), 5 line(s) -> {tmp_path / 'real.json'}\n"
+            f"refinement subset: 3 line(s) from 2 book(s) (cap 2, seed 5) -> {refined}\n"
+            f"schedule written -> {sched} (synthetic: 1, real: 5, refinement: 4)\n",
+            "",
+        )
+
+    @pytest.mark.parametrize(
+        "stages, error_type, message",
+        [
+            (["real"], "ToolkitError", "--stage wants name=corpus[,corpus...], got 'real'"),
+            (["real="], "ToolkitError", "stage 'real' lists no corpora"),
+            (["warmup=S"], "ManifestError",
+             "unknown stage 'warmup', expected one of pretraining, synthetic, real, refinement"),
+            (["refinement=S", "real=S"], "ManifestError",
+             "stages must follow pretraining -> synthetic -> real -> refinement without repeats, "
+             "got refinement -> real"),
+            (["real=S", "real=Ä"], "ManifestError",
+             "stages must follow pretraining -> synthetic -> real -> refinement without repeats, "
+             "got real -> real"),
+            (["synthetic=S", "real=Z,Ä,Y"], "ManifestError", "stage 'real' references unknown corpora: Z, Y"),
+        ],
+        ids=["malformed", "no-corpora", "unknown-stage", "out-of-order", "repeated", "unknown-corpus"],
+    )
+    def test_stage_errors(self, tmp_path, capsys, stages, error_type, message):
+        argv = ["prepare", "schedule", *prep_manifests(tmp_path), "--out", str(tmp_path / "s.json")]
+        for spec in stages:
+            argv += ["--stage", spec]
         capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": {"type": error_type, "message": message}}
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestReportCommand:

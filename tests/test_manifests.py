@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 
 import pytest
 
 from fraktur_bench.errors import ManifestError
 from fraktur_bench.manifests import (
     BookEntry,
-    TrainingSchedule,
-    TrainingStage,
     build_schedule,
     manifest_from_json,
     manifest_to_json,
@@ -35,31 +34,45 @@ class TestBookEntry:
         assert book("b", 7).line_count == 7
 
 
+ORDER_MESSAGE = (
+    "stages must follow pretraining -> synthetic -> real -> refinement without repeats, got "
+)
+
+
 class TestStagesAndSchedule:
     def test_cap_only_on_refinement(self):
-        with pytest.raises(ManifestError):
-            TrainingStage("real", ("N",), cap_per_book=50)
-        TrainingStage("refinement", ("N",), cap_per_book=50)
+        books = [book("n1", 60), book("n2", 40)]
+        stages = [("real", ("N",)), ("refinement", ("N",))]
+        expanded = build_schedule(books, stages, 50, 0)
+        assert expanded["real"] == [(b.book_id, lid) for b in books for lid in b.line_ids]
+        # at most 50 of n1's 60 lines, every one of n2's 40
+        assert expanded["refinement"] == [
+            (b.book_id, lid) for b in books for lid in refinement_sample(b, 50, 0)
+        ]
+        assert len(expanded["refinement"]) == 90
+        payload = json.loads(schedule_to_json(stages, 50, 0, expanded))
+        assert [s["cap_per_book"] for s in payload["stages"]] == [None, 50]
 
     def test_unknown_stage_name(self):
-        with pytest.raises(ManifestError):
-            TrainingStage("warmup", ("N",))
+        message = "unknown stage 'warmup', expected one of pretraining, synthetic, real, refinement"
+        with pytest.raises(ManifestError, match=f"^{re.escape(message)}$"):
+            build_schedule([book("b", 1)], [("warmup", ("N",))], 50, 0)
 
     def test_schedule_order_enforced(self):
-        ok = TrainingSchedule(
-            (TrainingStage("synthetic", ("N",)), TrainingStage("refinement", ("N",), cap_per_book=10))
-        )
-        assert [s.name for s in ok.stages] == ["synthetic", "refinement"]
-        with pytest.raises(ManifestError):
-            TrainingSchedule(
-                (TrainingStage("refinement", ("N",), cap_per_book=10), TrainingStage("real", ("N",)))
-            )
+        books = [book("b", 1)]
+        ok = build_schedule(books, [("synthetic", ("N",)), ("refinement", ("N",))], 10, 0)
+        assert list(ok) == ["synthetic", "refinement"]
+        with pytest.raises(ManifestError, match=f"^{re.escape(ORDER_MESSAGE)}refinement -> real$"):
+            build_schedule(books, [("refinement", ("N",)), ("real", ("N",))], 10, 0)
 
     def test_repeated_stage_rejected(self):
-        with pytest.raises(ManifestError):
-            TrainingSchedule(
-                (TrainingStage("real", ("N",)), TrainingStage("real", ("O",)))
-            )
+        books = [book("b", 1), book("o", 1, "O")]
+        with pytest.raises(ManifestError, match=f"^{re.escape(ORDER_MESSAGE)}real -> real$"):
+            build_schedule(books, [("real", ("N",)), ("real", ("O",))], 50, 0)
+
+    def test_no_stages(self):
+        with pytest.raises(ManifestError, match="^schedule has no stages$"):
+            build_schedule([book("b", 1)], [], 50, 0)
 
 
 class TestScanCorpus:
@@ -188,23 +201,16 @@ class TestBuildSchedule:
         ]
 
     def test_stage_expansion(self):
-        schedule = TrainingSchedule(
-            (
-                TrainingStage("real", ("N", "O")),
-                TrainingStage("refinement", ("N",), cap_per_book=50),
-            ),
-            seed=0,
-        )
-        expanded = build_schedule(self.manifests(), schedule)
+        stages = [("real", ("N", "O")), ("refinement", ("N",))]
+        expanded = build_schedule(self.manifests(), stages, 50, 0)
         assert len(expanded["real"]) == 200
         # refinement: min(60,50) + min(40,50)
         assert len(expanded["refinement"]) == 90
         assert all(isinstance(pair, tuple) and len(pair) == 2 for pair in expanded["real"])
 
     def test_unknown_corpus(self):
-        schedule = TrainingSchedule((TrainingStage("real", ("Z",)),))
-        with pytest.raises(ManifestError, match="Z"):
-            build_schedule(self.manifests(), schedule)
+        with pytest.raises(ManifestError, match="^stage 'real' references unknown corpora: Z$"):
+            build_schedule(self.manifests(), [("real", ("Z",))], 50, 0)
 
 
 class TestVerifyCounts:
@@ -246,10 +252,10 @@ class TestManifestJson:
         assert manifest_to_json(books) == manifest_to_json(books)
 
     def test_schedule_json(self):
-        schedule = TrainingSchedule((TrainingStage("real", ("N",)),), seed=7)
         expanded = {"real": [("b1", "l1"), ("b1", "l2")]}
-        payload = json.loads(schedule_to_json(schedule, expanded))
+        payload = json.loads(schedule_to_json([("real", ("N",))], 50, 7, expanded))
         assert payload["seed"] == 7
+        assert payload["stages"][0]["cap_per_book"] is None
         assert payload["stages"][0]["name"] == "real"
         assert payload["stages"][0]["count"] == 2
         assert payload["stages"][0]["items"] == [["b1", "l1"], ["b1", "l2"]]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import unicodedata
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from fraktur_bench.errors import (
 from fraktur_bench.lines import TranscriptionLine
 from fraktur_bench.normalize import (
     NormalizationRuleSet,
-    Rule,
     check_target_stability,
     default_rules,
     load_rules,
@@ -46,24 +46,29 @@ def load_vectors() -> list[tuple[str, str, str]]:
 
 class TestRuleSetConstruction:
     def test_keep_char_in_source_rejected(self):
-        with pytest.raises(RuleSetError, match="kept"):
-            NormalizationRuleSet(rules=(Rule("ſ", "s"),))
+        message = "rule 'ſ' -> 's' rewrites kept character 'ſ' (U+017F)"
+        with pytest.raises(RuleSetError, match=f"^{re.escape(message)}$"):
+            NormalizationRuleSet(rules=(("ſ", "s"),))
+
+    def test_empty_source_rejected(self):
+        with pytest.raises(RuleSetError, match="^rule with empty source$"):
+            NormalizationRuleSet((("", "x"),))
 
     def test_checksum_changes_with_rules(self):
-        a = NormalizationRuleSet(rules=(Rule("x", "y"),))
-        b = NormalizationRuleSet(rules=(Rule("x", "z"),))
+        a = NormalizationRuleSet(rules=(("x", "y"),))
+        b = NormalizationRuleSet(rules=(("x", "z"),))
         assert a.checksum != b.checksum
 
     def test_checksum_separator_injection(self):
         # two rule lists that would collide under naive concatenation
-        a = NormalizationRuleSet(rules=(Rule("ab", "c"),))
-        b = NormalizationRuleSet(rules=(Rule("a", "bc"),))
+        a = NormalizationRuleSet(rules=(("ab", "c"),))
+        b = NormalizationRuleSet(rules=(("a", "bc"),))
         assert a.checksum != b.checksum
 
     def test_noncodec_targets(self):
         codec = Codec(characters=("a", "b", " "), name="t")
-        rules = NormalizationRuleSet(rules=(Rule("x", "q"), Rule("y", "a")))
-        assert rules.noncodec_targets(codec) == [Rule("x", "q")]
+        rules = NormalizationRuleSet(rules=(("x", "q"), ("y", "a")))
+        assert rules.noncodec_targets(codec) == [("x", "q")]
         with pytest.raises(RuleSetError, match="q"):
             rules.require_codec_closed(codec)
 
@@ -73,7 +78,13 @@ class TestRulesFileParsing:
         path = tmp_path / "rules.tsv"
         path.write_text("# hi\n\nx\ty\n", encoding="utf-8")
         rules = load_rules(path)
-        assert rules.rules == (Rule("x", "y"),)
+        assert rules.rules == (("x", "y"),)
+
+    def test_empty_source_names_the_line(self, tmp_path):
+        path = tmp_path / "rules.tsv"
+        path.write_text("x\ty\n\tz\n", encoding="utf-8")
+        with pytest.raises(RuleSetError, match=f"^{re.escape(str(path))}:2: rule with empty source$"):
+            load_rules(path)
 
     def test_missing_tab_rejected(self, tmp_path):
         path = tmp_path / "rules.tsv"
@@ -85,7 +96,7 @@ class TestRulesFileParsing:
         path = tmp_path / "rules.tsv"
         path.write_text("x\t\n", encoding="utf-8")
         rules = load_rules(path)
-        assert rules.rules == (Rule("x", ""),)
+        assert rules.rules == (("x", ""),)
         assert normalize_text("axb", rules) == "ab"
 
     def test_escapes_in_rules(self, tmp_path):
@@ -97,24 +108,24 @@ class TestRulesFileParsing:
 
 class TestNormalizeText:
     def test_rule_order_matters(self):
-        rules = NormalizationRuleSet(rules=(Rule("aa", "b"), Rule("a", "c")))
+        rules = NormalizationRuleSet(rules=(("aa", "b"), ("a", "c")))
         # first rule consumes the pair before the second sees single chars
         assert normalize_text("aaa", rules) == "bc"
 
     def test_nfc_applied_before_rules(self):
         # decomposed a + combining circumflex must compose, then rewrite
-        rules = NormalizationRuleSet(rules=(Rule("\u00e2", "\u00e4"),))
+        rules = NormalizationRuleSet(rules=(("\u00e2", "\u00e4"),))
         assert normalize_text("a\u0302", rules) == "\u00e4"
 
     def test_nfc_applied_after_rules(self):
         # ligature expansion can leave a combining mark next to a new base
-        rules = NormalizationRuleSet(rules=(Rule("\ufb01", "fi"),))
+        rules = NormalizationRuleSet(rules=(("\ufb01", "fi"),))
         out = normalize_text("\ufb01\u0301", rules)
         assert out == unicodedata.normalize("NFC", out)
         assert out == "f\u00ed"
 
     def test_fixpoint_reached(self):
-        rules = NormalizationRuleSet(rules=(Rule("ab", "b"),))
+        rules = NormalizationRuleSet(rules=(("ab", "b"),))
         assert normalize_text("aab", rules) == "b"
 
     def test_empty_string_passes_through(self):
@@ -122,11 +133,11 @@ class TestNormalizeText:
 
     def test_swap_pair_is_stable(self):
         # a->b then b->a inside one pass composes to the identity
-        rules = NormalizationRuleSet(rules=(Rule("a", "b"), Rule("b", "a")))
+        rules = NormalizationRuleSet(rules=(("a", "b"), ("b", "a")))
         assert normalize_text("a", rules) == "a"
 
     def test_growth_raises(self):
-        rules = NormalizationRuleSet(rules=(Rule("a", "aa"),))
+        rules = NormalizationRuleSet(rules=(("a", "aa"),))
         with pytest.raises(ConvergenceError):
             normalize_text("a", rules)
 

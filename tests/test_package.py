@@ -78,8 +78,10 @@ def test_few_dataclasses():
     all: the 20 declared before the record types that only copied or
     repeated state were deleted took 15-32 ms of a 63-136 ms
     ``import fraktur_bench.cli``, timed by wrapping
-    ``dataclasses._process_class``. A new record type has to fit under
-    this count, or replace one."""
+    ``dataclasses._process_class``. TrainingStage, TrainingSchedule and
+    Rule went too: a stage is a (name, corpus ids) pair with one cap and
+    one seed for the schedule, a rule a (source, target) pair. A new
+    record type has to fit under this count, or replace one."""
     count = 0
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -87,4 +89,4 @@ def test_few_dataclasses():
                 for deco in node.decorator_list:
                     target = deco.func if isinstance(deco, ast.Call) else deco
                     count += isinstance(target, ast.Name) and target.id == "dataclass"
-    assert count <= 15
+    assert count <= 12
