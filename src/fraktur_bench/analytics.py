@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .align import AlignmentResult, Edit
 from .errors import ReportError
+from .jsonout import dump_json
 
 SCHEMA_VERSION = 1
 
@@ -368,7 +369,7 @@ def report_to_json(report: EvaluationReport) -> bytes:
         ],
         **_errors_payload(report),
     }
-    return (json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    return dump_json(payload)
 
 
 def report_from_json(data: bytes | str) -> EvaluationReport:
@@ -512,9 +513,7 @@ def emit_errors_report(report: EvaluationReport, format: str) -> bytes:
             "engines": list(report.engines),
             **_errors_payload(report),
         }
-        return (json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode(
-            "utf-8"
-        )
+        return dump_json(payload)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -35,6 +35,7 @@ from .analytics import (
 )
 from .codec import Codec, codec_coverage_report, default_codec, load_codec
 from .errors import ManifestError, ReportError, ToolkitError, VotingError
+from .jsonout import dump_json
 from .lines import TranscriptionLine, line_id_of, pred_suffix
 from .manifests import (
     BookEntry,
@@ -65,11 +66,12 @@ def _cannot_write(path: Path, exc: OSError) -> ToolkitError:
 
 
 def write_atomic(path: Path, data: bytes) -> None:
-    """Write through a temp file and a rename; a path that cannot be
-    written is a data error."""
+    """Write through a temp file and a rename, making the directory only
+    when it is missing; a path that cannot be written is a data error."""
     tmp = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if not path.parent.is_dir():
+            path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -177,7 +179,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         "in_codec": [{"char": c, "count": n} for c, n in in_codec],
         "out_of_codec": [{"char": c, "count": n} for c, n in out_of_codec],
     }
-    data = (json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode()
+    data = dump_json(payload)
     if args.out:
         write_atomic(Path(args.out).resolve(), data)
     else:
@@ -327,7 +329,7 @@ def _cmd_prepare_refine(args: argparse.Namespace) -> int:
 
 
 def _parse_stage_specs(specs) -> list[tuple[str, tuple[str, ...]]]:
-    """Each name=corpus[,corpus...] spec as a (name, corpus ids) pair."""
+    """Each name=corpus[,corpus...] spec as a (name, corpus ids) pair, no corpus twice."""
     stages = []
     for spec in specs:
         if "=" not in spec:
@@ -336,6 +338,9 @@ def _parse_stage_specs(specs) -> list[tuple[str, tuple[str, ...]]]:
         corpus_ids = tuple(c for c in corpora.split(",") if c)
         if not corpus_ids:
             raise ToolkitError(f"stage {name!r} lists no corpora")
+        repeated = sorted({c for c in corpus_ids if corpus_ids.count(c) > 1})
+        if repeated:
+            raise ToolkitError(f"stage {name!r} repeats corpus id(s) {', '.join(repeated)}")
         stages.append((name, corpus_ids))
     return stages
 
@@ -372,7 +377,7 @@ def _cmd_prepare_verify(args: argparse.Namespace) -> int:
                 f"got {row['books']!r} and {row['lines']!r}"
             ) from exc
     problems = verify_counts(books, expected)
-    data = (json.dumps(problems, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    data = dump_json(problems, ascii=True)
     if args.out:
         write_atomic(Path(args.out).resolve(), data)
     else:
@@ -460,25 +465,22 @@ def _add_eval_flags(parser: argparse.ArgumentParser) -> None:
 
 
 class _ChosenSubParsers(argparse._SubParsersAction):
-    """Sub-commands whose arguments are added only to the chosen one: every
-    sub-parser is registered with its name and help, and filled with its
-    arguments when the command line names it."""
+    """Sub-commands of which only the chosen one gets a parser: every name
+    is registered with its help, and its parser is built and filled with
+    its arguments when the command line names it."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._fillers: dict[str, Callable[[argparse.ArgumentParser], None]] = {}
-
-    def add_parser(
-        self, name: str, fill: Callable[[argparse.ArgumentParser], None], **kwargs
-    ) -> argparse.ArgumentParser:
-        self._fillers[name] = fill
-        return super().add_parser(name, **kwargs)
+    def add_parser(self, name: str, fill: Callable, handler: Callable | None, help: str) -> None:
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = (fill, handler)
 
     def __call__(self, parser, namespace, values, option_string=None) -> None:
-        # popped: a parser that parses twice is filled once
-        fill = self._fillers.pop(values[0], None)
-        if fill is not None:
-            fill(self._name_parser_map[values[0]])
+        chosen = self._name_parser_map[values[0]]
+        if isinstance(chosen, tuple):  # a parser that parses twice builds once
+            fill, handler = chosen
+            chosen = self._parser_class(prog=f"{self._prog_prefix} {values[0]}")
+            fill(chosen)
+            chosen.set_defaults(handler=handler)
+            self._name_parser_map[values[0]] = chosen
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -513,7 +515,7 @@ def _prepare_args(p: argparse.ArgumentParser) -> None:
         ("schedule", _schedule_args, _cmd_prepare_schedule, "expand the staged training plan"),
         ("verify", _verify_args, _cmd_prepare_verify, "check manifest counts against expectations"),
     ):
-        prep.add_parser(name, fill, help=text).set_defaults(handler=handler)
+        prep.add_parser(name, fill, handler, text)
 
 
 def _scan_args(q: argparse.ArgumentParser) -> None:
@@ -565,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("prepare", _prepare_args, None, "manifests, sampling and schedules"),
         ("report", _report_args, _cmd_report, "re-emit a JSON report in another format"),
     ):
-        sub.add_parser(name, fill, help=text).set_defaults(handler=handler)
+        sub.add_parser(name, fill, handler, text)
     return parser
 
 

@@ -1,0 +1,57 @@
+"""The indented JSON of every output file, written by json's C encoder.
+
+``json.dumps`` with ``indent`` runs the pure-Python encoder. The C encoder
+writes the same bytes, with a level's line break and indent as its item
+separator, for a container of scalars and for a list of such containers of
+one kind; one ``str.replace`` re-indents the boundaries between those, as an
+encoded string holds no raw newline and no scalar ends in ``]`` or ``}``.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+from itertools import chain, repeat
+from json import JSONEncoder
+
+_SCALARS = (str, int, float, type(None))
+_LISTS = (list, tuple)
+
+
+def dump_json(value: object, ascii: bool = False) -> bytes:
+    """``(json.dumps(value, sort_keys=True, ensure_ascii=ascii, indent=2) + "\\n").encode()``
+    exactly; a dict that holds a container must have str keys (else TypeError)."""
+    return (_layout(value, 0, ascii) + "\n").encode("utf-8")
+
+
+@cache
+def _encoder(ascii: bool, depth: int):
+    separators = (",\n" + "  " * depth, ": ")
+    return JSONEncoder(sort_keys=True, ensure_ascii=ascii, separators=separators).encode
+
+
+def _layout(value: object, depth: int, ascii: bool) -> str:
+    """value as json.dumps lays it out at indent depth."""
+    encode = _encoder(ascii, depth + 1)
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, _LISTS)) or not value:
+        return encode(value)
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if all(map(isinstance, value.values() if is_dict else value, repeat(_SCALARS))):
+        text = encode(value)
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    if is_dict:
+        if not all(map(isinstance, value, repeat(str))):
+            raise TypeError("dump_json lays out dicts with str keys only")
+        members = [f"{encode(k)}: {_layout(v, depth + 1, ascii)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(members) + pad + "}"
+    kind = _LISTS if isinstance(value[0], _LISTS) else dict
+    if all(map(isinstance, value, repeat(kind))) and all(value):
+        leaves = chain.from_iterable(value if kind is _LISTS else map(dict.values, value))
+        if all(map(isinstance, leaves, repeat(_SCALARS))):
+            text, deeper = _encoder(ascii, depth + 2)(value), inner + "  "
+            first, last = text[1], text[-2]
+            body = text[2:-2].replace(f"{last},{deeper}{first}", f"{inner}{last},{inner}{first}{deeper}")
+            return f"[{inner}{first}{deeper}{body}{inner}{last}{pad}]"
+    members = [_layout(v, depth + 1, ascii) for v in value]
+    return "[" + inner + ("," + inner).join(members) + pad + "]"

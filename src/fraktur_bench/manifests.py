@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ManifestError
+from .jsonout import dump_json
 from .lines import GT_SUFFIX, IMAGE_SUFFIXES, list_books, strip_suffix
 
 logger = logging.getLogger(__name__)
@@ -218,7 +219,7 @@ def manifest_to_json(books: Sequence[BookEntry]) -> bytes:
             for b in books
         ],
     }
-    return (json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    return dump_json(payload)
 
 
 def manifest_from_json(data: bytes | str) -> list[BookEntry]:
@@ -280,4 +281,4 @@ def schedule_to_json(
             for name, corpora in stages
         ],
     }
-    return (json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+    return dump_json(payload)

@@ -761,6 +761,48 @@ class TestEvalCommand:
         assert aggregates == ["N-all", "All"]
         capsys.readouterr()
 
+    def test_out_in_new_directory(self, corpus, capsys):
+        out = corpus / "new" / "dir" / "report.json"
+        assert run(self.eval_args(corpus, out)) == 0
+        assert run(self.eval_args(corpus, corpus / "report.json")) == 0
+        assert out.read_bytes() == (corpus / "report.json").read_bytes()
+        capsys.readouterr()
+
+    def test_codec_and_rules_files(self, corpus, capsys):
+        codec, rules = corpus / "mini.txt", corpus / "mini.tsv"
+        chars = sorted(set("Das Jahr gut und ſchön mehr Zeit") - {" "})
+        codec.write_text("\n".join(["\\s", *chars]) + "\n", encoding="utf-8")
+        rules.write_text("# u with ring folds to u\nů\tu\n", encoding="utf-8")
+        out = corpus / "report.json"
+        assert run(self.eval_args(corpus, out, "--codec", str(codec), "--rules", str(rules))) == 0
+        metadata = json.loads(out.read_text(encoding="utf-8"))["metadata"]
+        assert (metadata["codec_name"], metadata["codec_size"]) == ("mini", 19)
+        assert metadata["rules_name"] == str(rules)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flag, content, error_type, message",
+        [
+            ("--codec", "a\nb\na\n", "CodecError",
+             "{path}:3: duplicate codec character 'a' (U+0061), first seen on line 1"),
+            ("--rules", "# fold\nů u\n", "RuleSetError",
+             "{path}:2: rule line has no tab separator: 'ů u'"),
+        ],
+        ids=["codec", "rules"],
+    )
+    def test_bad_codec_or_rules_file(self, corpus, capsys, flag, content, error_type, message):
+        path = corpus / "bad.txt"
+        path.write_text(content, encoding="utf-8")
+        out = corpus / "report.json"
+        argv = self.eval_args(corpus, out, flag, str(path))
+        message = message.format(path=path)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": {"type": error_type, "message": message}}
+        assert not out.exists()
+
     def test_perfect_prediction_reads_zero_everywhere(self, tmp_path, capsys):
         books = {"N-1781": {"l1": "Das Jahr", "l2": "gut"}, "N-1803": {"l1": "mehr"}}
         make_gt_tree(tmp_path / "gt", books)
@@ -953,6 +995,22 @@ class TestVoteCommand:
         )
         assert code == 0
         assert (out / "bk" / "l1.pred.voted.txt").read_text(encoding="utf-8") == "ac\n"
+        capsys.readouterr()
+
+    def test_confidence_of_an_insertion_is_its_mean(self, tmp_path, capsys):
+        # Pivot e0 "ab"; e1 and e2 insert "xyz" and "zw" before it, so the
+        # gap ties three ways. Confidence breaks it by each insertion's
+        # mean (0.5 against 0.6): "zw" wins, where its first character
+        # (0.9 against 0.6) or its sum (1.5 against 1.2) would elect "xyz".
+        for eng, text, conf in (("e0", "ab", "0.5 0.5"), ("e1", "xyzab", "0.9 0.3 0.3 0.5 0.5"),
+                                ("e2", "zwab", "0.6 0.6 0.5 0.5")):
+            make_pred_tree(tmp_path / "pred", eng, {"bk": {"l1": text}})
+            (tmp_path / "pred" / "bk" / f"l1.pred.{eng}.conf").write_text(conf + "\n", encoding="utf-8")
+        out = tmp_path / "voted"
+        argv = ["vote", "--pred", str(tmp_path / "pred"), "--engine", "e0", "--engine", "e1",
+                "--engine", "e2", "--pivot", "e0", "--tie-break", "confidence", "--out", str(out)]
+        assert run(argv) == 0
+        assert (out / "bk" / "l1.pred.voted.txt").read_text(encoding="utf-8") == "zwab\n"
         capsys.readouterr()
 
     def test_sidecars_found_without_stat_calls(self, corpus, capsys, monkeypatch):
@@ -1304,8 +1362,12 @@ class TestPrepareCommands:
              "stages must follow pretraining -> synthetic -> real -> refinement without repeats, "
              "got real -> real"),
             (["synthetic=S", "real=Z,Ä,Y"], "ManifestError", "stage 'real' references unknown corpora: Z, Y"),
+            (["synthetic=S", "real=Ä,S,Ä,S,Ä"], "ToolkitError", "stage 'real' repeats corpus id(s) S, Ä"),
         ],
-        ids=["malformed", "no-corpora", "unknown-stage", "out-of-order", "repeated", "unknown-corpus"],
+        ids=[
+            "malformed", "no-corpora", "unknown-stage", "out-of-order", "repeated", "unknown-corpus",
+            "repeated-corpus",
+        ],
     )
     def test_stage_errors(self, tmp_path, capsys, stages, error_type, message):
         argv = ["prepare", "schedule", *prep_manifests(tmp_path), "--out", str(tmp_path / "s.json")]

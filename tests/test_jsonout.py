@@ -1,0 +1,98 @@
+"""dump_json against json.dumps(sort_keys=True, indent=2), byte for byte."""
+
+from __future__ import annotations
+
+import json
+import json.encoder
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fraktur_bench.jsonout import dump_json
+
+
+def reference(value: object, ascii: bool) -> bytes:
+    return (json.dumps(value, sort_keys=True, ensure_ascii=ascii, indent=2) + "\n").encode("utf-8")
+
+
+# Quotes, backslashes, line breaks, control, non-ASCII and astral
+# characters, and the characters JSON lays out with.
+text = st.text(st.sampled_from('"\\\n\r\t\x00\x1f\x7f aäſ \U0001F600[]{},:'), max_size=6)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**40, -(10**40), 0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    text,
+)
+leaf_list = st.lists(scalars, min_size=1, max_size=4)
+leaf_dict = st.dictionaries(text, scalars, min_size=1, max_size=4)
+
+
+@st.composite
+def leaf_rows(draw):
+    """A list of non-empty scalar-only lists or dicts, one kind, in which
+    one item may be empty, nested, of the other kind or a scalar."""
+    rows = draw(st.lists(st.one_of(leaf_list, st.tuples(scalars, scalars)), min_size=1, max_size=5)
+                if draw(st.booleans()) else st.lists(leaf_dict, min_size=1, max_size=5))
+    odd = st.one_of(
+        st.sampled_from([[], {}, ()]),
+        leaf_list.map(lambda row: [row]),
+        leaf_dict.map(lambda row: {"k": row}),
+        leaf_list,
+        leaf_dict,
+        scalars,
+    )
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(odd))
+    return rows
+
+
+@st.composite
+def deep(draw):
+    """Leaves at depth 4 or more, under dicts and lists."""
+    value = draw(st.one_of(leaf_dict, leaf_rows()))
+    for _ in range(draw(st.integers(4, 6))):
+        value = draw(st.one_of(
+            st.dictionaries(text, st.just(value) | scalars, min_size=1, max_size=3),
+            st.lists(st.just(value) | scalars, min_size=1, max_size=3),
+        ))
+    return value
+
+
+base = st.one_of(scalars, st.sampled_from([[], {}, ()]), leaf_list, leaf_dict, leaf_rows())
+payloads = st.one_of(
+    st.recursive(
+        base,
+        lambda children: st.lists(children, max_size=4) | st.dictionaries(text, children, max_size=4),
+        max_leaves=12,
+    ),
+    deep(),
+)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "python-encoder"])
+@settings(max_examples=150, deadline=None)
+@given(payloads)
+def test_bytes_of_json_dumps(c_encoder, value):
+    with mock.patch.object(json.encoder, "c_make_encoder", json.encoder.c_make_encoder if c_encoder else None):
+        for ascii in (False, True):
+            assert dump_json(value, ascii=ascii) == reference(value, ascii)
+
+
+keys = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(keys, st.one_of(scalars, leaf_list, leaf_rows()), max_size=4))
+def test_other_keys_give_the_same_bytes_or_type_error(value):
+    """json.dumps writes int, float, bool and None keys as strings; a dict
+    that dump_json lays out itself refuses them rather than differ."""
+    try:
+        got = dump_json(value)
+    except TypeError:
+        return
+    assert got == reference(value, False)
