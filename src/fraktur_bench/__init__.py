@@ -8,11 +8,10 @@ alignment-based ensemble voting, and staged training-corpus manifests.
 
 __version__ = "0.1.0"
 
-from .align import AlignmentResult, levenshtein
+from .align import AlignmentResult
 from .analytics import (
     ConfusionEntry,
     EvaluationReport,
-    WhitespaceSummary,
     classify_whitespace_errors,
     confusion_stats,
     emit_report,
@@ -42,7 +41,6 @@ __all__ = [
     "TranscriptionLine",
     "VoterOutput",
     "VotingConfig",
-    "WhitespaceSummary",
     "build_schedule",
     "classify_whitespace_errors",
     "codec_coverage_report",
@@ -50,7 +48,6 @@ __all__ = [
     "default_codec",
     "default_rules",
     "emit_report",
-    "levenshtein",
     "load_codec",
     "load_rules",
     "normalize_line",

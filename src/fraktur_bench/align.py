@@ -35,14 +35,14 @@ percent of the ops, and confusion tables and voting read only them.
 Distance, lengths and CER are derived from the three members. The full
 script of EditOps, ops, replays the matches between the edits; no command
 reads it, and it is kept for the benchmark's reference-DP check (match
-ops are shared per character; EditOp is frozen and compares by value, so
-the sharing is invisible).
+ops are shared per character; an EditOp is an immutable tuple, so the
+sharing is invisible).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class OpKind(enum.Enum):
@@ -52,8 +52,7 @@ class OpKind(enum.Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True, slots=True)
-class EditOp:
+class EditOp(NamedTuple):
     """One step of the full script that AlignmentResult.ops replays.
     gt/pred are None exactly where the op has no symbol."""
 
@@ -144,19 +143,7 @@ def _bit_columns(gt: str, pred: str) -> tuple[int, list[int], list[int]]:
     return len(pred) + vp.bit_count() - vn.bit_count(), vps, vns
 
 
-def levenshtein(gt: str, pred: str) -> int:
-    """Minimal unit-cost edit distance between two strings."""
-    if gt == pred:
-        return 0
-    k, s = _trim(gt, pred)
-    m, n = len(gt) - s, len(pred) - s
-    if m == k:
-        return n - k
-    return _bit_columns(gt[k:m], pred[k:n])[0]
-
-
-@dataclass(frozen=True, slots=True)
-class AlignmentResult:
+class AlignmentResult(NamedTuple):
     """Optimal alignment of pred to gt, held as its edits.
 
     edits holds the non-match ops of the edit script, in order, each as
@@ -168,7 +155,7 @@ class AlignmentResult:
     default: a result built without it would read as error-free.
 
     cer is distance / gt_len for non-empty ground truth. For empty ground
-    truth the line scores pred_len (every hallucinated character counts as
+    truth the line scores len(pred) (every hallucinated character counts as
     one error over a virtual length of 1); such lines are excluded from
     macro averages but still feed micro sums.
     """
@@ -184,10 +171,6 @@ class AlignmentResult:
     @property
     def gt_len(self) -> int:
         return len(self.gt)
-
-    @property
-    def pred_len(self) -> int:
-        return len(self.pred)
 
     @property
     def cer(self) -> float:

@@ -19,9 +19,8 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .align import AlignmentResult, Edit
 from .errors import ReportError
@@ -35,8 +34,7 @@ DICTIONARY_CORPUS = "S"
 DEFAULT_TOP_K = 3
 
 
-@dataclass(frozen=True, slots=True)
-class ConfusionEntry:
+class ConfusionEntry(NamedTuple):
     """One confusion class: gt_seq was read as pred_seq, count times.
 
     An empty gt_seq encodes insertion, an empty pred_seq deletion; never both.
@@ -107,20 +105,10 @@ def top_k_error_share(confusion: Sequence[ConfusionEntry], k: int) -> Fraction:
     return Fraction(top, total)
 
 
-@dataclass(frozen=True, slots=True)
-class WhitespaceSummary:
-    space_insertions: int
-    space_deletions: int
-    other: int
-
-    @property
-    def total(self) -> int:
-        return self.space_insertions + self.space_deletions + self.other
-
-
-def classify_whitespace_errors(confusion: Sequence[ConfusionEntry]) -> WhitespaceSummary:
+def classify_whitespace_errors(confusion: Sequence[ConfusionEntry]) -> dict[str, int]:
     """Partition error mass into pure space insertions, pure space deletions
-    and everything else. A substitution touching a space is 'other'."""
+    and everything else, as the counts space_insertions, space_deletions
+    and other. A substitution touching a space is 'other'."""
     ins = dele = other = 0
     for e in confusion:
         if e.gt_seq == "" and e.pred_seq and set(e.pred_seq) == {" "}:
@@ -129,11 +117,10 @@ def classify_whitespace_errors(confusion: Sequence[ConfusionEntry]) -> Whitespac
             dele += e.count
         else:
             other += e.count
-    return WhitespaceSummary(ins, dele, other)
+    return {"space_insertions": ins, "space_deletions": dele, "other": other}
 
 
-@dataclass(frozen=True)
-class CerCell:
+class CerCell(NamedTuple):
     """Additive CER components for one (dataset, engine) cell.
 
     cer_sum and macro_lines carry the per-line CER mass of macro-eligible
@@ -192,8 +179,7 @@ def corpus_of(dataset_id: str) -> str:
     return dataset_id.split("-", 1)[0] if "-" in dataset_id else dataset_id
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """The full evaluation matrix plus per-engine error analytics; each
     engine's top-k share is taken over the same k."""
 
@@ -202,7 +188,7 @@ class EvaluationReport:
     cells: Mapping[str, Mapping[str, CerCell]]
     aggregates: tuple[tuple[str, Mapping[str, CerCell]], ...]
     confusion: Mapping[str, tuple[ConfusionEntry, ...]]
-    whitespace: Mapping[str, WhitespaceSummary]
+    whitespace: Mapping[str, Mapping[str, int]]
     k: int
     top_share: Mapping[str, Fraction]
     metadata: Mapping[str, object]
@@ -333,14 +319,7 @@ def _errors_payload(report: EvaluationReport) -> dict[str, object]:
             eng: [{"gt": e.gt_seq, "pred": e.pred_seq, "count": e.count} for e in entries]
             for eng, entries in report.confusion.items()
         },
-        "whitespace": {
-            eng: {
-                "space_insertions": w.space_insertions,
-                "space_deletions": w.space_deletions,
-                "other": w.other,
-            }
-            for eng, w in report.whitespace.items()
-        },
+        "whitespace": dict(report.whitespace),
         "top_share": {
             eng: {
                 "k": report.k,
@@ -483,7 +462,7 @@ def _report_to_markdown(report: EvaluationReport) -> bytes:
             w = report.whitespace[eng]
             out.append(
                 f"| {_md_escape(eng)} | {float(report.top_share[eng]) * 100:.2f}% (k={report.k}) "
-                f"| {w.space_insertions} | {w.space_deletions} | {w.other} |"
+                f"| {w['space_insertions']} | {w['space_deletions']} | {w['other']} |"
             )
     out.append("")
     return "\n".join(out).encode("utf-8")
@@ -533,8 +512,8 @@ def emit_errors_report(report: EvaluationReport, format: str) -> bytes:
             out.append("")
             out.append(
                 f"{sum(e.count for e in entries)} errors; top-{report.k} share "
-                f"{float(report.top_share[eng]) * 100:.2f}%; space insertions {w.space_insertions}, "
-                f"space deletions {w.space_deletions}, other {w.other}."
+                f"{float(report.top_share[eng]) * 100:.2f}%; space insertions {w['space_insertions']}, "
+                f"space deletions {w['space_deletions']}, other {w['other']}."
             )
             out.append("")
             out.append("| gt | pred | count |")

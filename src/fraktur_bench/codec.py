@@ -20,29 +20,30 @@ umlauts and accented vowels used in period printing, and the space.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CodecError
 
 _DEFAULT_CODEC_RESOURCE = "codec_default.txt"
 
 
-@dataclass(frozen=True)
-class Codec:
+class _CodecFields(NamedTuple):
+    characters: tuple[str, ...]
+    name: str = "codec"
+
+
+class Codec(_CodecFields):
     """Immutable, ordered character set.
 
     Order is the file order; it matters only for reporting, membership is
-    what the rest of the toolkit relies on.
+    what the rest of the toolkit relies on. len() and ``in`` speak of the
+    characters, not of the two fields.
     """
 
-    characters: tuple[str, ...]
-    name: str = "codec"
-    _members: frozenset[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         members = frozenset(self.characters)
         if len(members) != len(self.characters):
             dupes = sorted({c for c, n in Counter(self.characters).items() if n > 1})
@@ -52,7 +53,9 @@ class Codec:
                 f"codec {self.name!r} does not contain the space character; "
                 "lines contain inter-word gaps"
             )
-        object.__setattr__(self, "_members", members)
+        # Not a field, so not compared; Codec keeps a __dict__ for it.
+        self._members = members
+        return self
 
     def __contains__(self, ch: str) -> bool:
         return ch in self._members

@@ -16,9 +16,8 @@ on the listed names by exact suffix.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path, PurePath
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ManifestError
 
@@ -27,8 +26,7 @@ GT_SUFFIX = ".gt.txt"
 IMAGE_SUFFIXES = (".bin.png", ".nrm.png", ".png")
 
 
-@dataclass(frozen=True, slots=True)
-class TranscriptionLine:
+class TranscriptionLine(NamedTuple):
     book_id: str
     line_id: str
     text: str

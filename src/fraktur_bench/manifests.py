@@ -25,9 +25,9 @@ import hashlib
 import json
 import logging
 import random
-from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ManifestError
 from .jsonout import dump_json
@@ -41,17 +41,22 @@ SCHEDULE_SCHEMA_VERSION = 1
 STAGE_ORDER = ("pretraining", "synthetic", "real", "refinement")
 
 
-@dataclass(frozen=True)
-class BookEntry:
+class _BookEntryFields(NamedTuple):
     book_id: str
     corpus_id: str
     line_ids: tuple[str, ...]
     century: int | None = None
     language: str | None = None
 
-    def __post_init__(self):
+
+class BookEntry(_BookEntryFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(set(self.line_ids)) != len(self.line_ids):
             raise ManifestError(f"book {self.book_id!r}: duplicate line ids")
+        return self
 
     @property
     def line_count(self) -> int:
@@ -213,7 +218,7 @@ def manifest_to_json(books: Sequence[BookEntry]) -> bytes:
             {
                 "book_id": b.book_id,
                 "corpus_id": b.corpus_id,
-                "lines": list(b.line_ids),
+                "lines": b.line_ids,
                 "metadata": {"century": b.century, "language": b.language},
             }
             for b in books
@@ -245,7 +250,7 @@ def manifest_from_json(data: bytes | str) -> list[BookEntry]:
             where = f"malformed manifest: book {book_id!r}"
             if not isinstance(book_id, str) or not isinstance(corpus_id, str):
                 raise ManifestError(f"{where}: book_id and corpus_id must be strings")
-            if not isinstance(lines, list) or not all(isinstance(i, str) for i in lines):
+            if not isinstance(lines, list) or not all(map(isinstance, lines, repeat(str))):
                 raise ManifestError(f"{where}: lines must be a list of strings")
             if not isinstance(meta, dict):
                 raise ManifestError(f"{where}: metadata is not a JSON object")
@@ -276,7 +281,7 @@ def schedule_to_json(
                 "corpora": list(corpora),
                 "cap_per_book": cap if name == "refinement" else None,
                 "count": len(expanded[name]),
-                "items": [list(pair) for pair in expanded[name]],
+                "items": expanded[name],
             }
             for name, corpora in stages
         ],

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import unicodedata
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .codec import Codec, unescape_entry, validate_against_codec
 from .errors import CodecError, ConvergenceError, NormalizationError, RuleSetError
@@ -40,15 +40,19 @@ _MAX_PASSES = 8
 DEFAULT_KEEP = ("ſ", "ß")  # long s, eszett
 
 
-@dataclass(frozen=True)
-class NormalizationRuleSet:
-    """Ordered (source, target) rewrite rules; no source may be empty or
-    contain a DEFAULT_KEEP character."""
-
+class _NormalizationRuleSetFields(NamedTuple):
     rules: tuple[tuple[str, str], ...]
     name: str = "rules"
 
-    def __post_init__(self):
+
+class NormalizationRuleSet(_NormalizationRuleSetFields):
+    """Ordered (source, target) rewrite rules; no source may be empty or
+    contain a DEFAULT_KEEP character."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for source, target in self.rules:
             if not source:
                 raise RuleSetError("rule with empty source")
@@ -58,6 +62,7 @@ class NormalizationRuleSet:
                         f"rule {source!r} -> {target!r} rewrites kept "
                         f"character {kept!r} (U+{ord(kept):04X})"
                     )
+        return self
 
     @property
     def checksum(self) -> str:
@@ -202,11 +207,3 @@ def parse_unmapped_policy(spec: str) -> str | None:
         return ch
     raise ValueError(f"unknown policy {spec!r}; want fail, drop or replace=<char>")
 
-
-def check_target_stability(rules: NormalizationRuleSet) -> list[tuple[str, str]]:
-    """Rules whose target is itself rewritten by the rule set.
-
-    An unstable target does not break normalization (the fixpoint loop
-    absorbs it) but it usually indicates an ordering mistake in the file.
-    """
-    return [(s, t) for s, t in rules.rules if _one_pass(t, rules) != t]

@@ -24,8 +24,7 @@ multiple sequence alignment.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .align import Edit, align
 from .errors import VotingError
@@ -35,15 +34,19 @@ VOTED_ENGINE_ID = "voted"
 TIE_BREAKS = ("first_voter", "confidence", "abstain_to_pivot")
 
 
-@dataclass(frozen=True)
-class VoterOutput:
-    """One engine's text for a line, optionally with per-character confidences."""
-
+class _VoterOutputFields(NamedTuple):
     engine_id: str
     text: str
     confidences: tuple[float, ...] | None = None
 
-    def __post_init__(self):
+
+class VoterOutput(_VoterOutputFields):
+    """One engine's text for a line, optionally with per-character confidences."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.engine_id:
             raise VotingError("voter output without engine_id")
         if self.confidences is not None:
@@ -60,22 +63,28 @@ class VoterOutput:
                     raise VotingError(
                         f"engine {self.engine_id!r}: confidence {value!r} outside [0, 1]"
                     )
+        return self
 
 
-@dataclass(frozen=True)
-class VotingConfig:
-    """pivot is "longest" (the first of the longest texts), "first", or the
-    id of the engine whose text is the pivot."""
-
+class _VotingConfigFields(NamedTuple):
     min_voters: int = 2
     tie_break: str = "first_voter"
     pivot: str = "longest"
 
-    def __post_init__(self):
+
+class VotingConfig(_VotingConfigFields):
+    """pivot is "longest" (the first of the longest texts), "first", or the
+    id of the engine whose text is the pivot."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.min_voters < 2:
             raise VotingError(f"min_voters must be >= 2, got {self.min_voters}")
         if self.tie_break not in TIE_BREAKS:
             raise VotingError(f"unknown tie_break {self.tie_break!r}")
+        return self
 
 
 def _pick_pivot(outputs: Sequence[VoterOutput], config: VotingConfig) -> int:

@@ -14,7 +14,6 @@ from fraktur_bench.analytics import (
     CerCell,
     ConfusionEntry,
     EvaluationReport,
-    WhitespaceSummary,
     build_report,
     classify_whitespace_errors,
     compute_aggregates,
@@ -267,25 +266,25 @@ class TestWhitespaceClasses:
             ConfusionEntry("a", "o", 1),
         ]
         summary = classify_whitespace_errors(table)
-        assert summary == WhitespaceSummary(4, 2, 1)
-        assert summary.total == 7
+        assert summary == {"space_insertions": 4, "space_deletions": 2, "other": 1}
+        assert sum(summary.values()) == 7
 
     def test_space_substitution_is_other(self):
         table = [ConfusionEntry(" ", "-", 3)]
         summary = classify_whitespace_errors(table)
-        assert summary == WhitespaceSummary(0, 0, 3)
+        assert summary == {"space_insertions": 0, "space_deletions": 0, "other": 3}
 
     def test_multichar_space_runs(self):
         # merged runs of pure spaces still count as space errors
         table = [ConfusionEntry("  ", "", 1), ConfusionEntry("", "  ", 2)]
         summary = classify_whitespace_errors(table)
-        assert summary.space_deletions == 1
-        assert summary.space_insertions == 2
+        assert summary["space_deletions"] == 1
+        assert summary["space_insertions"] == 2
 
     def test_empty_table(self):
         summary = classify_whitespace_errors([])
-        assert summary == WhitespaceSummary(0, 0, 0)
-        assert summary.total == 0
+        assert summary == {"space_insertions": 0, "space_deletions": 0, "other": 0}
+        assert sum(summary.values()) == 0
 
 
 class TestCerCell:

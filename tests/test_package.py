@@ -3,11 +3,17 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import fraktur_bench
+from fraktur_bench import BookEntry, Codec, NormalizationRuleSet, VoterOutput, VotingConfig
+from fraktur_bench.errors import CodecError, ManifestError, RuleSetError, VotingError
+
+from trees import package_env
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(fraktur_bench.__path__))
 SOURCES = sorted(Path(fraktur_bench.__file__).parent.glob("*.py"))
@@ -72,21 +78,111 @@ def test_only_align_names_the_op_vocabulary(path):
     assert names & {"OpKind", "EditOp"} == set()
 
 
-def test_few_dataclasses():
-    """Each @dataclass costs about 1 ms to create when the package is
-    imported (CPython 3.11, 2-core VM), and every command imports them
-    all: the 20 declared before the record types that only copied or
-    repeated state were deleted took 15-32 ms of a 63-136 ms
-    ``import fraktur_bench.cli``, timed by wrapping
-    ``dataclasses._process_class``. TrainingStage, TrainingSchedule and
-    Rule went too: a stage is a (name, corpus ids) pair with one cap and
-    one seed for the schedule, a rule a (source, target) pair. A new
-    record type has to fit under this count, or replace one."""
-    count = 0
+def test_no_module_imports_dataclasses():
+    """Every command imports every record type. With @dataclass records,
+    importing dataclasses took 11-13 ms of each command's set-up and
+    creating 12 classes another 13-17 ms (CPython 3.11, 2-core VM); the
+    records are NamedTuples instead."""
+    importers = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef):
-                for deco in node.decorator_list:
-                    target = deco.func if isinstance(deco, ast.Call) else deco
-                    count += isinstance(target, ast.Name) and target.id == "dataclass"
-    assert count <= 12
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+
+
+def test_set_up_leaves_out_class_machinery():
+    """A command's set-up, in a fresh interpreter without site-packages,
+    loads none of the modules that only dataclasses needed."""
+    code = (
+        "import sys, fraktur_bench.cli\n"
+        "from fraktur_bench import default_codec, default_rules\n"
+        "default_codec(), default_rules()\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+# Each record that checks its fields: the fields without defaults, the
+# defaults, one valid change, and bad fields with the one-line error.
+VALIDATING = [
+    (
+        Codec,
+        {"characters": ("a", " ")},
+        {"name": "codec"},
+        {"name": "other"},
+        {"characters": ("a", "a", " ")},
+        CodecError,
+        "codec 'codec' has duplicate characters: ['a']",
+    ),
+    (
+        NormalizationRuleSet,
+        {"rules": (("x", "y"),)},
+        {"name": "rules"},
+        {"rules": (("x", "z"),)},
+        {"rules": (("x", "y"), ("", "y"))},
+        RuleSetError,
+        "rule with empty source",
+    ),
+    (
+        BookEntry,
+        {"book_id": "b", "corpus_id": "N", "line_ids": ("l1", "l2")},
+        {"century": None, "language": None},
+        {"century": 19},
+        {"line_ids": ("l1", "l1")},
+        ManifestError,
+        "book 'b': duplicate line ids",
+    ),
+    (
+        VoterOutput,
+        {"engine_id": "e", "text": "ab"},
+        {"confidences": None},
+        {"confidences": (0.5, 1.0)},
+        {"confidences": (0.5, float("nan"))},
+        VotingError,
+        "engine 'e': confidence nan outside [0, 1]",
+    ),
+    (
+        VotingConfig,
+        {},
+        {"min_voters": 2, "tie_break": "first_voter", "pivot": "longest"},
+        {"pivot": "first"},
+        {"min_voters": 1},
+        VotingError,
+        "min_voters must be >= 2, got 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, required, defaults, change, bad, error, message",
+    VALIDATING,
+    ids=[row[0].__name__ for row in VALIDATING],
+)
+def test_validating_record(record, required, defaults, change, bad, error, message):
+    """Built from its defaults, by keyword or by position, a validating
+    record is the same value; any other value differs, and bad fields
+    raise the record's own error however they are passed."""
+    full = {**defaults, **required}
+    full = {name: full[name] for name in record._fields}
+    built = [record(**required), record(*required.values()), record(**full), record(*full.values())]
+    assert all(other == built[0] and hash(other) == hash(built[0]) for other in built)
+    assert record(**{**full, **change}) != built[0]
+    broken = {**full, **bad}
+    for args, kwargs in (((), broken), (tuple(broken.values()), {})):
+        with pytest.raises(error) as err:
+            record(*args, **kwargs)
+        assert str(err.value) == message
