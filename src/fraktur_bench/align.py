@@ -15,6 +15,19 @@ the traceback reads the scores it needs off them by popcount (Hyyrö
 2004, "A note on bit-parallel alignment computation") instead of filling
 a cost matrix.
 
+An operation on a Python integer costs about the same at a few hundred
+bits as at a few thousand, so the kernel aligns many pairs at once
+(Hyyrö, Fredriksson and Navarro 2005, "Increased bit-parallelism for
+approximate and multiple string matching"). Each pair gets a lane: its
+ground-truth bits and one guard bit above them, the lanes side by side
+in one integer. Each column sums the lanes' equality vectors and sets
+the bottom row of every lane. vp is masked to the lanes every column, so
+no carry or shift crosses a guard bit, and a lane whose columns have run
+out computes bits that nothing reads. align_many packs the pairs, sorted
+by column count, into batches of up to _BATCH_BITS bits, runs the kernel
+once per batch and traces each lane back; align is the same with one
+lane.
+
 Work and storage scale with the block where the two texts differ.
 Identical strings align at once. Otherwise the common prefix (length k)
 and the common suffix of what remains (length s, k + s <= both lengths)
@@ -42,7 +55,8 @@ sharing is invisible).
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from itertools import repeat, zip_longest
+from typing import NamedTuple, Sequence
 
 
 class OpKind(enum.Enum):
@@ -86,9 +100,11 @@ def _matches(text: str) -> tuple[EditOp, ...]:
         return tuple(map(_match, text))
 
 
-def _trim(gt: str, pred: str) -> tuple[int, int]:
-    """(k, s): the length of the common prefix and that of the common
-    suffix of what follows it, so k + s <= min(len(gt), len(pred))."""
+def _trim(gt: str, pred: str) -> tuple[int, int, int]:
+    """(k, m, n): the block gt[k:m], pred[k:n] where the two texts differ.
+    k is the length of the common prefix, and s = len(gt) - m = len(pred) - n
+    that of the common suffix of what follows it, so k + s <= min(len(gt),
+    len(pred))."""
     m, n = len(gt), len(pred)
     # Galloping searches that compare each character at most a few times.
     lo, hi = 0, min(m, n)
@@ -106,41 +122,119 @@ def _trim(gt: str, pred: str) -> tuple[int, int]:
             lo = mid
         else:
             hi = mid - 1
-    return k, lo
+    return k, m - lo, n - lo
 
 
-def _bit_columns(gt: str, pred: str) -> tuple[int, list[int], list[int]]:
-    """Bit-parallel DP over a non-empty ground truth (Myers 1999, in
-    Hyyrö's global-distance form).
+# The most bits the lanes of one kernel run hold. An operation on a Python
+# integer costs little more at a few thousand bits than at a few hundred,
+# so packing lanes spreads its cost; far wider, it no longer does.
+_BATCH_BITS = 2048
 
-    Bit i-1 of each vector stands for ground-truth position i; prediction
-    characters are the columns, and D[0][j] = j, D[i][0] = i. Returns
-    D[len(gt)][len(pred)] and, for each column j >= 1 (at index j - 1),
-    VP and VN: the rows where the vertical delta v(i,j) = D[i][j] -
-    D[i-1][j] is +1 and -1. So D[i][j] = j + popcount(VP & low) -
-    popcount(VN & low) with low = (1 << i) - 1.
+
+def _lane_columns(blocks: Sequence[tuple[str, str]]) -> tuple[list[int], list[int]]:
+    """Bit-parallel DP (Myers 1999, in Hyyrö's global-distance form) over
+    several blocks at once, one lane of bits each (Hyyrö, Fredriksson and
+    Navarro 2005).
+
+    A block (a, b) has a non-empty a and b. Its lane is len(a) bits and a
+    guard bit above them, the lanes in order from bit 0; bit off + i - 1
+    stands for position i of a, off being the lane's lowest bit. The
+    prediction characters are the columns, and D[0][j] = j, D[i][0] = i in
+    every lane. Returns, for each column j >= 1 (at index j - 1), VP and VN:
+    the rows where the vertical delta v(i,j) = D[i][j] - D[i-1][j] is +1
+    and -1. So D[i][j] = j + popcount(VP & low) - popcount(VN & low) with
+    low the lane's lowest i bits. Past its len(b) columns, a lane's bits
+    are meaningless.
     """
-    mask = (1 << len(gt)) - 1
-    peq: dict[str, int] = {}
-    for i, c in enumerate(gt):
-        peq[c] = peq.get(c, 0) | (1 << i)
+    lanes: list[list[int]] = []
+    mask = bottoms = off = 0
+    for a, b in blocks:
+        peq: dict[str, int] = {}
+        bottom = bit = 1 << off
+        for c in a:
+            peq[c] = peq.get(c, 0) | bit
+            bit <<= 1
+        lanes.append(list(map(peq.get, b, repeat(0))))
+        mask |= bit - bottom
+        bottoms |= bottom
+        off += len(a) + 1
+    # Lanes hold disjoint bits, so a sum is their union; a lane whose
+    # columns have run out adds nothing.
+    eqs = lanes[0] if len(lanes) == 1 else map(sum, zip_longest(*lanes, fillvalue=0))
     vp, vn = mask, 0  # column 0: v = +1 on every row
     vps: list[int] = []
     vns: list[int] = []
-    for c in pred:
-        eq = peq.get(c, 0)
+    for eq in eqs:
+        # eq, vp and vn are 0 on the guard bits, so a carry out of a lane
+        # stops in its guard bit, and xv is 0 there too.
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
         # The horizontal deltas, moved one row down; row 0 is D[0][j] = j,
-        # so +1 enters every column from above. Bits past the last row
-        # are cut by the masks below.
-        hp = ((vn | ~(xh | vp) & mask) << 1) | 1
+        # so +1 enters every lane from above, and | bottoms overwrites what
+        # hp moves up from the guard bit below. On the lanes' rows x ^ mask
+        # is ~x. A bit moved into a guard bit is cut by & mask and by xv.
+        hp = ((vn | (xh | vp) ^ mask) << 1) | bottoms
         hn = (vp & xh) << 1
-        vp = (hn | ~(xv | hp)) & mask
+        vp = (hn | (xv | hp) ^ mask) & mask
         vn = hp & xv
         vps.append(vp)
         vns.append(vn)
-    return len(pred) + vp.bit_count() - vn.bit_count(), vps, vns
+    return vps, vns
+
+
+def _edits(
+    gt: str, pred: str, k: int, m: int, n: int, vps: Sequence[int], vns: Sequence[int], off: int
+) -> tuple[Edit, ...]:
+    """The edits of the alignment of pred to gt, traced back through the
+    columns of its block gt[k:m], pred[k:n]: the lane from bit off of vps
+    and vns. They are empty when a side of the block is."""
+    # Walk back from (m, n) with d = D[i][j]: a match keeps it, an edit
+    # lowers it by one. At a mismatch outside the block the diagonal costs
+    # more (D = |i - j|): delete if i > j, else insert. Inside it the
+    # columns give D[i-1][j-1] by popcount (column k is D[i][k] = i - k),
+    # and v(i,j) = +1 exactly where deleting is optimal. Cost ties prefer
+    # the diagonal, then delete, then insert. The walk stops at i == j <= k,
+    # where only matches are left. Each edit is recorded with (i, j) after
+    # the step: the numbers of characters before it.
+    bottom = 1 << off
+    if vps:
+        lane = (bottom << m - k) - bottom
+        d = n - k + (vps[n - k - 1] & lane).bit_count() - (vns[n - k - 1] & lane).bit_count()
+    edits: list[Edit] = []
+    i, j = m, n
+    while i > 0 and j > 0 and (i != j or j > k):
+        g, p = gt[i - 1], pred[j - 1]
+        if g == p:  # D[i][j] == D[i-1][j-1]
+            i -= 1
+            j -= 1
+            continue
+        if i <= k or j <= k:
+            diagonal, up = False, i > j
+        else:
+            row, c = i - k - 1, j - k - 1  # lane bit of row i, index of column j
+            if c:
+                low = (bottom << row) - bottom
+                diag = c + (vps[c - 1] & low).bit_count() - (vns[c - 1] & low).bit_count()
+            else:
+                diag = row
+            diagonal, up = diag + 1 == d, vps[c] >> (off + row) & 1
+            d -= 1
+        if diagonal:
+            i -= 1
+            j -= 1
+            edits.append((i, j, g, p))
+        elif up:
+            i -= 1
+            edits.append((i, j, g, ""))
+        else:
+            j -= 1
+            edits.append((i, j, "", p))
+    edits.reverse()
+    if i > j:  # the prediction is exhausted
+        edits[:0] = [(gt_pos, 0, c, "") for gt_pos, c in enumerate(gt[:i])]
+    elif j > i:  # the ground truth is exhausted
+        edits[:0] = [(0, pred_pos, "", c) for pred_pos, c in enumerate(pred[:j])]
+    return tuple(edits)
 
 
 class AlignmentResult(NamedTuple):
@@ -196,50 +290,45 @@ def align(gt: str, pred: str) -> AlignmentResult:
     """Cost-optimal alignment of a prediction to its ground truth."""
     if gt == pred:
         return AlignmentResult(gt, pred, ())
-    k, s = _trim(gt, pred)
-    m, n = len(gt) - s, len(pred) - s
-    if m > k:
-        d, vps, vns = _bit_columns(gt[k:m], pred[k:n])
-    # Walk back from (m, n) with d = D[i][j]: a match keeps it, an edit
-    # lowers it by one. At a mismatch outside the block the diagonal costs
-    # more (D = |i - j|): delete if i > j, else insert. Inside it the
-    # columns give D[i-1][j-1] by popcount (column k is D[i][k] = i - k),
-    # and v(i,j) = +1 exactly where deleting is optimal. Cost ties prefer
-    # the diagonal, then delete, then insert. The walk stops at i == j <= k,
-    # where only matches are left. Each edit is recorded with (i, j) after
-    # the step: the numbers of characters before it.
-    edits: list[Edit] = []
-    i, j = m, n
-    while i > 0 and j > 0 and (i != j or j > k):
-        g, p = gt[i - 1], pred[j - 1]
-        if g == p:  # D[i][j] == D[i-1][j-1]
-            i -= 1
-            j -= 1
+    k, m, n = _trim(gt, pred)
+    # The walk reads columns only inside the block, so an empty side needs none.
+    vps, vns = _lane_columns(((gt[k:m], pred[k:n]),)) if m > k < n else ((), ())
+    return AlignmentResult(gt, pred, _edits(gt, pred, k, m, n, vps, vns, 0))
+
+
+def align_many(pairs: Sequence[tuple[str, str]]) -> list[AlignmentResult]:
+    """[align(gt, pred) for gt, pred in pairs], with the blocks of many
+    pairs run through the kernel at once, one lane each."""
+    results: list[AlignmentResult | None] = [None] * len(pairs)
+    blocks = []  # (columns, index, k, m, n) of each pair with columns to read
+    for index, (gt, pred) in enumerate(pairs):
+        if gt == pred:
+            results[index] = AlignmentResult(gt, pred, ())
             continue
-        if i <= k or j <= k:
-            diagonal, up = False, i > j
+        k, m, n = _trim(gt, pred)
+        if m > k < n:
+            blocks.append((n - k, index, k, m, n))
         else:
-            row, c = i - k - 1, j - k - 1  # bit of row i, index of column j
-            if c:
-                low = (1 << row) - 1
-                diag = c + (vps[c - 1] & low).bit_count() - (vns[c - 1] & low).bit_count()
-            else:
-                diag = row
-            diagonal, up = diag + 1 == d, vps[c] >> row & 1
-            d -= 1
-        if diagonal:
-            i -= 1
-            j -= 1
-            edits.append((i, j, g, p))
-        elif up:
-            i -= 1
-            edits.append((i, j, g, ""))
-        else:
-            j -= 1
-            edits.append((i, j, "", p))
-    edits.reverse()
-    if i > j:  # the prediction is exhausted
-        edits[:0] = [(gt_pos, 0, c, "") for gt_pos, c in enumerate(gt[:i])]
-    elif j > i:  # the ground truth is exhausted
-        edits[:0] = [(0, pred_pos, "", c) for pred_pos, c in enumerate(pred[:j])]
-    return AlignmentResult(gt, pred, tuple(edits))
+            results[index] = AlignmentResult(gt, pred, _edits(gt, pred, k, m, n, (), (), 0))
+    # Lanes of similar column counts share a batch, so that few columns run
+    # for lanes that have none left. A block wider than the budget gets a
+    # batch of its own.
+    blocks.sort()
+    batches: list[list[tuple[int, int, int, int, int]]] = []
+    bits = _BATCH_BITS
+    for block in blocks:
+        width = block[3] - block[2] + 1
+        if bits + width > _BATCH_BITS:
+            batches.append([])
+            bits = 0
+        batches[-1].append(block)
+        bits += width
+    for batch in batches:
+        # Rebinding drops the previous batch's columns.
+        vps, vns = _lane_columns([(pairs[i][0][k:m], pairs[i][1][k:n]) for _, i, k, m, n in batch])
+        off = 0
+        for _, index, k, m, n in batch:
+            gt, pred = pairs[index]
+            results[index] = AlignmentResult(gt, pred, _edits(gt, pred, k, m, n, vps, vns, off))
+            off += m - k + 1
+    return results

@@ -56,7 +56,7 @@ from .normalize import (
     require_replacement_in_codec,
 )
 from .pipeline import eval_pipeline, load_pred_trees, read_text_file
-from .voting import TIE_BREAKS, VOTED_ENGINE_ID, VoterOutput, VotingConfig, vote_line
+from .voting import TIE_BREAKS, VOTED_ENGINE_ID, VoterOutput, VotingConfig, vote_lines
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -234,6 +234,10 @@ def _load_confidences(conf_path: Path | None, text: str):
     return values
 
 
+def _line_error(book: str, lid: str, exc: VotingError) -> VotingError:
+    return VotingError(f"book {book!r}, line {lid!r}: {exc}")
+
+
 def _cmd_vote(args: argparse.Namespace) -> int:
     trees = _engine_trees(args)
     config = VotingConfig(
@@ -264,23 +268,33 @@ def _cmd_vote(args: argparse.Namespace) -> int:
                 f"need {config.min_voters}: {', '.join(short[:10])}"
             )
         lines_by_book[book] = sorted(voter_count)
-    voted: list[tuple[Path, bytes]] = []
+    keys = [(book, lid) for book, line_ids in lines_by_book.items() for lid in line_ids]
+
+    def voters(book: str, lid: str) -> list[VoterOutput]:
+        inputs = []
+        for eng in engines:
+            text = per_engine[eng].get(book, {}).get(lid)
+            if text is not None:
+                conf_path = sidecars[eng].get(book, {}).get(lid)
+                inputs.append((eng, text, _load_confidences(conf_path, text)))
+        try:
+            return [VoterOutput(eng, text, conf) for eng, text, conf in inputs]
+        except VotingError as exc:
+            raise _line_error(book, lid, exc) from None
+
+    # vote_lines builds and checks each line before the next, and aligns
+    # none before the last is checked, so the first bad line is reported.
+    try:
+        texts = vote_lines((voters(book, lid) for book, lid in keys), config)
+    except VotingError as exc:
+        if exc.line is None:
+            raise
+        raise _line_error(*keys[exc.line], exc) from None
     out_root = Path(args.out).resolve()
-    for book, line_ids in lines_by_book.items():
-        for lid in line_ids:
-            inputs = []
-            for eng in engines:
-                text = per_engine[eng].get(book, {}).get(lid)
-                if text is not None:
-                    conf_path = sidecars[eng].get(book, {}).get(lid)
-                    inputs.append((eng, text, _load_confidences(conf_path, text)))
-            try:
-                voters = [VoterOutput(eng, text, conf) for eng, text, conf in inputs]
-                text = vote_line(voters, config)
-            except VotingError as exc:
-                raise VotingError(f"book {book!r}, line {lid!r}: {exc}") from None
-            path = out_root / book / (lid + pred_suffix(VOTED_ENGINE_ID))
-            voted.append((path, (text + "\n").encode("utf-8")))
+    voted = [
+        (out_root / book / (lid + pred_suffix(VOTED_ENGINE_ID)), (text + "\n").encode("utf-8"))
+        for (book, lid), text in zip(keys, texts)
+    ]
     _write_tree(voted)
     print(f"voted {len(voted)} line(s) across {len(books)} book(s) -> {out_root}")
     return 0

@@ -20,13 +20,13 @@ umlauts and accented vowels used in period printing, and the space.
 from __future__ import annotations
 
 from collections import Counter
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import CodecError
 
-_DEFAULT_CODEC_RESOURCE = "codec_default.txt"
+# The default file sits next to the sources.
+_DEFAULT_CODEC_FILE = Path(__file__).parent / "data" / "codec_default.txt"
 
 
 class _CodecFields(NamedTuple):
@@ -150,10 +150,8 @@ def default_codec() -> Codec:
     authoritative: nothing in the toolkit assumes a fixed cardinality, and
     loaders report the actual count.
     """
-    content = (
-        resources.files("fraktur_bench").joinpath("data", _DEFAULT_CODEC_RESOURCE).read_text("utf-8")
-    )
-    return _parse_codec_text(content, _DEFAULT_CODEC_RESOURCE, "default")
+    content = _DEFAULT_CODEC_FILE.read_text(encoding="utf-8")
+    return _parse_codec_text(content, _DEFAULT_CODEC_FILE.name, "default")
 
 
 def validate_against_codec(text: str, codec: Codec) -> list[tuple[int, str]]:

@@ -34,7 +34,14 @@ class PairingError(ToolkitError):
 
 
 class VotingError(ToolkitError):
-    """Raised for unusable voter sets or inconsistent confidence data."""
+    """Raised for unusable voter sets or inconsistent confidence data.
+
+    line is the index of the rejected line among those voting.vote_lines
+    was given, or None when the error is not a line's."""
+
+    def __init__(self, message: str, line: int | None = None) -> None:
+        super().__init__(message)
+        self.line = line
 
 
 class ManifestError(ToolkitError):

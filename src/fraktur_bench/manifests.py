@@ -25,13 +25,14 @@ import hashlib
 import json
 import logging
 import random
+import re
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ManifestError
 from .jsonout import dump_json
-from .lines import GT_SUFFIX, IMAGE_SUFFIXES, list_books, strip_suffix
+from .lines import GT_SUFFIX, IMAGE_SUFFIXES, list_books
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +40,18 @@ MANIFEST_SCHEMA_VERSION = 1
 SCHEDULE_SCHEMA_VERSION = 1
 
 STAGE_ORDER = ("pretraining", "synthetic", "real", "refinement")
+
+# A line file's name: its line id, then the longest suffix it ends with
+# (the shortest id that leaves a whole suffix). Other names do not match.
+_LINE_FILE = re.compile(
+    "(.*?)(" + "|".join(map(re.escape, (GT_SUFFIX, *IMAGE_SUFFIXES))) + ")", re.DOTALL
+)
+# What an image's line ids carry after the id its longest suffix leaves:
+# l1.bin.png is the sibling of l1 and of l1.bin.
+_IMAGE_TAILS = {
+    suffix: tuple(suffix[: -len(other)] for other in IMAGE_SUFFIXES if suffix.endswith(other))
+    for suffix in IMAGE_SUFFIXES
+}
 
 
 class _BookEntryFields(NamedTuple):
@@ -73,11 +86,16 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
     root = Path(root)
     books: list[BookEntry] = []
     for book_dir, names in list_books(root, "corpus root"):
-        gt_ids = [name[: -len(GT_SUFFIX)] for name in names if name.endswith(GT_SUFFIX)]
-        images = [name for name in names if name.endswith(IMAGE_SUFFIXES)]
-        # Every line id an image can be the sibling of: l1.bin.png serves
-        # both l1 and l1.bin.
-        imaged = {name[: -len(s)] for s in IMAGE_SUFFIXES for name in images if name.endswith(s)}
+        gt_ids: list[str] = []
+        images: list[tuple[str, str, str]] = []  # (name, line id, suffix)
+        for match in filter(None, map(_LINE_FILE.fullmatch, names)):
+            line_id, suffix = match.groups()
+            if suffix == GT_SUFFIX:
+                gt_ids.append(line_id)
+            else:
+                images.append((match.string, line_id, suffix))
+        # Every line id an image can be the sibling of.
+        imaged = {line_id + tail for _, line_id, suffix in images for tail in _IMAGE_TAILS[suffix]}
         line_ids = [line_id for line_id in gt_ids if line_id in imaged]
         if len(line_ids) < len(gt_ids):
             for line_id in gt_ids:
@@ -92,8 +110,8 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
         # An image belongs to the line its longest suffix leaves; when every
         # line id any image serves has ground truth, so does that one.
         if not with_gt.issuperset(imaged):
-            for name in images:
-                if strip_suffix(name, IMAGE_SUFFIXES) not in with_gt:
+            for name, line_id, _ in images:
+                if line_id not in with_gt:
                     logger.warning(
                         "%s/%s: image %r has no ground-truth sibling, excluded",
                         corpus_id,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import unicodedata
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,7 +31,8 @@ from .codec import Codec, unescape_entry, validate_against_codec
 from .errors import CodecError, ConvergenceError, NormalizationError, RuleSetError
 from .lines import TranscriptionLine
 
-_DEFAULT_RULES_RESOURCE = "rules_default.tsv"
+# The default file sits next to the sources.
+_DEFAULT_RULES_FILE = Path(__file__).parent / "data" / "rules_default.tsv"
 
 # A rewrite loop that survives this many full passes is treated as divergent.
 _MAX_PASSES = 8
@@ -121,10 +121,8 @@ def load_rules(path: str | Path) -> NormalizationRuleSet:
 
 
 def default_rules() -> NormalizationRuleSet:
-    content = (
-        resources.files("fraktur_bench").joinpath("data", _DEFAULT_RULES_RESOURCE).read_text("utf-8")
-    )
-    return _parse_rules_text(content, _DEFAULT_RULES_RESOURCE)
+    content = _DEFAULT_RULES_FILE.read_text(encoding="utf-8")
+    return _parse_rules_text(content, _DEFAULT_RULES_FILE.name)
 
 
 def _one_pass(text: str, rules: NormalizationRuleSet) -> str:

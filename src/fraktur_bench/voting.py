@@ -17,6 +17,12 @@ same order (pivot first, then the voters by index, so confidence sums
 round the same) and resolved; their results are spliced into the pivot
 text.
 
+vote_lines votes many lines in three passes: it checks every line (voter
+count, confidences when the tie-break needs them, the pivot engine), then
+aligns all their voters at once, so that the kernel packs many pivot/voter
+pairs into each run (align.align_many), then resolves each line's slots.
+vote_line is vote_lines for one line.
+
 This is star alignment, linear in the number of voters, not a full
 multiple sequence alignment.
 """
@@ -24,9 +30,9 @@ multiple sequence alignment.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .align import Edit, align
+from .align import Edit, align_many
 from .errors import VotingError
 
 VOTED_ENGINE_ID = "voted"
@@ -88,6 +94,19 @@ class VotingConfig(_VotingConfigFields):
 
 
 def _pick_pivot(outputs: Sequence[VoterOutput], config: VotingConfig) -> int:
+    """The index of the pivot among a line's outputs, after the checks the
+    line must pass before it is voted."""
+    if len(outputs) < config.min_voters:
+        raise VotingError(
+            f"insufficient voters: got {len(outputs)}, need {config.min_voters}"
+        )
+    if config.tie_break == "confidence":
+        missing = [o.engine_id for o in outputs if o.confidences is None]
+        if missing:
+            raise VotingError(
+                f"tie_break='confidence' requires confidences from every voter; "
+                f"missing: {', '.join(missing)}"
+            )
     if config.pivot == "first":
         return 0
     if config.pivot != "longest":
@@ -181,26 +200,52 @@ class _Edits:
 
 def vote_line(outputs: Sequence[VoterOutput], config: VotingConfig) -> str:
     """Combine outputs for one line into the voted text."""
-    if len(outputs) < config.min_voters:
-        raise VotingError(
-            f"insufficient voters: got {len(outputs)}, need {config.min_voters}"
-        )
-    if config.tie_break == "confidence":
-        missing = [o.engine_id for o in outputs if o.confidences is None]
-        if missing:
-            raise VotingError(
-                f"tie_break='confidence' requires confidences from every voter; "
-                f"missing: {', '.join(missing)}"
-            )
+    return vote_lines((outputs,), config)[0]
 
-    pivot_idx = _pick_pivot(outputs, config)
+
+def vote_lines(lines: Iterable[Sequence[VoterOutput]], config: VotingConfig) -> list[str]:
+    """The voted text of each line, given as its voters' outputs.
+
+    lines is read once, in order, and each line is checked as it is read,
+    before the next one is built: so the first bad line raises, whether
+    lines raises while building it or the check rejects it. A rejected
+    line's VotingError carries its index in lines as .line. Only then are
+    the non-pivot voters of every line aligned to their pivots, in one
+    align_many call, and each line's slots resolved.
+    """
+    checked = []
+    for index, outputs in enumerate(lines):
+        try:
+            checked.append((outputs, _pick_pivot(outputs, config)))
+        except VotingError as exc:
+            raise VotingError(str(exc), line=index) from None
+    results = iter(
+        align_many(
+            [
+                (outputs[pivot_idx].text, voter.text)
+                for outputs, pivot_idx in checked
+                for v_idx, voter in enumerate(outputs)
+                if v_idx != pivot_idx
+            ]
+        )
+    )
+    texts = []
+    for outputs, pivot_idx in checked:
+        voters = [
+            _Edits(v_idx, voter, next(results).edits)
+            for v_idx, voter in enumerate(outputs)
+            if v_idx != pivot_idx
+        ]
+        texts.append(_voted_text(outputs, pivot_idx, voters, config))
+    return texts
+
+
+def _voted_text(
+    outputs: Sequence[VoterOutput], pivot_idx: int, voters: Sequence[_Edits], config: VotingConfig
+) -> str:
+    """The pivot's text with each contested slot replaced by its result."""
     pivot = outputs[pivot_idx]
     text = pivot.text
-    voters = [
-        _Edits(v_idx, voter, align(text, voter.text).edits)
-        for v_idx, voter in enumerate(outputs)
-        if v_idx != pivot_idx
-    ]
     contested = set().union(*(v.spans for v in voters))
     if not contested:
         return text

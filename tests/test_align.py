@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraktur_bench.align import AlignmentResult, OpKind, _bit_columns, _trim, align
+import fraktur_bench.align as align_module
+from fraktur_bench.align import AlignmentResult, OpKind, _lane_columns, _trim, align, align_many
 
 from edit_scripts import (
     delete,
@@ -254,31 +256,121 @@ class TestTrimmedPaths:
         assert ops[0] is ops[2] and ops[0] == match("a")
 
 
+# Lanes for the multi-lane kernel: tie-heavy texts, and texts over letters
+# that the other lanes lack.
+lane_text = st.text(alphabet="ab", max_size=16) | st.text(alphabet="ab c", max_size=30)
+lane_affix = st.text(alphabet="ab", max_size=6)
+foreign_text = st.text(alphabet="xyz", max_size=16)
+
+
 class TestBlockKernel:
-    """The kernel runs on the block between the shared prefix (k) and
-    suffix; its columns must give the full DP inside the block, and
-    D[i][j] = |i - j| must hold outside it."""
+    """The kernel runs on the blocks between each pair's shared prefix (k)
+    and suffix, one lane each; each lane's columns, shifted out of the
+    packed integers, must give the full DP inside its block, and D[i][j] =
+    |i - j| must hold outside it."""
+
+    @staticmethod
+    def assert_lanes_give_the_matrices(pairs):
+        blocks, lanes = [], []
+        for gt, pred in pairs:
+            D = reference_matrix(gt, pred)
+            k, m, n = _trim(gt, pred)
+            assert gt[m:] == pred[n:] and D[m][n] == D[-1][-1]
+            for i, row in enumerate(D):
+                for j, d in enumerate(row):
+                    if i <= k or j <= k:
+                        assert d == abs(i - j), (i, j)
+            if m > k < n:  # otherwise align runs no kernel for the pair
+                blocks.append((gt[k:m], pred[k:n]))
+                lanes.append((D, k, m, n))
+        if not blocks:
+            return
+        vps, vns = _lane_columns(blocks)
+        assert len(vps) == len(vns) == max(n - k for _, k, _, n in lanes)
+        off = 0
+        for D, k, m, n in lanes:
+            lane = (1 << (m - k)) - 1
+            for j in range(k + 1, n + 1):
+                vp, vn = vps[j - k - 1] >> off & lane, vns[j - k - 1] >> off & lane
+                for i in range(k + 1, m + 1):
+                    low = (1 << (i - k)) - 1
+                    assert D[i][j] == j - k + (vp & low).bit_count() - (vn & low).bit_count(), (i, j)
+            off += m - k + 1
 
     @given(tie_affix, tie_text, tie_text, tie_affix)
     def test_columns_give_the_full_matrix(self, prefix, a, b, suffix):
-        gt, pred = prefix + a + suffix, prefix + b + suffix
-        D = reference_matrix(gt, pred)
-        k, s = _trim(gt, pred)
-        m, n = len(gt) - s, len(pred) - s
-        for i, row in enumerate(D):
-            for j, d in enumerate(row):
-                if i <= k or j <= k:
-                    assert d == abs(i - j), (i, j)
-        if m == k:  # no block: align runs no kernel
-            return
-        distance, vps, vns = _bit_columns(gt[k:m], pred[k:n])
-        assert distance == D[m][n] == D[-1][-1]
-        assert len(vps) == len(vns) == n - k
-        for i in range(k + 1, m + 1):
-            low = (1 << (i - k)) - 1
-            for j in range(k + 1, n + 1):
-                vp, vn = vps[j - k - 1], vns[j - k - 1]
-                assert D[i][j] == j - k + (vp & low).bit_count() - (vn & low).bit_count(), (i, j)
+        self.assert_lanes_give_the_matrices([(prefix + a + suffix, prefix + b + suffix)])
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(lane_affix, lane_text | foreign_text, lane_text | foreign_text, lane_affix),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    def test_lanes_give_their_full_matrices(self, parts):
+        # lanes of different widths and column counts, some over letters
+        # that no other lane holds
+        self.assert_lanes_give_the_matrices(
+            [(prefix + a + suffix, prefix + b + suffix) for prefix, a, b, suffix in parts]
+        )
+
+
+# The pairs of one align_many call: blocks of different widths and column
+# counts, empty predictions, identical pairs, pairs whose block has an
+# empty side, and letters that only some pairs hold.
+many_pair = st.one_of(
+    st.tuples(lane_affix, lane_text, lane_text, lane_affix).map(
+        lambda t: (t[0] + t[1] + t[3], t[0] + t[2] + t[3])
+    ),
+    st.tuples(lane_text, foreign_text),
+    st.tuples(lane_text | foreign_text, st.just("")),
+    lane_text.map(lambda t: (t, t)),
+    st.tuples(lane_affix, lane_text, lane_affix).map(
+        lambda t: (t[0] + t[1] + t[2], t[0] + t[2])
+    ),
+    st.tuples(lane_affix, lane_text, lane_affix).map(
+        lambda t: (t[0] + t[2], t[0] + t[1] + t[2])
+    ),
+)
+
+
+class TestAlignMany:
+    """align_many packs the blocks of many pairs into the lanes of one
+    kernel run; each result must be align's for its pair, and so the full
+    DP's, tie-break included."""
+
+    @staticmethod
+    def assert_matches(pairs):
+        got = align_many(pairs)
+        assert got == [align(gt, pred) for gt, pred in pairs]
+        for (gt, pred), result in zip(pairs, got):
+            assert (result.ops, result.distance) == reference_alignment(gt, pred)
+
+    @settings(max_examples=150)
+    @given(st.lists(many_pair, max_size=12), st.sampled_from([1, 8, 40, 10**6]))
+    def test_matches_align_and_reference(self, pairs, budget):
+        # A small budget splits the pairs into many batches and leaves
+        # blocks wider than the budget to batches of their own.
+        with mock.patch.object(align_module, "_BATCH_BITS", budget):
+            self.assert_matches(pairs)
+
+    def test_block_wider_than_the_budget(self):
+        rng = random.Random(20263)
+        wide = "".join(rng.choice("ab c") for _ in range(align_module._BATCH_BITS + 60))
+        noisy = wide[:40] + "x" + wide[40:-50] + wide[-49:]
+        pairs = [("ab", "ba"), (wide, noisy), ("abc", ""), ("xy", "xy"), (noisy, wide), ("a b", "ab")]
+        got = align_many(pairs)
+        assert got == [align(gt, pred) for gt, pred in pairs]
+        # The full reference DP takes seconds at this width; the hypothesis
+        # test above holds the narrow blocks to it.
+        for (gt, pred), result in zip(pairs, got):
+            assert (script_gt_text(result.ops), script_pred_text(result.ops)) == (gt, pred)
+        assert [r.distance for r in got] == [2, 2, 3, 0, 2, 1]
+
+    def test_empty(self):
+        assert align_many([]) == []
 
 
 class TestDerivedViews:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fraktur_bench
+import fraktur_bench.align as align_module
 from fraktur_bench.analytics import (
     DEFAULT_TOP_K,
     DICTIONARY_CORPUS,
@@ -555,6 +556,38 @@ class TestDataErrorsNameTheLine:
         assert payload == {"error": {"type": error_type, "message": message}}
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"pred/A/l1.pred.e3.txt": None, "pred/A/l1.pred.e3.conf": None,
+                 "pred/B/l2.pred.e1.conf": "0.5 nan 0.5"},
+                "book 'A', line 'l1': pivot engine 'e3' not among voters",
+            ),
+            (
+                {"pred/A/l1.pred.e1.conf": "0.5 nan 0.5",
+                 "pred/B/l2.pred.e3.txt": None, "pred/B/l2.pred.e3.conf": None},
+                "book 'A', line 'l1': engine 'e1': confidence nan outside [0, 1]",
+            ),
+        ],
+        ids=["pivot-absent-first", "nan-first"],
+    )
+    def test_vote_reports_the_first_bad_line(self, tmp_path, capsys, overrides, message):
+        # vote checks every line before it aligns any, in (book, line)
+        # order: a line whose voters cannot be built (a NaN sidecar) and a
+        # line that fails the check (no pivot engine) are reported alike
+        self.build(tmp_path, overrides)
+        out = tmp_path / "out"
+        argv = ["vote", "--pred", str(tmp_path / "pred"), "--engine", "e1", "--engine", "e2",
+                "--engine", "e3", "--pivot", "e3", "--out", str(out)]
+
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": {"type": "VotingError", "message": message}}
+        assert not out.exists()
+
 
 class TestDefaults:
     """The defaults of --k and --dictionary-corpus are written once, in
@@ -951,6 +984,32 @@ class TestVoteCommand:
             "A", "A/l1.bin.pred.voted.txt", "A/l1.pred.voted.txt", "B", "B/l2.pred.voted.txt",
         ]
         assert capsys.readouterr().out == f"voted 3 line(s) across 2 book(s) -> {out}\n"
+
+    def test_lines_share_kernel_runs(self, tmp_path, monkeypatch, capsys):
+        # vote aligns all its lines in one align_many call, whose kernel
+        # runs pack many pivot/voter blocks each
+        runs = []
+        kernel = align_module._lane_columns
+
+        def counted(blocks):
+            runs.append(len(blocks))
+            return kernel(blocks)
+
+        monkeypatch.setattr(align_module, "_lane_columns", counted)
+        lines = {f"l{i}": f"Zeile {i} im Buch" for i in range(20)}
+        make_pred_tree(tmp_path / "pred", "e0", {"A": lines})
+        make_pred_tree(tmp_path / "pred", "e1", {"A": {k: t.replace("e", "c") for k, t in lines.items()}})
+        make_pred_tree(tmp_path / "pred", "e2", {"A": {k: t.replace("Z", "2") for k, t in lines.items()}})
+        argv = ["vote", "--pred", str(tmp_path / "pred"), "--engine", "e0", "--engine", "e1",
+                "--engine", "e2", "--out", str(tmp_path / "voted")]
+        assert run(argv) == 0
+        assert (tmp_path / "voted" / "A" / "l7.pred.voted.txt").read_text(encoding="utf-8") == (
+            "Zeile 7 im Buch\n"
+        )
+        # 20 lines with two non-pivot voters each: 40 blocks, which took 40
+        # kernel runs when every pair was aligned alone
+        assert sum(runs) == 40 and len(runs) <= 2
+        capsys.readouterr()
 
     def test_min_voters_enforced(self, tmp_path, capsys):
         # book A is complete; book B has one complete line and two short ones

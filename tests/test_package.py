@@ -99,12 +99,15 @@ def test_no_module_imports_dataclasses():
 
 def test_set_up_leaves_out_class_machinery():
     """A command's set-up, in a fresh interpreter without site-packages,
-    loads none of the modules that only dataclasses needed."""
+    loads none of the modules that only dataclasses needed, nor
+    importlib.resources: the default codec and rules are read from the
+    files next to the sources."""
     code = (
         "import sys, fraktur_bench.cli\n"
         "from fraktur_bench import default_codec, default_rules\n"
         "default_codec(), default_rules()\n"
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))\n"
+        "forbidden = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources'}\n"
+        "print(sorted(forbidden & set(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],
