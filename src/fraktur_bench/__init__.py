@@ -28,7 +28,7 @@ from .manifests import (
     verify_counts,
 )
 from .normalize import NormalizationRuleSet, default_rules, load_rules, normalize_line
-from .voting import VoterOutput, VotingConfig, vote_line, vote_lines
+from .voting import VoterOutput, VotingConfig, vote_lines
 
 __all__ = [
     "AlignmentResult",
@@ -56,7 +56,6 @@ __all__ = [
     "top_k_error_share",
     "validate_against_codec",
     "verify_counts",
-    "vote_line",
     "vote_lines",
     "__version__",
 ]

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import os
 from pathlib import Path, PurePath
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import ManifestError
 
 GT_SUFFIX = ".gt.txt"
-# Longest first so suffix stripping never cuts a compound extension short.
 IMAGE_SUFFIXES = (".bin.png", ".nrm.png", ".png")
 
 
@@ -43,20 +42,11 @@ def conf_suffix(engine_id: str) -> str:
     return f".pred.{engine_id}.conf"
 
 
-def strip_suffix(name: str, suffixes: Sequence[str]) -> str | None:
-    """The name without the first of suffixes it ends with, or None."""
-    for suffix in suffixes:
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return None
-
-
 def line_id_of(name: str) -> str:
     """The line id in a text file's name: the name without ``.gt.txt`` or
     ``.pred.<engine_id>.txt``. Any other name loses its last extension."""
-    line_id = strip_suffix(name, (GT_SUFFIX,))
-    if line_id is not None:
-        return line_id
+    if name.endswith(GT_SUFFIX):
+        return name[: -len(GT_SUFFIX)]
     head, sep, _ = name.rpartition(".pred.")
     if sep and name.endswith(".txt"):
         return head

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import random
 import re
+import sys
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -33,8 +33,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import ManifestError
 from .jsonout import dump_json
 from .lines import GT_SUFFIX, IMAGE_SUFFIXES, list_books
-
-logger = logging.getLogger(__name__)
 
 MANIFEST_SCHEMA_VERSION = 1
 SCHEDULE_SCHEMA_VERSION = 1
@@ -80,7 +78,7 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
     """Scan a line-pair tree into one BookEntry per book directory.
 
     Lines missing either the ground-truth file or the image sibling are
-    logged as warnings and excluded. An unreadable root or a root without
+    reported on stderr and excluded. An unreadable root or a root without
     book directories is an error.
     """
     root = Path(root)
@@ -100,11 +98,10 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
         if len(line_ids) < len(gt_ids):
             for line_id in gt_ids:
                 if line_id not in imaged:
-                    logger.warning(
-                        "%s/%s: line %r has ground truth but no image sibling, excluded",
-                        corpus_id,
-                        book_dir.name,
-                        line_id,
+                    print(
+                        f"{corpus_id}/{book_dir.name}: line {line_id!r} has ground truth"
+                        " but no image sibling, excluded",
+                        file=sys.stderr,
                     )
         with_gt = set(gt_ids)
         # An image belongs to the line its longest suffix leaves; when every
@@ -112,17 +109,14 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
         if not with_gt.issuperset(imaged):
             for name, line_id, _ in images:
                 if line_id not in with_gt:
-                    logger.warning(
-                        "%s/%s: image %r has no ground-truth sibling, excluded",
-                        corpus_id,
-                        book_dir.name,
-                        name,
+                    print(
+                        f"{corpus_id}/{book_dir.name}: image {name!r} has no ground-truth"
+                        " sibling, excluded",
+                        file=sys.stderr,
                     )
         books.append(BookEntry(book_dir.name, corpus_id, tuple(line_ids)))
     if not books:
         raise ManifestError(f"corpus root {root} contains no book directories")
-    total = sum(b.line_count for b in books)
-    logger.info("%s: %d book(s), %d line(s)", corpus_id, len(books), total)
     return books
 
 
@@ -194,7 +188,6 @@ def build_schedule(
                     chosen = list(book.line_ids)
                 items.extend((book.book_id, line_id) for line_id in chosen)
         out[name] = items
-        logger.info("stage %s: %d line(s)", name, len(items))
     return out
 
 

@@ -21,7 +21,6 @@ vote_lines votes many lines in three passes: it checks every line (voter
 count, confidences when the tie-break needs them, the pivot engine), then
 aligns all their voters at once, so that the kernel packs many pivot/voter
 pairs into each run (align.align_many), then resolves each line's slots.
-vote_line is vote_lines for one line.
 
 This is star alignment, linear in the number of voters, not a full
 multiple sequence alignment.
@@ -196,11 +195,6 @@ class _Edits:
         if conf is None or q0 == q1:
             return text[q0:q1], self.index, 0.0
         return text[q0:q1], self.index, conf[q0] if key & 1 else _mean(conf[q0:q1])
-
-
-def vote_line(outputs: Sequence[VoterOutput], config: VotingConfig) -> str:
-    """Combine outputs for one line into the voted text."""
-    return vote_lines((outputs,), config)[0]
 
 
 def vote_lines(lines: Iterable[Sequence[VoterOutput]], config: VotingConfig) -> list[str]:

@@ -30,9 +30,14 @@ from fraktur_bench.errors import NormalizationError
 from fraktur_bench.lines import TranscriptionLine
 from fraktur_bench.manifests import BookEntry, refinement_sample
 from fraktur_bench.normalize import default_rules, normalize_line
-from fraktur_bench.voting import VoterOutput, VotingConfig, vote_line
+from fraktur_bench.voting import VoterOutput, VotingConfig, vote_lines
 
 from trees import make_gt_tree, make_pred_tree, package_env
+
+
+def vote_one(voters, config: VotingConfig) -> str:
+    """The voted text of one line."""
+    return vote_lines((voters,), config)[0]
 
 
 @contextmanager
@@ -309,14 +314,14 @@ def test_voting_unanimity_and_majority():
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
             n = rng.randint(2, 5)
             voters = [VoterOutput(f"e{i}", text) for i in range(n)]
-            assert vote_line(voters, config) == text
+            assert vote_one(voters, config) == text
         for _ in range(1_000):
             good = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
             bad = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
             copies = rng.randint(2, 4)
             voters = [VoterOutput(f"g{i}", good) for i in range(copies)]
             voters.append(VoterOutput("dissent", bad))
-            assert vote_line(voters, config) == good, (good, bad)
+            assert vote_one(voters, config) == good, (good, bad)
 
 
 def test_voting_beats_mean_single_cer():
@@ -330,7 +335,7 @@ def test_voting_beats_mean_single_cer():
             rng = random.Random(1_000 + trial)
             copies = [corrupt(truth, 0.02, rng, alphabet) for _ in range(5)]
             voters = [VoterOutput(f"e{i}", c) for i, c in enumerate(copies)]
-            voted = vote_line(voters, config)
+            voted = vote_one(voters, config)
             voted_cer = align(truth, voted).cer
             mean_single = sum(align(truth, c).cer for c in copies) / len(copies)
             if voted_cer < mean_single:

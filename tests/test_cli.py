@@ -1407,6 +1407,31 @@ class TestPrepareCommands:
             "",
         )
 
+    @pytest.mark.parametrize("flags", [[], ["--error-json"]], ids=["plain", "error-json"])
+    def test_scan_warnings_on_stderr(self, tmp_path, flags):
+        # A child process, so the bytes are the ones a terminal gets,
+        # whatever writes them.
+        book = tmp_path / "tree" / "b1"
+        book.mkdir(parents=True)
+        for name in ("l1.gt.txt", "l2.gt.txt"):
+            (book / name).write_text("x\n", encoding="utf-8")
+        for name in ("l1.png", "l3.bin.png", "l'4.png"):
+            (book / name).write_bytes(b"\x89PNG")
+        out = tmp_path / "N.json"
+        argv = [*flags, "prepare", "scan", "--root", str(tmp_path / "tree"), "--corpus", "N", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "fraktur_bench.cli", *argv],
+            capture_output=True,
+            env=package_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == f"scanned 1 book(s), 1 line(s) -> {out}\n".encode("utf-8")
+        assert proc.stderr == (
+            b"N/b1: line 'l2' has ground truth but no image sibling, excluded\n"
+            b"N/b1: image \"l'4.png\" has no ground-truth sibling, excluded\n"
+            b"N/b1: image 'l3.bin.png' has no ground-truth sibling, excluded\n"
+        )
+
     @pytest.mark.parametrize(
         "stages, error_type, message",
         [

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import logging
 import re
 
 import pytest
@@ -89,21 +88,22 @@ class TestScanCorpus:
         assert books[1].line_ids == ("l1", "l2")
         assert all(b.corpus_id == "N" for b in books)
 
-    def test_gt_without_image_excluded(self, tmp_path, caplog):
+    def test_gt_without_image_excluded(self, tmp_path, capsys):
         root = make_gt_tree(tmp_path / "tree", {"b1": {"l1": "x"}})
         (root / "b1" / "l2.gt.txt").write_text("orphan\n", encoding="utf-8")
-        with caplog.at_level(logging.WARNING):
-            books = scan_corpus(root, "N")
+        books = scan_corpus(root, "N")
         assert books[0].line_ids == ("l1",)
-        assert any("l2" in r.message for r in caplog.records)
+        assert capsys.readouterr() == (
+            "",
+            "N/b1: line 'l2' has ground truth but no image sibling, excluded\n",
+        )
 
-    def test_image_without_gt_warned(self, tmp_path, caplog):
+    def test_image_without_gt_warned(self, tmp_path, capsys):
         root = make_gt_tree(tmp_path / "tree", {"b1": {"l1": "x"}})
         (root / "b1" / "l3.png").write_bytes(b"\x89PNG")
-        with caplog.at_level(logging.WARNING):
-            books = scan_corpus(root, "N")
+        books = scan_corpus(root, "N")
         assert books[0].line_ids == ("l1",)
-        assert any("l3" in r.message for r in caplog.records)
+        assert capsys.readouterr() == ("", "N/b1: image 'l3.png' has no ground-truth sibling, excluded\n")
 
     def test_double_suffix_images(self, tmp_path):
         root = tmp_path / "tree"

@@ -101,12 +101,13 @@ def test_set_up_leaves_out_class_machinery():
     """A command's set-up, in a fresh interpreter without site-packages,
     loads none of the modules that only dataclasses needed, nor
     importlib.resources: the default codec and rules are read from the
-    files next to the sources."""
+    files next to the sources. Nor logging: the scan prints its warnings
+    to stderr itself."""
     code = (
         "import sys, fraktur_bench.cli\n"
         "from fraktur_bench import default_codec, default_rules\n"
         "default_codec(), default_rules()\n"
-        "forbidden = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources'}\n"
+        "forbidden = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources', 'logging'}\n"
         "print(sorted(forbidden & set(sys.modules)))\n"
     )
     done = subprocess.run(

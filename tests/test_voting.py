@@ -15,10 +15,15 @@ from fraktur_bench.voting import (
     VOTED_ENGINE_ID,
     VoterOutput,
     VotingConfig,
-    vote_line,
+    vote_lines,
 )
 
 line_text = st.text(alphabet="abc ", max_size=12)
+
+
+def vote_one(outputs: Sequence[VoterOutput], config: VotingConfig) -> str:
+    """The voted text of one line."""
+    return vote_lines((outputs,), config)[0]
 
 # Confidences whose sums tie exactly (0.25 + 0.5 == 0.75) and ones that
 # only nearly tie (0.1 + 0.2 != 0.3), so both kinds of tie occur.
@@ -26,7 +31,7 @@ CONFIDENCES = (0.1, 0.2, 0.25, 0.3, 0.5, 0.75)
 
 
 # Reference voter: every slot and gap built and resolved, as the
-# straightforward design does. vote_line must give the same text.
+# straightforward design does. vote_lines must give the same text.
 
 
 @dataclass
@@ -171,7 +176,7 @@ def reference_text(outputs: Sequence[VoterOutput], config: VotingConfig) -> str:
 
 def assert_votes_like_reference(outputs: Sequence[VoterOutput]) -> None:
     for config in every_config(outputs):
-        assert outcome(vote_line, outputs, config) == outcome(reference_text, outputs, config), config
+        assert outcome(vote_one, outputs, config) == outcome(reference_text, outputs, config), config
 
 
 @st.composite
@@ -259,39 +264,39 @@ class TestVotingConfig:
         # a pivot other than "longest" and "first" names an engine
         config = VotingConfig(pivot="shortest")
         with pytest.raises(VotingError, match="^pivot engine 'shortest' not among voters$"):
-            vote_line(voters("ab", "ac"), config)
+            vote_one(voters("ab", "ac"), config)
 
 
 class TestVoteLine:
     def test_insufficient_voters(self):
         with pytest.raises(VotingError, match="insufficient voters: got 2, need 3"):
-            vote_line(voters("ab", "ab"), VotingConfig(min_voters=3))
+            vote_one(voters("ab", "ab"), VotingConfig(min_voters=3))
 
     def test_unanimous(self):
-        out = vote_line(voters("Wort", "Wort", "Wort"), VotingConfig())
+        out = vote_one(voters("Wort", "Wort", "Wort"), VotingConfig())
         assert out == "Wort"
 
     def test_majority_substitution(self):
-        out = vote_line(voters("Wort", "Wort", "Wert"), VotingConfig())
+        out = vote_one(voters("Wort", "Wort", "Wert"), VotingConfig())
         assert out == "Wort"
 
     def test_majority_deletion(self):
-        out = vote_line(voters("Wrt", "Wort", "Wrt"), VotingConfig())
+        out = vote_one(voters("Wrt", "Wort", "Wrt"), VotingConfig())
         assert out == "Wrt"
 
     def test_majority_insertion(self):
-        out = vote_line(voters("Wort", "Wot", "Wort"), VotingConfig())
+        out = vote_one(voters("Wort", "Wot", "Wort"), VotingConfig())
         assert out == "Wort"
 
     def test_minority_space_deletion_is_outvoted(self):
-        out = vote_line(voters("in dem", "indem", "in dem"), VotingConfig())
+        out = vote_one(voters("in dem", "indem", "in dem"), VotingConfig())
         assert out == "in dem"
 
     def test_single_char_corruptions_cancel_out(self):
         # each minority voter is one edit away from the honest pair
         base = "Morgenstunde"
         for bad in ("Mrgenstunde", "Morgenstunden", "Mergenstunde"):
-            out = vote_line(voters(base, bad, base), VotingConfig())
+            out = vote_one(voters(base, bad, base), VotingConfig())
             assert out == base
 
     def test_confidence_tie_break(self):
@@ -299,7 +304,7 @@ class TestVoteLine:
             VoterOutput("e0", "ab", (0.9, 0.9)),
             VoterOutput("e1", "ac", (0.9, 0.99)),
         ]
-        out = vote_line(outputs, VotingConfig(tie_break="confidence"))
+        out = vote_one(outputs, VotingConfig(tie_break="confidence"))
         assert out == "ac"
 
     def test_confidence_requires_all_confidences(self):
@@ -308,49 +313,49 @@ class TestVoteLine:
             VoterOutput("e1", "ac"),
         ]
         with pytest.raises(VotingError, match="e1"):
-            vote_line(outputs, VotingConfig(tie_break="confidence"))
+            vote_one(outputs, VotingConfig(tie_break="confidence"))
 
     def test_confidence_exact_tie_falls_to_first_voter(self):
         outputs = [
             VoterOutput("e0", "ab", (0.9, 0.5)),
             VoterOutput("e1", "ac", (0.9, 0.5)),
         ]
-        out = vote_line(outputs, VotingConfig(tie_break="confidence"))
+        out = vote_one(outputs, VotingConfig(tie_break="confidence"))
         assert out == "ab"
 
     def test_first_voter_tie_break(self):
-        out = vote_line(voters("ab", "ac"), VotingConfig(tie_break="first_voter"))
+        out = vote_one(voters("ab", "ac"), VotingConfig(tie_break="first_voter"))
         assert out == "ab"
 
     def test_abstain_to_pivot(self):
         # pivot is e0 (equal lengths fall to the first longest)
-        out = vote_line(voters("ab", "ac"), VotingConfig(tie_break="abstain_to_pivot"))
+        out = vote_one(voters("ab", "ac"), VotingConfig(tie_break="abstain_to_pivot"))
         assert out == "ab"
 
     def test_pivot_by_engine(self):
         config = VotingConfig(pivot="e1", tie_break="abstain_to_pivot")
-        out = vote_line(voters("ab", "ac"), config)
+        out = vote_one(voters("ab", "ac"), config)
         assert out == "ac"
 
     def test_pivot_engine_absent(self):
         config = VotingConfig(pivot="zz")
         with pytest.raises(VotingError, match="zz"):
-            vote_line(voters("ab", "ac"), config)
+            vote_one(voters("ab", "ac"), config)
 
     def test_longest_pivot_keeps_majority_insertions(self):
         # two voters agree on the long form; the short voter cannot veto
-        out = vote_line(voters("Handschrift", "Handschrift", "Handschrft"), VotingConfig())
+        out = vote_one(voters("Handschrift", "Handschrift", "Handschrft"), VotingConfig())
         assert out == "Handschrift"
 
     def test_two_voter_gap_tie_goes_to_pivot_side_with_first_voter(self):
         # voter e1 inserts an x the pivot lacks; 1-1 tie on that gap
-        out = vote_line(voters("abcd", "abxcd"), VotingConfig(pivot="first"))
+        out = vote_one(voters("abcd", "abxcd"), VotingConfig(pivot="first"))
         assert out == "abcd"
 
     @settings(max_examples=300)
     @given(line_text, st.integers(min_value=2, max_value=5))
     def test_unanimity_property(self, text, n):
-        out = vote_line(voters(*[text] * n), VotingConfig())
+        out = vote_one(voters(*[text] * n), VotingConfig())
         assert out == text
 
     @settings(max_examples=300)
@@ -358,19 +363,19 @@ class TestVoteLine:
     def test_majority_dominance_property(self, good, bad, extra):
         # strict majority for `good`: extra+1 copies vs one dissenter
         outs = voters(*([good] * (extra + 1) + [bad]))
-        assert vote_line(outs, VotingConfig()) == good
+        assert vote_one(outs, VotingConfig()) == good
 
     @settings(max_examples=200)
     @given(line_text, line_text)
     def test_duplication_idempotence(self, a, b):
         # duplicating every voter must not change the outcome
-        once = vote_line(voters(a, b, a), VotingConfig())
-        twice = vote_line(voters(a, b, a, a, b, a), VotingConfig())
+        once = vote_one(voters(a, b, a), VotingConfig())
+        twice = vote_one(voters(a, b, a, a, b, a), VotingConfig())
         assert once == twice
 
 
 class TestMatchesReference:
-    """vote_line builds slots only where voters disagree; the text it votes
+    """vote_lines builds slots only where voters disagree; the text it votes
     must be the reference voter's, tie-breaks and float sums included."""
 
     @settings(max_examples=600)
@@ -406,7 +411,7 @@ class TestMatchesReference:
             for i, (t, c) in enumerate(zip("aabbab", (0.1, 0.1, 0.25, 0.1, 0.25, 0.1)))
         ]
         config = VotingConfig(tie_break="confidence")
-        assert vote_line(outputs, config) == reference_text(outputs, config) == "a"
+        assert vote_one(outputs, config) == reference_text(outputs, config) == "a"
 
     def test_long_lines_with_errors_near_both_ends(self):
         rng = random.Random(20262)
