@@ -55,8 +55,9 @@ sharing is invisible).
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import repeat, zip_longest
-from typing import NamedTuple, Sequence
 
 
 class OpKind(enum.Enum):
@@ -66,13 +67,12 @@ class OpKind(enum.Enum):
     DELETE = "delete"
 
 
-class EditOp(NamedTuple):
-    """One step of the full script that AlignmentResult.ops replays.
-    gt/pred are None exactly where the op has no symbol."""
+class EditOp(namedtuple("EditOp", "kind gt pred")):
+    """One step of the full script that AlignmentResult.ops replays: an
+    OpKind and its two characters. gt/pred are None exactly where the op
+    has no symbol."""
 
-    kind: OpKind
-    gt: str | None
-    pred: str | None
+    __slots__ = ()
 
 
 # (gt_pos, pred_pos, gt, pred): a non-match op, the number of ground-truth and
@@ -237,7 +237,7 @@ def _edits(
     return tuple(edits)
 
 
-class AlignmentResult(NamedTuple):
+class AlignmentResult(namedtuple("AlignmentResult", "gt pred edits")):
     """Optimal alignment of pred to gt, held as its edits.
 
     edits holds the non-match ops of the edit script, in order, each as
@@ -254,9 +254,7 @@ class AlignmentResult(NamedTuple):
     macro averages but still feed micro sums.
     """
 
-    gt: str
-    pred: str
-    edits: tuple[Edit, ...]
+    __slots__ = ()
 
     @property
     def distance(self) -> int:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .align import AlignmentResult, Edit
 from .errors import ReportError
@@ -34,15 +34,13 @@ DICTIONARY_CORPUS = "S"
 DEFAULT_TOP_K = 3
 
 
-class ConfusionEntry(NamedTuple):
+class ConfusionEntry(namedtuple("ConfusionEntry", "gt_seq pred_seq count")):
     """One confusion class: gt_seq was read as pred_seq, count times.
 
     An empty gt_seq encodes insertion, an empty pred_seq deletion; never both.
     """
 
-    gt_seq: str
-    pred_seq: str
-    count: int
+    __slots__ = ()
 
 
 def _merged_runs(edits: Sequence[Edit]) -> Iterator[tuple[str, str]]:
@@ -120,18 +118,15 @@ def classify_whitespace_errors(confusion: Sequence[ConfusionEntry]) -> dict[str,
     return {"space_insertions": ins, "space_deletions": dele, "other": other}
 
 
-class CerCell(NamedTuple):
-    """Additive CER components for one (dataset, engine) cell.
+class CerCell(namedtuple("CerCell", "lines gt_chars distance macro_lines cer_sum")):
+    """Additive CER components for one (dataset, engine) cell: four integer
+    counts and the float cer_sum.
 
     cer_sum and macro_lines carry the per-line CER mass of macro-eligible
     lines so that macro averages stay exact under aggregation.
     """
 
-    lines: int
-    gt_chars: int
-    distance: int
-    macro_lines: int
-    cer_sum: float
+    __slots__ = ()
 
     @property
     def micro_cer(self) -> float:
@@ -179,19 +174,18 @@ def corpus_of(dataset_id: str) -> str:
     return dataset_id.split("-", 1)[0] if "-" in dataset_id else dataset_id
 
 
-class EvaluationReport(NamedTuple):
-    """The full evaluation matrix plus per-engine error analytics; each
-    engine's top-k share is taken over the same k."""
+EvaluationReport = namedtuple(
+    "EvaluationReport",
+    "engines datasets cells aggregates confusion whitespace k top_share metadata",
+)
+EvaluationReport.__doc__ = """The full evaluation matrix plus per-engine error analytics; each
+engine's top-k share is taken over the same k.
 
-    engines: tuple[str, ...]
-    datasets: tuple[str, ...]
-    cells: Mapping[str, Mapping[str, CerCell]]
-    aggregates: tuple[tuple[str, Mapping[str, CerCell]], ...]
-    confusion: Mapping[str, tuple[ConfusionEntry, ...]]
-    whitespace: Mapping[str, Mapping[str, int]]
-    k: int
-    top_share: Mapping[str, Fraction]
-    metadata: Mapping[str, object]
+engines and datasets are tuples of ids. cells maps dataset, then engine,
+to a CerCell; aggregates is a tuple of (row name, {engine: CerCell}).
+confusion maps an engine to its tuple of ConfusionEntry, whitespace to
+its {bucket: count} dict and top_share to a Fraction. metadata maps
+names to JSON values."""
 
 
 def compute_aggregates(
@@ -301,6 +295,23 @@ def _count_from_payload(value: object, member: str) -> int:
     return value
 
 
+def _confusion_from_payload(entries: list[dict], eng: str) -> tuple[ConfusionEntry, ...]:
+    member = f"malformed report: confusion {eng!r}"
+    table = []
+    for e in entries:
+        for side in ("gt", "pred"):
+            if type(e[side]) is not str:
+                raise ReportError(f"{member} {side} is {e[side]!r}, not a string")
+        if not (e["gt"] or e["pred"]):
+            raise ReportError(f"{member} has a class with both sides empty")
+        count = _count_from_payload(e["count"], f"confusion {eng!r} count")
+        table.append(ConfusionEntry(e["gt"], e["pred"], count))
+    repeated = [f"{g!r} -> {p!r}" for (g, p), n in Counter(e[:2] for e in table).items() if n > 1]
+    if repeated:
+        raise ReportError(f"{member} repeats {', '.join(repeated)}")
+    return tuple(table)
+
+
 def _names_from_payload(payload: Mapping[str, object], key: str) -> tuple[str, ...]:
     names = payload[key]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -374,15 +385,11 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
             ds: {eng: _cell_from_payload(payload["cells"][ds][eng], ds, eng) for eng in engines}
             for ds in datasets
         }
-        confusion = {
-            eng: tuple(
-                ConfusionEntry(
-                    e["gt"], e["pred"], _count_from_payload(e["count"], f"confusion {eng!r} count")
-                )
-                for e in entries
-            )
-            for eng, entries in payload.get("confusion", {}).items()
-        }
+        confusion = {}
+        for eng, entries in payload.get("confusion", {}).items():
+            if eng not in engines:
+                raise ReportError(f"malformed report: confusion {eng!r} is not in engines")
+            confusion[eng] = _confusion_from_payload(entries, eng)
         ks = {
             _count_from_payload(payload["top_share"][eng]["k"], f"top_share {eng!r} k")
             for eng in confusion
@@ -392,6 +399,11 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
         metadata = payload.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ReportError("malformed report: metadata is not a JSON object")
+        dictionary_corpus = metadata.get("dictionary_corpus", DICTIONARY_CORPUS)
+        if type(dictionary_corpus) is not str:
+            raise ReportError(
+                f"malformed report: metadata dictionary_corpus is {dictionary_corpus!r}, not a string"
+            )
         return build_report(
             datasets,
             engines,
@@ -399,7 +411,7 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
             confusion=confusion,
             k=ks.pop() if ks else 1,  # no confusion statistics: no share, any k
             metadata=metadata,
-            dictionary_corpus=metadata.get("dictionary_corpus", DICTIONARY_CORPUS),
+            dictionary_corpus=dictionary_corpus,
         )
     except KeyError as exc:
         raise ReportError(f"malformed report: no member {exc}") from exc

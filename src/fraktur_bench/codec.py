@@ -19,9 +19,9 @@ umlauts and accented vowels used in period printing, and the space.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable
 from pathlib import Path
-from typing import Iterable, NamedTuple
 
 from .errors import CodecError
 
@@ -29,12 +29,7 @@ from .errors import CodecError
 _DEFAULT_CODEC_FILE = Path(__file__).parent / "data" / "codec_default.txt"
 
 
-class _CodecFields(NamedTuple):
-    characters: tuple[str, ...]
-    name: str = "codec"
-
-
-class Codec(_CodecFields):
+class Codec(namedtuple("Codec", "characters name", defaults=("codec",))):
     """Immutable, ordered character set.
 
     Order is the file order; it matters only for reporting, membership is

@@ -16,8 +16,8 @@ on the listed names by exact suffix.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from pathlib import Path, PurePath
-from typing import NamedTuple
 
 from .errors import ManifestError
 
@@ -25,11 +25,9 @@ GT_SUFFIX = ".gt.txt"
 IMAGE_SUFFIXES = (".bin.png", ".nrm.png", ".png")
 
 
-class TranscriptionLine(NamedTuple):
-    book_id: str
-    line_id: str
-    text: str
-    engine_id: str | None = None
+TranscriptionLine = namedtuple(
+    "TranscriptionLine", "book_id line_id text engine_id", defaults=(None,)
+)
 
 
 def pred_suffix(engine_id: str) -> str:

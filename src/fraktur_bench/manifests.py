@@ -26,9 +26,10 @@ import json
 import random
 import re
 import sys
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ManifestError
 from .jsonout import dump_json
@@ -52,15 +53,12 @@ _IMAGE_TAILS = {
 }
 
 
-class _BookEntryFields(NamedTuple):
-    book_id: str
-    corpus_id: str
-    line_ids: tuple[str, ...]
-    century: int | None = None
-    language: str | None = None
+class BookEntry(
+    namedtuple("BookEntry", "book_id corpus_id line_ids century language", defaults=(None, None))
+):
+    """One book directory of a corpus: its line ids, a tuple of distinct
+    strings, and its optional integer century and string language."""
 
-
-class BookEntry(_BookEntryFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -265,9 +263,12 @@ def manifest_from_json(data: bytes | str) -> list[BookEntry]:
                 raise ManifestError(f"{where}: lines must be a list of strings")
             if not isinstance(meta, dict):
                 raise ManifestError(f"{where}: metadata is not a JSON object")
-            books.append(
-                BookEntry(book_id, corpus_id, tuple(lines), meta.get("century"), meta.get("language"))
-            )
+            century, language = meta.get("century"), meta.get("language")
+            if century is not None and type(century) is not int:
+                raise ManifestError(f"{where}: century is {century!r}, not an integer or null")
+            if language is not None and type(language) is not str:
+                raise ManifestError(f"{where}: language is {language!r}, not a string or null")
+            books.append(BookEntry(book_id, corpus_id, tuple(lines), century, language))
     except KeyError as exc:
         raise ManifestError(f"malformed manifest: book without member {exc}") from exc
     except (AttributeError, TypeError) as exc:

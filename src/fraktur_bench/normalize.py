@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import unicodedata
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from .codec import Codec, unescape_entry, validate_against_codec
 from .errors import CodecError, ConvergenceError, NormalizationError, RuleSetError
@@ -40,12 +40,7 @@ _MAX_PASSES = 8
 DEFAULT_KEEP = ("ſ", "ß")  # long s, eszett
 
 
-class _NormalizationRuleSetFields(NamedTuple):
-    rules: tuple[tuple[str, str], ...]
-    name: str = "rules"
-
-
-class NormalizationRuleSet(_NormalizationRuleSetFields):
+class NormalizationRuleSet(namedtuple("NormalizationRuleSet", "rules name", defaults=("rules",))):
     """Ordered (source, target) rewrite rules; no source may be empty or
     contain a DEFAULT_KEEP character."""
 

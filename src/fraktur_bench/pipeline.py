@@ -12,8 +12,8 @@ Dataset ids are the book directory names.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .align import AlignmentResult, align

@@ -29,7 +29,8 @@ multiple sequence alignment.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .align import Edit, align_many
 from .errors import VotingError
@@ -39,13 +40,7 @@ VOTED_ENGINE_ID = "voted"
 TIE_BREAKS = ("first_voter", "confidence", "abstain_to_pivot")
 
 
-class _VoterOutputFields(NamedTuple):
-    engine_id: str
-    text: str
-    confidences: tuple[float, ...] | None = None
-
-
-class VoterOutput(_VoterOutputFields):
+class VoterOutput(namedtuple("VoterOutput", "engine_id text confidences", defaults=(None,))):
     """One engine's text for a line, optionally with per-character confidences."""
 
     __slots__ = ()
@@ -71,13 +66,9 @@ class VoterOutput(_VoterOutputFields):
         return self
 
 
-class _VotingConfigFields(NamedTuple):
-    min_voters: int = 2
-    tie_break: str = "first_voter"
-    pivot: str = "longest"
-
-
-class VotingConfig(_VotingConfigFields):
+class VotingConfig(
+    namedtuple("VotingConfig", "min_voters tie_break pivot", defaults=(2, "first_voter", "longest"))
+):
     """pivot is "longest" (the first of the longest texts), "first", or the
     id of the engine whose text is the pivot."""
 

@@ -316,6 +316,16 @@ def _set(path: tuple, value):
     return mutate
 
 
+def _all(*mutations):
+    """A mutation that applies each of mutations in turn."""
+
+    def mutate(payload):
+        for each in mutations:
+            each(payload)
+
+    return mutate
+
+
 class TestWrongJsonTypes:
     """A manifest or report member of the wrong JSON type is a data error,
     never coerced: a string of line ids is not a list of one-character ids."""
@@ -337,6 +347,12 @@ class TestWrongJsonTypes:
              "malformed manifest: book 'N-1781': metadata is not a JSON object"),
             ("manifest", _set((*BOOK, "metadata"), ["18"]),
              "malformed manifest: book 'N-1781': metadata is not a JSON object"),
+            ("manifest", _set((*BOOK, "metadata", "century"), "nineteenth"),
+             "malformed manifest: book 'N-1781': century is 'nineteenth', not an integer or null"),
+            ("manifest", _set((*BOOK, "metadata", "century"), True),
+             "malformed manifest: book 'N-1781': century is True, not an integer or null"),
+            ("manifest", _set((*BOOK, "metadata", "language"), 7),
+             "malformed manifest: book 'N-1781': language is 7, not a string or null"),
             ("report", _set(("engines",), "abbyy"), "malformed report: engines must be a list of strings"),
             ("report", _set(("engines",), ["abbyy", "abbyy"]), "malformed report: engines repeat 'abbyy'"),
             ("report", _set(("datasets",), "N-1781"), "malformed report: datasets must be a list of strings"),
@@ -354,13 +370,32 @@ class TestWrongJsonTypes:
             ("report", _set(("metadata",), [["seed", 7], ["dictionary_corpus", "O"]]),
              "malformed report: metadata is not a JSON object"),
             ("report", _set(("metadata",), []), "malformed report: metadata is not a JSON object"),
+            ("report", _set(("metadata", "dictionary_corpus"), 5),
+             "malformed report: metadata dictionary_corpus is 5, not a string"),
+            ("report", _set(("confusion", "abbyy", 0, "gt"), 5),
+             "malformed report: confusion 'abbyy' gt is 5, not a string"),
+            ("report", _set(("confusion", "tess", 0, "pred"), None),
+             "malformed report: confusion 'tess' pred is None, not a string"),
+            ("report", _set(("confusion", "tess", 0, "gt"), ""),
+             "malformed report: confusion 'tess' has a class with both sides empty"),
+            ("report", _set(("confusion", "abbyy"), [{"count": 1, "gt": "u", "pred": "n"}] * 2),
+             "malformed report: confusion 'abbyy' repeats 'u' -> 'n'"),
+            ("report",
+             _all(
+                 _set(("confusion", "zzz"), [{"count": 1, "gt": "a", "pred": "b"}]),
+                 _set(("top_share", "zzz"), {"denominator": 1, "k": 3, "numerator": 1, "value": 1.0}),
+             ),
+             "malformed report: confusion 'zzz' is not in engines"),
         ],
         ids=[
             "lines-string", "lines-not-strings", "book-id-number", "corpus-id-null", "metadata-null",
-            "metadata-list", "engines-string", "engines-repeated", "datasets-string",
-            "datasets-not-strings", "datasets-repeated", "cell-lines-float", "cell-gt-chars-string",
+            "metadata-list", "century-string", "century-bool", "language-number", "engines-string",
+            "engines-repeated", "datasets-string", "datasets-not-strings", "datasets-repeated",
+            "cell-lines-float", "cell-gt-chars-string",
             "cell-distance-bool", "cell-macro-lines-float", "report-metadata-pairs",
-            "report-metadata-empty-list",
+            "report-metadata-empty-list", "dictionary-corpus-number", "confusion-gt-number",
+            "confusion-pred-null", "confusion-both-sides-empty", "confusion-class-repeated",
+            "confusion-unknown-engine",
         ],
     )
     def test_rejected(self, corpus, tmp_path, capsys, kind, mutate, message):

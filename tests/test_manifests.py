@@ -234,7 +234,7 @@ class TestVerifyCounts:
 class TestManifestJson:
     def test_round_trip(self):
         books = [
-            BookEntry("b1", "N", ("l1", "l2"), century="18", language="de"),
+            BookEntry("b1", "N", ("l1", "l2"), century=18, language="de"),
             BookEntry("b2", "O", ("l3",)),
         ]
         data = manifest_to_json(books)

@@ -78,11 +78,14 @@ def test_only_align_names_the_op_vocabulary(path):
     assert names & {"OpKind", "EditOp"} == set()
 
 
-def test_no_module_imports_dataclasses():
-    """Every command imports every record type. With @dataclass records,
-    importing dataclasses took 11-13 ms of each command's set-up and
-    creating 12 classes another 13-17 ms (CPython 3.11, 2-core VM); the
-    records are NamedTuples instead."""
+@pytest.mark.parametrize("forbidden", ["dataclasses", "typing"])
+def test_no_module_imports(forbidden):
+    """Every command imports every record type, and the records are
+    collections.namedtuple classes. With @dataclass records, importing
+    dataclasses took 11-13 ms of each command's set-up and creating 12
+    classes another 13-17 ms; typing.NamedTuple records took 3.8-4.8 ms to
+    create, besides the import of typing itself (CPython 3.11, 2-core VM).
+    Names used only in annotations come from collections.abc."""
     importers = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -92,7 +95,7 @@ def test_no_module_imports_dataclasses():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+            if any(m.partition(".")[0] == forbidden for m in modules):
                 importers.append(f"{path.name}:{node.lineno}")
     assert importers == []
 
@@ -102,12 +105,13 @@ def test_set_up_leaves_out_class_machinery():
     loads none of the modules that only dataclasses needed, nor
     importlib.resources: the default codec and rules are read from the
     files next to the sources. Nor logging: the scan prints its warnings
-    to stderr itself."""
+    to stderr itself. Nor typing: the records are collections.namedtuple
+    classes."""
     code = (
         "import sys, fraktur_bench.cli\n"
         "from fraktur_bench import default_codec, default_rules\n"
         "default_codec(), default_rules()\n"
-        "forbidden = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources', 'logging'}\n"
+        "forbidden = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources', 'logging', 'typing'}\n"
         "print(sorted(forbidden & set(sys.modules)))\n"
     )
     done = subprocess.run(
@@ -118,6 +122,27 @@ def test_set_up_leaves_out_class_machinery():
         check=True,
     )
     assert done.stdout == "[]\n"
+
+
+RECORDS = sorted(
+    (
+        obj
+        for name in SUBMODULES
+        for obj in vars(importlib.import_module(f"fraktur_bench.{name}")).values()
+        if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+        and obj.__module__ == f"fraktur_bench.{name}"
+    ),
+    key=lambda record: record.__name__,
+)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_record_is_slotted(record):
+    """A record subclass that forgets __slots__ = () gives every instance a
+    __dict__. Codec alone keeps one, for its member set, which is not a
+    field and so is neither compared nor hashed."""
+    instance = tuple.__new__(record, (None,) * len(record._fields))
+    assert hasattr(instance, "__dict__") == (record is Codec)
 
 
 # Each record that checks its fields: the fields without defaults, the
