@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
@@ -273,19 +274,23 @@ _CELL_COUNTS = ("lines", "gt_chars", "distance", "macro_lines")
 
 
 def _cell_from_payload(data: Mapping[str, object], ds: str, eng: str) -> CerCell:
+    member = f"malformed report: cell {ds!r}/{eng!r}:"
     counts = [data[name] for name in _CELL_COUNTS]
     for name, value in zip(_CELL_COUNTS, counts):
         if type(value) is not int:
-            raise ReportError(
-                f"malformed report: cell {ds!r}/{eng!r}: {name} is {value!r}, not an integer"
-            )
+            raise ReportError(f"{member} {name} is {value!r}, not an integer")
+        if value < 0:
+            raise ReportError(f"{member} {name} is {value}, below 0")
+    lines, macro_lines = data["lines"], data["macro_lines"]
+    if macro_lines > lines:
+        raise ReportError(f"{member} macro_lines {macro_lines} exceeds lines {lines}")
     # An int where no line was macro-eligible (the empty sum), else a float;
     # kept as it is so that it is emitted again as it was.
     cer_sum = data["cer_sum"]
     if type(cer_sum) not in (int, float):
-        raise ReportError(
-            f"malformed report: cell {ds!r}/{eng!r}: cer_sum is {cer_sum!r}, not a number"
-        )
+        raise ReportError(f"{member} cer_sum is {cer_sum!r}, not a number")
+    if not (cer_sum >= 0 and math.isfinite(cer_sum)):
+        raise ReportError(f"{member} cer_sum is {cer_sum!r}, not a finite number >= 0")
     return CerCell(*counts, cer_sum=cer_sum)
 
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
-import tempfile
 from collections.abc import Callable
 from pathlib import Path
 
@@ -65,15 +65,30 @@ def _cannot_write(path: Path, exc: OSError) -> ToolkitError:
     return ToolkitError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+_TEMP_NAMES = 100  # temp names tried before a write gives up
+_temp_serial = itertools.count()
+
+
 def write_atomic(path: Path, data: bytes) -> None:
     """Write through a temp file and a rename, making the directory only
-    when it is missing; a path that cannot be written is a data error."""
+    when it is missing; a path that cannot be written is a data error.
+    The temp file .NAME.PID.N.tmp beside the output is made with O_EXCL
+    and mode 0600: a file or symlink already there is passed over, never
+    followed."""
     tmp = None
     try:
         if not path.parent.is_dir():
             path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        with os.fdopen(fd, "wb") as handle:
+        for left in range(_TEMP_NAMES, 0, -1):
+            name = path.parent / f".{path.name}.{os.getpid()}.{next(_temp_serial)}.tmp"
+            try:
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+                break
+            except FileExistsError:
+                if left == 1:
+                    raise
+        tmp = name
+        with open(fd, "wb") as handle:
             handle.write(data)
         os.replace(tmp, path)
         tmp = None  # renamed: nothing left to remove

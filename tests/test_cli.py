@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 
 import fraktur_bench
 import fraktur_bench.align as align_module
+import fraktur_bench.cli as cli_module
 from fraktur_bench.analytics import (
     DEFAULT_TOP_K,
     DICTIONARY_CORPUS,
@@ -20,6 +24,7 @@ from fraktur_bench.analytics import (
     report_to_json,
 )
 from fraktur_bench.cli import build_parser, run
+from fraktur_bench.errors import ToolkitError
 from fraktur_bench.pipeline import eval_pipeline
 from fraktur_bench.manifests import BookEntry, manifest_to_json
 
@@ -367,6 +372,20 @@ class TestWrongJsonTypes:
              "malformed report: cell 'N-1781'/'abbyy': distance is True, not an integer"),
             ("report", _set(("cells", "N-1781", "abbyy", "macro_lines"), 2.0),
              "malformed report: cell 'N-1781'/'abbyy': macro_lines is 2.0, not an integer"),
+            ("report", _set(("cells", "N-1781", "abbyy", "distance"), -5),
+             "malformed report: cell 'N-1781'/'abbyy': distance is -5, below 0"),
+            ("report", _set(("cells", "N-1803", "tess", "gt_chars"), -1),
+             "malformed report: cell 'N-1803'/'tess': gt_chars is -1, below 0"),
+            ("report",
+             _all(_set(("cells", "N-1781", "abbyy", "lines"), 2),
+                  _set(("cells", "N-1781", "abbyy", "macro_lines"), 9)),
+             "malformed report: cell 'N-1781'/'abbyy': macro_lines 9 exceeds lines 2"),
+            ("report", _set(("cells", "N-1781", "abbyy", "cer_sum"), float("nan")),
+             "malformed report: cell 'N-1781'/'abbyy': cer_sum is nan, not a finite number >= 0"),
+            ("report", _set(("cells", "N-1781", "tess", "cer_sum"), float("inf")),
+             "malformed report: cell 'N-1781'/'tess': cer_sum is inf, not a finite number >= 0"),
+            ("report", _set(("cells", "N-1803", "abbyy", "cer_sum"), -0.5),
+             "malformed report: cell 'N-1803'/'abbyy': cer_sum is -0.5, not a finite number >= 0"),
             ("report", _set(("metadata",), [["seed", 7], ["dictionary_corpus", "O"]]),
              "malformed report: metadata is not a JSON object"),
             ("report", _set(("metadata",), []), "malformed report: metadata is not a JSON object"),
@@ -392,7 +411,9 @@ class TestWrongJsonTypes:
             "metadata-list", "century-string", "century-bool", "language-number", "engines-string",
             "engines-repeated", "datasets-string", "datasets-not-strings", "datasets-repeated",
             "cell-lines-float", "cell-gt-chars-string",
-            "cell-distance-bool", "cell-macro-lines-float", "report-metadata-pairs",
+            "cell-distance-bool", "cell-macro-lines-float", "cell-distance-negative",
+            "cell-gt-chars-negative", "cell-macro-lines-over-lines", "cell-cer-sum-nan",
+            "cell-cer-sum-infinity", "cell-cer-sum-negative", "report-metadata-pairs",
             "report-metadata-empty-list", "dictionary-corpus-number", "confusion-gt-number",
             "confusion-pred-null", "confusion-both-sides-empty", "confusion-class-repeated",
             "confusion-unknown-engine",
@@ -505,6 +526,69 @@ class TestUnwritableOutput:
         assert written_files == [corpus / "taken" / "N-1803"]
         assert list(corpus.rglob("*.tmp")) == []
         assert (corpus / "file").read_text(encoding="utf-8") == "x\n"
+
+
+class TestAtomicWrite:
+    """An output is written to a temp file .NAME.PID.N.tmp beside it, made
+    with O_EXCL, then renamed over it: the output has mode 0600, and a file
+    or symlink already at a temp name is passed over and left as it was."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0], ids=["umask-022", "umask-000"])
+    def test_outputs_have_mode_0600(self, corpus, capsys, umask):
+        out = corpus / "out"
+        commands = [
+            ["eval", *(a.format(root=corpus, out=out / "r.json") for a in EVAL_ARGS)],
+            ["vote", "--pred", str(corpus / "pred"), "--engine", "abbyy", "--engine", "tess",
+             "--out", str(out / "voted")],
+            ["prepare", "scan", "--root", str(corpus / "gt"), "--corpus", "N", "--out", str(out / "N.json")],
+            ["prepare", "refine", "--manifest", str(out / "N.json"), "--cap", "1",
+             "--out", str(out / "refined.json")],
+        ]
+        old = os.umask(umask)
+        try:
+            assert [run(argv) for argv in commands] == [0] * len(commands)
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        modes = {
+            str(p.relative_to(out)): stat.S_IMODE(p.stat().st_mode) for p in out.rglob("*") if p.is_file()
+        }
+        assert len(modes) == 6
+        assert modes == dict.fromkeys(modes, 0o600)
+
+    def test_taken_temp_names_are_passed_over(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_module, "_temp_serial", itertools.count())
+        pid = os.getpid()
+        taken = tmp_path / f".r.json.{pid}.0.tmp"
+        taken.write_bytes(b"not ours\n")
+        target = tmp_path / "target"
+        target.write_bytes(b"target\n")
+        link = tmp_path / f".r.json.{pid}.1.tmp"
+        link.symlink_to(target)
+
+        cli_module.write_atomic(tmp_path / "r.json", b"report\n")
+
+        assert (tmp_path / "r.json").read_bytes() == b"report\n"
+        assert taken.read_bytes() == b"not ours\n"
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"target\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [taken.name, link.name, "r.json", "target"]
+        )
+
+    def test_gives_up_when_every_temp_name_is_taken(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_module, "_TEMP_NAMES", 2)
+        monkeypatch.setattr(cli_module, "_temp_serial", itertools.count())
+        taken = [tmp_path / f".r.json.{os.getpid()}.{n}.tmp" for n in (0, 1)]
+        for path in taken:
+            path.write_bytes(b"not ours\n")
+
+        with pytest.raises(ToolkitError) as err:
+            cli_module.write_atomic(tmp_path / "r.json", b"report\n")
+
+        assert str(err.value) == f"cannot write {tmp_path / 'r.json'}: File exists"
+        assert sorted(tmp_path.iterdir()) == taken
+        assert [path.read_bytes() for path in taken] == [b"not ours\n"] * 2
 
 
 class TestDataErrorsNameTheLine:
@@ -1068,6 +1152,26 @@ class TestVoteCommand:
         argv = ["vote", "--pred", str(tmp_path / "pred"), "--engine", "e0", "--engine", "e1"]
         assert run([*argv, "--out", str(out)]) == 1
         assert "l1.pred.e1.conf: 1 confidences for 2 characters" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_short_later_book_is_reported_before_an_earlier_bad_sidecar(self, tmp_path, capsys):
+        # every book's voter counts are checked before any sidecar is read:
+        # book B's one-voter line wins over book A's short sidecar
+        for eng in ("e0", "e1", "e2"):
+            make_pred_tree(tmp_path / "pred", eng, {"A": {"l1": "abc"}})
+        make_pred_tree(tmp_path / "pred", "e0", {"B": {"l1": "abc"}})
+        (tmp_path / "pred" / "A" / "l1.pred.e0.conf").write_text("0.9\n", encoding="utf-8")
+        out = tmp_path / "voted"
+        argv = ["vote", "--pred", str(tmp_path / "pred"), "--engine", "e0", "--engine", "e1",
+                "--engine", "e2", "--out", str(out)]
+        message = "insufficient voters in book 'B' on 1 line(s), need 2: l1"
+
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(["--error-json", *argv]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": {"type": "VotingError", "message": message}
+        }
         assert not out.exists()
 
     def test_confidence_sidecars(self, corpus, capsys):

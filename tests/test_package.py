@@ -78,14 +78,16 @@ def test_only_align_names_the_op_vocabulary(path):
     assert names & {"OpKind", "EditOp"} == set()
 
 
-@pytest.mark.parametrize("forbidden", ["dataclasses", "typing"])
+@pytest.mark.parametrize("forbidden", ["dataclasses", "typing", "tempfile"])
 def test_no_module_imports(forbidden):
     """Every command imports every record type, and the records are
     collections.namedtuple classes. With @dataclass records, importing
     dataclasses took 11-13 ms of each command's set-up and creating 12
     classes another 13-17 ms; typing.NamedTuple records took 3.8-4.8 ms to
     create, besides the import of typing itself (CPython 3.11, 2-core VM).
-    Names used only in annotations come from collections.abc."""
+    Names used only in annotations come from collections.abc. tempfile
+    (with shutil, bz2 and lzma) served only the temp file of each output,
+    which cli.write_atomic makes with os.open."""
     importers = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -106,12 +108,14 @@ def test_set_up_leaves_out_class_machinery():
     importlib.resources: the default codec and rules are read from the
     files next to the sources. Nor logging: the scan prints its warnings
     to stderr itself. Nor typing: the records are collections.namedtuple
-    classes."""
+    classes. Nor tempfile and the shutil it brings: an output's temp file
+    is made with os.open."""
     code = (
         "import sys, fraktur_bench.cli\n"
         "from fraktur_bench import default_codec, default_rules\n"
         "default_codec(), default_rules()\n"
-        "forbidden = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources', 'logging', 'typing'}\n"
+        "forbidden = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources', 'logging',"
+        " 'typing', 'tempfile', 'shutil'}\n"
         "print(sorted(forbidden & set(sys.modules)))\n"
     )
     done = subprocess.run(
