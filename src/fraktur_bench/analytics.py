@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from fractions import Fraction
 
 from .align import AlignmentResult, Edit
 from .errors import ReportError
-from .jsonout import dump_json
+from .jsonout import dump_json, load_json
 
 SCHEMA_VERSION = 1
 
@@ -89,8 +87,9 @@ def confusion_stats(
     return tuple(ConfusionEntry(g, p, n) for (g, p), n in ranked)
 
 
-def top_k_error_share(confusion: Sequence[ConfusionEntry], k: int) -> Fraction:
-    """Exact fraction of total error mass held by the k most frequent classes.
+def top_k_error_share(confusion: Sequence[ConfusionEntry], k: int) -> tuple[int, int]:
+    """Exact share of total error mass held by the k most frequent classes,
+    as (numerator, denominator) in lowest terms; (0, 1) for no errors.
 
     Re-ranks by count so the result does not depend on input order.
     """
@@ -98,10 +97,11 @@ def top_k_error_share(confusion: Sequence[ConfusionEntry], k: int) -> Fraction:
         raise ValueError(f"k must be >= 1, got {k}")
     total = sum(e.count for e in confusion)
     if total == 0:
-        return Fraction(0)
+        return 0, 1
     ranked = sorted(confusion, key=lambda e: -e.count)
     top = sum(e.count for e in ranked[:k])
-    return Fraction(top, total)
+    divisor = math.gcd(top, total)
+    return top // divisor, total // divisor
 
 
 def classify_whitespace_errors(confusion: Sequence[ConfusionEntry]) -> dict[str, int]:
@@ -185,7 +185,8 @@ engine's top-k share is taken over the same k.
 engines and datasets are tuples of ids. cells maps dataset, then engine,
 to a CerCell; aggregates is a tuple of (row name, {engine: CerCell}).
 confusion maps an engine to its tuple of ConfusionEntry, whitespace to
-its {bucket: count} dict and top_share to a Fraction. metadata maps
+its {bucket: count} dict and top_share to its top-k share, a
+(numerator, denominator) pair of ints in lowest terms. metadata maps
 names to JSON values."""
 
 
@@ -337,13 +338,8 @@ def _errors_payload(report: EvaluationReport) -> dict[str, object]:
         },
         "whitespace": dict(report.whitespace),
         "top_share": {
-            eng: {
-                "k": report.k,
-                "numerator": share.numerator,
-                "denominator": share.denominator,
-                "value": float(share),
-            }
-            for eng, share in report.top_share.items()
+            eng: {"k": report.k, "numerator": top, "denominator": total, "value": top / total}
+            for eng, (top, total) in report.top_share.items()
         },
     }
 
@@ -372,17 +368,7 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
     confusion tables, metadata and the k of the top-k shares. Aggregates,
     whitespace buckets and top-k shares are derived again by build_report,
     with the dictionary corpus recorded in the metadata."""
-    try:
-        payload = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ReportError(f"report is not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ReportError(f"report is not valid UTF-8: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ReportError("report is not a JSON object")
-    version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ReportError(f"unsupported report schema_version {version!r}")
+    payload = load_json(data, "report", SCHEMA_VERSION, ReportError)
     try:
         engines = _names_from_payload(payload, "engines")
         datasets = _names_from_payload(payload, "datasets")
@@ -457,7 +443,7 @@ def _report_to_markdown(report: EvaluationReport) -> bytes:
     out.append("| " + " | ".join(header) + " |")
     out.append("|" + "---|" + ":--|" * (2 * len(report.engines)))
     for name, row in _all_rows(report):
-        cells = [name]
+        cells = [_md_escape(name)]
         for eng in report.engines:
             cells.append(row[eng].micro_pct)
             cells.append(row[eng].macro_pct)
@@ -477,8 +463,9 @@ def _report_to_markdown(report: EvaluationReport) -> bytes:
             if eng not in report.top_share:
                 continue
             w = report.whitespace[eng]
+            top, total = report.top_share[eng]
             out.append(
-                f"| {_md_escape(eng)} | {float(report.top_share[eng]) * 100:.2f}% (k={report.k}) "
+                f"| {_md_escape(eng)} | {top / total * 100:.2f}% (k={report.k}) "
                 f"| {w['space_insertions']} | {w['space_deletions']} | {w['other']} |"
             )
     out.append("")
@@ -525,11 +512,12 @@ def emit_errors_report(report: EvaluationReport, format: str) -> bytes:
                 continue
             entries = report.confusion[eng]
             w = report.whitespace[eng]
+            top, total = report.top_share[eng]
             out.append(f"## {_md_escape(eng)}")
             out.append("")
             out.append(
                 f"{sum(e.count for e in entries)} errors; top-{report.k} share "
-                f"{float(report.top_share[eng]) * 100:.2f}%; space insertions {w['space_insertions']}, "
+                f"{top / total * 100:.2f}%; space insertions {w['space_insertions']}, "
                 f"space deletions {w['space_deletions']}, other {w['other']}."
             )
             out.append("")

@@ -36,7 +36,7 @@ from .analytics import (
 from .codec import Codec, codec_coverage_report, default_codec, load_codec
 from .errors import ManifestError, ReportError, ToolkitError, VotingError
 from .jsonout import dump_json
-from .lines import TranscriptionLine, line_id_of, pred_suffix
+from .lines import TranscriptionLine, line_id_of, pred_suffix, require_utf8
 from .manifests import (
     BookEntry,
     build_schedule,
@@ -182,6 +182,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
     codec = _resolve_codec(args.codec)
+    require_utf8("codec name", codec.name)
     src = Path(args.input).resolve()
     files = sorted(src.rglob(args.pattern))
     if not files:

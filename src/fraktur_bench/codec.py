@@ -7,8 +7,9 @@ voting) assumes codec-clean text.
 
 Codec file format: UTF-8 text, one entry per line. An entry is a single
 character, or one of the escapes ``\\s`` (space), ``\\\\`` (backslash) and
-``\\uXXXX`` (4-digit hex code point). Duplicate entries are hard errors:
-a codec with hidden duplicates would silently skew coverage statistics.
+``\\uXXXX`` (4-digit hex code point, not a surrogate D800-DFFF).
+Duplicate entries are hard errors: a codec with hidden duplicates would
+silently skew coverage statistics.
 
 The shipped default codec (see ``data/codec_default.txt``) covers 19th
 century German Fraktur transcription practice: a small set of specials,
@@ -87,9 +88,12 @@ def unescape_entry(token: str, lineno: int, path: str) -> str:
             if len(hexpart) != 4:
                 raise CodecError(f"{path}:{lineno}: truncated \\u escape in {token!r}")
             try:
-                out.append(chr(int(hexpart, 16)))
+                code = int(hexpart, 16)
             except ValueError:
                 raise CodecError(f"{path}:{lineno}: bad \\u escape in {token!r}") from None
+            if 0xD800 <= code <= 0xDFFF:  # no UTF-8 text can hold it
+                raise CodecError(f"{path}:{lineno}: surrogate \\u escape in {token!r}")
+            out.append(chr(code))
             i += 6
         else:
             raise CodecError(f"{path}:{lineno}: unknown escape \\{nxt} in {token!r}")

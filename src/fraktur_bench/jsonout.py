@@ -1,4 +1,5 @@
-"""The indented JSON of every output file, written by json's C encoder.
+"""The indented JSON of every output file, written by json's C encoder,
+and the envelope of every stored JSON file read back.
 
 ``json.dumps`` with ``indent`` runs the pure-Python encoder. The C encoder
 writes the same bytes, with a level's line break and indent as its item
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import chain, repeat
-from json import JSONEncoder
+from json import JSONDecodeError, JSONEncoder, loads
 
 _SCALARS = (str, int, float, type(None))
 _LISTS = (list, tuple)
@@ -21,6 +22,24 @@ def dump_json(value: object, ascii: bool = False) -> bytes:
     """``(json.dumps(value, sort_keys=True, ensure_ascii=ascii, indent=2) + "\\n").encode()``
     exactly; a dict that holds a container must have str keys (else TypeError)."""
     return (_layout(value, 0, ascii) + "\n").encode("utf-8")
+
+
+def load_json(data: bytes | str, kind: str, version: int, error: type[Exception]) -> dict:
+    """The JSON object of a stored file of the given kind (report,
+    manifest), whose schema_version must be version; raises error, naming
+    the kind, for anything else."""
+    try:
+        payload = loads(data)
+    except JSONDecodeError as exc:
+        raise error(f"{kind} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{kind} is not valid UTF-8: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise error(f"{kind} is not a JSON object")
+    found = payload.get("schema_version")
+    if found != version:
+        raise error(f"unsupported {kind} schema_version {found!r}")
+    return payload
 
 
 @cache

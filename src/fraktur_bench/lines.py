@@ -51,6 +51,17 @@ def line_id_of(name: str) -> str:
     return PurePath(name).stem
 
 
+def require_utf8(what: str, *names: str) -> None:
+    """Raise ManifestError naming the bytes of the first name that is not
+    valid UTF-8. A name read from the file system or the command line holds
+    a surrogate for each such byte, and reports and manifests are UTF-8."""
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ManifestError(f"{what} {os.fsencode(name)!r} is not valid UTF-8") from None
+
+
 def list_books(root: Path, label: str) -> list[tuple[Path, tuple[str, ...]]]:
     """Each immediate sub-directory of root, sorted by name, with the sorted
     names of its entries.

@@ -22,7 +22,6 @@ paths), so corpora can relocate freely.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import re
 import sys
@@ -32,8 +31,8 @@ from itertools import repeat
 from pathlib import Path
 
 from .errors import ManifestError
-from .jsonout import dump_json
-from .lines import GT_SUFFIX, IMAGE_SUFFIXES, list_books
+from .jsonout import dump_json, load_json
+from .lines import GT_SUFFIX, IMAGE_SUFFIXES, list_books, require_utf8
 
 MANIFEST_SCHEMA_VERSION = 1
 SCHEDULE_SCHEMA_VERSION = 1
@@ -76,12 +75,15 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
     """Scan a line-pair tree into one BookEntry per book directory.
 
     Lines missing either the ground-truth file or the image sibling are
-    reported on stderr and excluded. An unreadable root or a root without
-    book directories is an error.
+    reported on stderr and excluded. An unreadable root, a root without
+    book directories, and a corpus, book or line id that is not valid UTF-8
+    are errors.
     """
     root = Path(root)
+    require_utf8("corpus id", corpus_id)
     books: list[BookEntry] = []
     for book_dir, names in list_books(root, "corpus root"):
+        require_utf8("book id", book_dir.name)
         gt_ids: list[str] = []
         images: list[tuple[str, str, str]] = []  # (name, line id, suffix)
         for match in filter(None, map(_LINE_FILE.fullmatch, names)):
@@ -112,6 +114,7 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
                         " sibling, excluded",
                         file=sys.stderr,
                     )
+        require_utf8(f"{corpus_id}/{book_dir.name}: line id", *line_ids)
         books.append(BookEntry(book_dir.name, corpus_id, tuple(line_ids)))
     if not books:
         raise ManifestError(f"corpus root {root} contains no book directories")
@@ -237,18 +240,7 @@ def manifest_to_json(books: Sequence[BookEntry]) -> bytes:
 
 
 def manifest_from_json(data: bytes | str) -> list[BookEntry]:
-    try:
-        payload = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"manifest is not valid UTF-8: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ManifestError("manifest is not a JSON object")
-    if payload.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise ManifestError(
-            f"unsupported manifest schema_version {payload.get('schema_version')!r}"
-        )
+    payload = load_json(data, "manifest", MANIFEST_SCHEMA_VERSION, ManifestError)
     if not isinstance(payload.get("books"), list):
         raise ManifestError("manifest has no books list")
     books = []

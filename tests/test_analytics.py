@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Iterable
@@ -233,18 +234,18 @@ class TestTopKShare:
     def test_half(self):
         table = [ConfusionEntry("a", "b", 5), ConfusionEntry("c", "d", 3), ConfusionEntry("e", "f", 2)]
         table += [ConfusionEntry(str(i), "x", 1) for i in range(10)]
-        assert top_k_error_share(table, 3) == Fraction(1, 2)
+        assert top_k_error_share(table, 3) == (1, 2)
 
     def test_k_larger_than_table(self):
         table = [ConfusionEntry("a", "b", 2)]
-        assert top_k_error_share(table, 5) == Fraction(1)
+        assert top_k_error_share(table, 5) == (1, 1)
 
     def test_exactness(self):
         table = [ConfusionEntry("a", "b", 1), ConfusionEntry("c", "d", 2)]
-        assert top_k_error_share(table, 1) == Fraction(2, 3)
+        assert top_k_error_share(table, 1) == (2, 3)
 
     def test_empty_table(self):
-        assert top_k_error_share([], 3) == Fraction(0)
+        assert top_k_error_share([], 3) == (0, 1)
 
     def test_k_below_one(self):
         with pytest.raises(ValueError):
@@ -253,9 +254,11 @@ class TestTopKShare:
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=12))
     def test_monotone_in_k(self, counts):
         table = [ConfusionEntry(f"g{i}", "p", c) for i, c in enumerate(counts)]
-        shares = [top_k_error_share(table, k) for k in range(1, len(table) + 2)]
+        pairs = [top_k_error_share(table, k) for k in range(1, len(table) + 2)]
+        assert all(math.gcd(*pair) == 1 for pair in pairs)
+        shares = [Fraction(*pair) for pair in pairs]
         assert shares == sorted(shares)
-        assert shares[-1] == Fraction(1)
+        assert pairs[-1] == (1, 1)
 
 
 class TestWhitespaceClasses:
@@ -506,6 +509,21 @@ class TestEmitters:
         assert "| Dataset |" in text
         assert "N-all" in text and "All" in text
         assert "micro" in text and "macro" in text
+
+    def test_markdown_escapes_row_names(self):
+        # an unescaped | in a dataset or aggregate row name would split its
+        # cell in two; a backslash is escaped so that it cannot escape a |
+        datasets = ["a|b-1", "a|b-2", "c\\d"]
+        cells = {ds: {"e": cell(1, 3)} for ds in datasets}
+        text = emit_report(build_report(datasets, ["e"], cells), "markdown").decode("utf-8")
+        assert text.split("\n")[2:8] == [
+            "| a\\|b-1 | 33.33 | 33.33 |",
+            "| a\\|b-2 | 33.33 | 33.33 |",
+            "| c\\\\d | 33.33 | 33.33 |",
+            "| a\\|b-all | 33.33 | 33.33 |",
+            "| All | 33.33 | 33.33 |",
+            "",
+        ]
 
     def test_json_format(self):
         data = emit_report(small_report(), "json")

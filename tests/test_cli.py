@@ -73,6 +73,10 @@ def report_with(edit) -> str:
 
 
 EVAL_ARGS = ("--gt", "{root}/gt", "--pred", "{root}/pred", "--engine", "abbyy", "--out", "{out}")
+REPORT_CSV = ("report", "--in", "{bad}", "--format", "csv", "--out", "{out}")
+REPORT_JSON = ("report", "--in", "{bad}", "--format", "json", "--out", "{out}")
+REFINE = ("prepare", "refine", "--manifest", "{bad}", "--cap", "1", "--out", "{out}")
+VERIFY = ("prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}")
 
 
 class TestExitCodes:
@@ -114,94 +118,127 @@ class TestExitCodes:
         assert payload["error"]["message"]
 
     @pytest.mark.parametrize(
-        "argv, error_type",
+        "argv, error_type, message",
         [
-            (["report", "--in", "{missing}", "--format", "csv", "--out", "{out}"], "ReportError"),
-            (["prepare", "refine", "--manifest", "{missing}", "--cap", "1", "--out", "{out}"], "ManifestError"),
+            (["report", "--in", "{missing}", "--format", "csv", "--out", "{out}"], "ReportError",
+             "cannot read {missing}: No such file or directory"),
+            (["prepare", "refine", "--manifest", "{missing}", "--cap", "1", "--out", "{out}"],
+             "ManifestError", "cannot read {missing}: No such file or directory"),
             (
                 ["prepare", "schedule", "--manifest", "{missing}", "--stage", "real=N", "--out", "{out}"],
-                "ManifestError",
+                "ManifestError", "cannot read {missing}: No such file or directory",
             ),
             (
                 ["prepare", "verify", "--manifest", "{missing}", "--expected", "{missing}", "--out", "{out}"],
-                "ManifestError",
+                "ManifestError", "cannot read {missing}: No such file or directory",
             ),
             (
                 ["prepare", "verify", "--manifest", "{manifest}", "--expected", "{missing}", "--out", "{out}"],
-                "ManifestError",
+                "ManifestError", "cannot read {missing}: No such file or directory",
+            ),
+            (["normalize", "--in", "{missing}", "--out", "{out}"], "ManifestError",
+             "input {missing} is neither file nor directory"),
+            (
+                ["eval", "--gt", "{missing}", "--pred", "{missing}", "--engine", "e",
+                 "--rules", "{missing}", "--out", "{out}"],
+                "RuleSetError",
+                "cannot read rules file {missing}: [Errno 2] No such file or directory: '{missing}'",
             ),
         ],
-        ids=["report", "refine", "schedule", "verify-manifest", "verify-expected"],
+        ids=["report", "refine", "schedule", "verify-manifest", "verify-expected", "normalize-in",
+             "rules"],
     )
-    def test_missing_input_file(self, tmp_path, capsys, argv, error_type):
+    def test_missing_input_file(self, tmp_path, capsys, argv, error_type, message):
         manifest = tmp_path / "m.json"
         manifest.write_bytes(manifest_to_json([BookEntry("N-1781", "N", ("l1",))]))
         paths = {"missing": tmp_path / "missing.json", "manifest": manifest, "out": tmp_path / "o"}
         argv = [a.format(**paths) for a in argv]
+        message = message.format(**paths)
 
         assert run(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "missing.json" in err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
         assert run(["--error-json", *argv]) == 1
         payload = json.loads(capsys.readouterr().err)
-        assert set(payload) == {"error"}
-        assert set(payload["error"]) == {"type", "message"}
-        assert payload["error"]["type"] == error_type
-        assert "missing.json" in payload["error"]["message"]
+        assert payload == {"error": {"type": error_type, "message": message}}
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "argv, content, error_type",
+        "argv, content, error_type, message",
         [
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"], "[]", "ReportError"),
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
-             '{"schema_version": 1}', "ReportError"),
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
+            (REPORT_CSV, "[]", "ReportError", "report is not a JSON object"),
+            (REPORT_CSV, '{"schema_version": 1}', "ReportError", "malformed report: no member 'engines'"),
+            (REPORT_CSV,
              '{"schema_version": 1, "engines": ["e"], "datasets": ["N-1"], "aggregates": []}',
-             "ReportError"),
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
-             '{"schema_version": 1, "engines": ["e"], "datasets": [], "cells": {}}', "ReportError"),
-            (["prepare", "refine", "--manifest", "{bad}", "--cap", "1", "--out", "{out}"],
-             '{"schema_version": 1}', "ManifestError"),
-            (["prepare", "refine", "--manifest", "{bad}", "--cap", "1", "--out", "{out}"],
-             '[{"schema_version": 1}]', "ManifestError"),
-            (["prepare", "refine", "--manifest", "{bad}", "--cap", "1", "--out", "{out}"],
-             '{"schema_version": 1, "books": [{"corpus_id": "N", "lines": []}]}', "ManifestError"),
-            (["prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}"],
-             "corpus,count\nN,1\n", "ManifestError"),
-            (["prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}"],
-             "", "ManifestError"),
-            (["prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}"],
-             "corpus_id,books,lines\nN,one,1\n", "ManifestError"),
-            (["prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}"],
-             "corpus_id,books,lines\nN,1\n", "ManifestError"),
-            (["prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}"],
-             b"corpus_id,books,lines\nN\xff,1,1\n", "ManifestError"),
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
-             b'{"schema_version": 1, "engines": ["\xff"]}', "ReportError"),
-            (["prepare", "refine", "--manifest", "{bad}", "--cap", "1", "--out", "{out}"],
-             b'{"schema_version": 1, "books": ["\xff"]}', "ManifestError"),
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
-             report_with(lambda r: r["confusion"]["e"][0].update(count=1.9)), "ReportError"),
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
-             report_with(lambda r: r["confusion"]["e"][0].update(count=-4)), "ReportError"),
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
-             report_with(lambda r: r["confusion"]["e"][0].update(count=True)), "ReportError"),
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
-             report_with(lambda r: r["top_share"]["e"].update(k="3")), "ReportError"),
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
-             report_with(lambda r: r["top_share"]["e"].update(k=0)), "ReportError"),
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
-             report_with(lambda r: r["cells"]["N-1"]["e"].update(cer_sum="0.5")), "ReportError"),
-            (["report", "--in", "{bad}", "--format", "csv", "--out", "{out}"],
-             report_with(lambda r: r["cells"]["N-1"]["e"].update(cer_sum=False)), "ReportError"),
-            (["report", "--in", "{bad}", "--format", "json", "--out", "{out}"],
+             "ReportError", "malformed report: no member 'cells'"),
+            (REPORT_CSV, '{"schema_version": 1, "engines": ["e"], "datasets": [], "cells": {}}',
+             "ReportError", "nothing to emit: report has no datasets or no engines"),
+            (REFINE, '{"schema_version": 1}', "ManifestError", "manifest has no books list"),
+            (REFINE, '[{"schema_version": 1}]', "ManifestError", "manifest is not a JSON object"),
+            (REFINE, '{"schema_version": 1, "books": [{"corpus_id": "N", "lines": []}]}',
+             "ManifestError", "malformed manifest: book without member 'book_id'"),
+            (VERIFY, "corpus,count\nN,1\n", "ManifestError",
+             "{bad}: header lacks corpus_id, books, lines (want corpus_id,books,lines)"),
+            (VERIFY, "", "ManifestError",
+             "{bad}: header lacks corpus_id, books, lines (want corpus_id,books,lines)"),
+            (VERIFY, "corpus_id,books,lines\nN,one,1\n", "ManifestError",
+             "{bad}:2: books and lines must be integers, got 'one' and '1'"),
+            (VERIFY, "corpus_id,books,lines\nN,1\n", "ManifestError",
+             "{bad}:2: books and lines must be integers, got '1' and None"),
+            (VERIFY, b"corpus_id,books,lines\nN\xff,1,1\n", "ManifestError",
+             "{bad} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 23: "
+             "invalid start byte"),
+            (REPORT_CSV, b'{"schema_version": 1, "engines": ["\xff"]}', "ReportError",
+             "report is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 35: "
+             "invalid start byte"),
+            (REFINE, b'{"schema_version": 1, "books": ["\xff"]}', "ManifestError",
+             "manifest is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 33: "
+             "invalid start byte"),
+            (REPORT_CSV, report_with(lambda r: r["confusion"]["e"][0].update(count=1.9)),
+             "ReportError", "malformed report: confusion 'e' count is 1.9, not an integer >= 1"),
+            (REPORT_CSV, report_with(lambda r: r["confusion"]["e"][0].update(count=-4)),
+             "ReportError", "malformed report: confusion 'e' count is -4, not an integer >= 1"),
+            (REPORT_CSV, report_with(lambda r: r["confusion"]["e"][0].update(count=True)),
+             "ReportError", "malformed report: confusion 'e' count is True, not an integer >= 1"),
+            (REPORT_CSV, report_with(lambda r: r["top_share"]["e"].update(k="3")),
+             "ReportError", "malformed report: top_share 'e' k is '3', not an integer >= 1"),
+            (REPORT_CSV, report_with(lambda r: r["top_share"]["e"].update(k=0)),
+             "ReportError", "malformed report: top_share 'e' k is 0, not an integer >= 1"),
+            (REPORT_CSV, report_with(lambda r: r["cells"]["N-1"]["e"].update(cer_sum="0.5")),
+             "ReportError", "malformed report: cell 'N-1'/'e': cer_sum is '0.5', not a number"),
+            (REPORT_CSV, report_with(lambda r: r["cells"]["N-1"]["e"].update(cer_sum=False)),
+             "ReportError", "malformed report: cell 'N-1'/'e': cer_sum is False, not a number"),
+            (REPORT_JSON,
              report_with(lambda r: r.update(metadata=[["seed", 7], ["dictionary_corpus", "O"]])),
-             "ReportError"),
-            (["report", "--in", "{bad}", "--format", "json", "--out", "{out}"],
-             report_with(lambda r: r.update(metadata=[])), "ReportError"),
+             "ReportError", "malformed report: metadata is not a JSON object"),
+            (REPORT_JSON, report_with(lambda r: r.update(metadata=[])),
+             "ReportError", "malformed report: metadata is not a JSON object"),
+            (REPORT_CSV, "{", "ReportError",
+             "report is not valid JSON: Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+            (REFINE, '{"schema_version": 1,', "ManifestError",
+             "manifest is not valid JSON: Expecting property name enclosed in double quotes: "
+             "line 1 column 22 (char 21)"),
+            (REPORT_CSV, '{"schema_version": 2}', "ReportError", "unsupported report schema_version 2"),
+            (REFINE, '{"books": []}', "ManifestError", "unsupported manifest schema_version None"),
+            (["eval", *EVAL_ARGS, "--pred", "{root}/pred", "--engine", "tess", "--engine", "x"], "",
+             "ToolkitError",
+             "2 --pred path(s) for 3 --engine id(s); give one --pred per engine or a single shared tree"),
+            (["eval", *EVAL_ARGS, "--engine", "abbyy"], "", "ToolkitError", "duplicate --engine ids"),
+            (["eval", *EVAL_ARGS, "--datasets", "N-1781,X-1"], "", "ManifestError",
+             "datasets not present under {root}/gt: X-1"),
+            (["normalize", "--in", "{bad}", "--out", "{out}"], b"Das \xff\n", "ManifestError",
+             "{bad} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 4: "
+             "invalid start byte"),
+            (["vote", "--pred", "{root}/pred", "--engine", "abbyy", "--engine", "tess", "--out", "{out}"],
+             ("pred/N-1803/l1.pred.abbyy.conf", "0.9 0.9 0.9 0.9 x 0.9 0.9 0.9 0.9\n"),
+             "VotingError", "{bad}: malformed confidence value: could not convert string to float: 'x'"),
+            (["vote", "--pred", "{root}/gt", "--engine", "abbyy", "--engine", "tess", "--out", "{out}"],
+             "", "VotingError", "no predictions found for any engine"),
+            (["normalize", "--in", "{root}/gt", "--out", "{out}", "--pattern", "*.xml"], "",
+             "ManifestError", "no files matching '*.xml' under {root}/gt"),
+            (["coverage", "--in", "{root}/gt", "--pattern", "*.xml", "--out", "{out}"], "",
+             "ManifestError", "no files matching '*.xml' under {root}/gt"),
         ],
         ids=[
             "report-not-object", "report-no-engines", "report-no-cells", "report-no-aggregates",
@@ -211,27 +248,31 @@ class TestExitCodes:
             "report-count-float", "report-count-negative", "report-count-bool",
             "report-k-string", "report-k-zero", "report-cer-sum-string", "report-cer-sum-bool",
             "report-metadata-pairs", "report-metadata-empty-list",
+            "report-not-json", "manifest-not-json", "report-schema-version",
+            "manifest-schema-version", "pred-engine-count", "engine-repeated",
+            "datasets-unknown", "line-not-utf8", "confidence-malformed", "vote-no-predictions",
+            "normalize-no-match", "coverage-no-match",
         ],
     )
-    def test_malformed_input(self, tmp_path, capsys, argv, content, error_type):
-        manifest = tmp_path / "m.json"
+    def test_malformed_input(self, corpus, capsys, argv, content, error_type, message):
+        """content goes to bad.in, or to the path in corpus that a
+        (path, content) pair names; the message names it as {bad}."""
+        manifest = corpus / "m.json"
         manifest.write_bytes(manifest_to_json([BookEntry("N-1781", "N", ("l1",))]))
-        bad = tmp_path / "bad.in"
+        name, content = content if isinstance(content, tuple) else ("bad.in", content)
+        bad = corpus / name
         bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
-        paths = {"bad": bad, "manifest": manifest, "out": tmp_path / "o"}
+        paths = {"bad": bad, "manifest": manifest, "out": corpus / "o", "root": corpus}
         argv = [a.format(**paths) for a in argv]
+        message = message.format(**paths)
 
         assert run(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
         assert run(["--error-json", *argv]) == 1
         payload = json.loads(capsys.readouterr().err)
-        assert set(payload) == {"error"}
-        assert set(payload["error"]) == {"type", "message"}
-        assert payload["error"]["type"] == error_type
-        assert payload["error"]["message"]
-        assert not (tmp_path / "o").exists()
+        assert payload == {"error": {"type": error_type, "message": message}}
+        assert not (corpus / "o").exists()
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -939,12 +980,24 @@ class TestEvalCommand:
              "{path}:3: duplicate codec character 'a' (U+0061), first seen on line 1"),
             ("--rules", "# fold\nů u\n", "RuleSetError",
              "{path}:2: rule line has no tab separator: 'ů u'"),
+            ("--codec", b"\\s\n\xff\n", "CodecError",
+             "{path}: codec file is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+             "in position 3: invalid start byte"),
+            ("--codec", "\\s\na\\\n", "CodecError", "{path}:2: dangling backslash in entry 'a\\\\'"),
+            ("--rules", b"\xff\tu\n", "RuleSetError",
+             "{path}: rules file is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+             "in position 0: invalid start byte"),
+            ("--rules", "\\u00\tu\n", "RuleSetError", "{path}:1: truncated \\u escape in '\\\\u00'"),
+            ("--codec", "\\s\na\n\\uD800\n", "CodecError", "{path}:3: surrogate \\u escape in '\\\\uD800'"),
+            ("--rules", "# snowman\n☃\t\\udfff\n", "RuleSetError",
+             "{path}:2: surrogate \\u escape in '\\\\udfff'"),
         ],
-        ids=["codec", "rules"],
+        ids=["codec", "rules", "codec-not-utf8", "codec-dangling-backslash", "rules-not-utf8",
+             "rules-truncated-escape", "codec-surrogate-escape", "rules-surrogate-escape"],
     )
     def test_bad_codec_or_rules_file(self, corpus, capsys, flag, content, error_type, message):
         path = corpus / "bad.txt"
-        path.write_text(content, encoding="utf-8")
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         out = corpus / "report.json"
         argv = self.eval_args(corpus, out, flag, str(path))
         message = message.format(path=path)
@@ -1044,6 +1097,82 @@ class TestLiteralEngineIds:
         assert run([*argv, "--out", str(out)]) == 0
         assert (out / "N-1" / "l1.pred.voted.txt").read_text(encoding="utf-8") == "Das Jahr\n"
         capsys.readouterr()
+
+
+class TestNamesThatAreNotUtf8:
+    """A name read from the file system or the command line holds a
+    surrogate for each byte that is not UTF-8. Reports, coverage tables and
+    manifests are UTF-8, so eval, errors, coverage and prepare scan reject
+    such a name with one line that names its bytes; vote uses the names
+    only as file names, and keeps them."""
+
+    BOOK = os.fsdecode(b"b\xe4")
+    ENGINE = os.fsdecode(b"\xff")
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        books = {self.BOOK: {"l1": "Das"}, "N-1": {"l1": "Das"}}
+        try:
+            make_gt_tree(tmp_path / "gt", books)
+            make_gt_tree(tmp_path / "lines", {"N-1": {"l1": "Das", self.ENGINE: "Jahr"}})
+            for engine in ("a", self.ENGINE):
+                make_pred_tree(tmp_path / "pred", engine, {**books, self.BOOK: {"l1": "Dos"}})
+            codec = Path(fraktur_bench.__file__).parent / "data" / "codec_default.txt"
+            (tmp_path / f"c{self.ENGINE}.txt").write_bytes(codec.read_bytes())
+            (tmp_path / f"r{self.ENGINE}.tsv").write_text("# none\n", encoding="utf-8")
+        except (OSError, UnicodeError):
+            pytest.skip("the file system refuses names that are not UTF-8")
+        return tmp_path
+
+    EVAL = ("--gt", "{root}/gt", "--pred", "{root}/pred", "--engine", "a", "--out", "{out}")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", *EVAL], "dataset id b'b\\xe4' is not valid UTF-8"),
+            (["eval", *EVAL, "--format", "markdown"], "dataset id b'b\\xe4' is not valid UTF-8"),
+            (["errors", *EVAL], "dataset id b'b\\xe4' is not valid UTF-8"),
+            (["eval", *EVAL, "--datasets", "N-1", "--engine", ENGINE],
+             "engine id b'\\xff' is not valid UTF-8"),
+            (["errors", *EVAL, "--datasets", "N-1", "--dictionary-corpus", ENGINE],
+             "dictionary corpus b'\\xff' is not valid UTF-8"),
+            (["eval", *EVAL, "--datasets", "N-1", "--codec", f"{{root}}/c{ENGINE}.txt"],
+             "codec name b'c\\xff' is not valid UTF-8"),
+            (["eval", *EVAL, "--datasets", "N-1", "--rules", f"{{root}}/r{ENGINE}.tsv"],
+             "rules name b'{root}/r\\xff.tsv' is not valid UTF-8"),
+            (["coverage", "--in", "{root}/gt", "--codec", f"{{root}}/c{ENGINE}.txt", "--out", "{out}"],
+             "codec name b'c\\xff' is not valid UTF-8"),
+            (["prepare", "scan", "--root", "{root}/gt", "--corpus", "N", "--out", "{out}"],
+             "book id b'b\\xe4' is not valid UTF-8"),
+            (["prepare", "scan", "--root", "{root}/lines", "--corpus", ENGINE, "--out", "{out}"],
+             "corpus id b'\\xff' is not valid UTF-8"),
+            (["prepare", "scan", "--root", "{root}/lines", "--corpus", "N", "--out", "{out}"],
+             "N/N-1: line id b'\\xff' is not valid UTF-8"),
+        ],
+        ids=["eval-dataset", "eval-markdown-dataset", "errors-dataset", "eval-engine",
+             "errors-dictionary-corpus", "eval-codec-name", "eval-rules-name",
+             "coverage-codec-name", "scan-book", "scan-corpus", "scan-line"],
+    )
+    def test_rejected(self, tree, capsys, argv, message):
+        out = tree / "out"
+        argv = [a.format(root=tree, out=out) for a in argv]
+        message = message.format(root=tree)
+
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": {"type": "ManifestError", "message": message}}
+        assert not out.exists()
+
+    def test_vote_keeps_the_names(self, tree, capsys):
+        out = tree / "voted"
+        argv = ["vote", "--pred", str(tree / "pred"), "--engine", "a", "--engine", self.ENGINE]
+        assert run([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"voted 2 line(s) across 2 book(s) -> {out}\n"
+        voted = sorted(path.relative_to(out) for path in out.rglob("*.txt"))
+        assert voted == [Path("N-1/l1.pred.voted.txt"), Path(self.BOOK, "l1.pred.voted.txt")]
+        assert (out / self.BOOK / "l1.pred.voted.txt").read_text(encoding="utf-8") == "Dos\n"
 
 
 class TestErrorsCommand:

@@ -78,7 +78,7 @@ def test_only_align_names_the_op_vocabulary(path):
     assert names & {"OpKind", "EditOp"} == set()
 
 
-@pytest.mark.parametrize("forbidden", ["dataclasses", "typing", "tempfile"])
+@pytest.mark.parametrize("forbidden", ["dataclasses", "typing", "tempfile", "fractions"])
 def test_no_module_imports(forbidden):
     """Every command imports every record type, and the records are
     collections.namedtuple classes. With @dataclass records, importing
@@ -87,7 +87,9 @@ def test_no_module_imports(forbidden):
     create, besides the import of typing itself (CPython 3.11, 2-core VM).
     Names used only in annotations come from collections.abc. tempfile
     (with shutil, bz2 and lzma) served only the temp file of each output,
-    which cli.write_atomic makes with os.open."""
+    which cli.write_atomic makes with os.open. fractions (with decimal and
+    numbers) served only the top-k share, which is its two counts reduced
+    by math.gcd."""
     importers = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -109,13 +111,14 @@ def test_set_up_leaves_out_class_machinery():
     files next to the sources. Nor logging: the scan prints its warnings
     to stderr itself. Nor typing: the records are collections.namedtuple
     classes. Nor tempfile and the shutil it brings: an output's temp file
-    is made with os.open."""
+    is made with os.open. Nor fractions and the decimal and numbers it
+    brings: a top-k share is a pair of ints in lowest terms."""
     code = (
         "import sys, fraktur_bench.cli\n"
         "from fraktur_bench import default_codec, default_rules\n"
         "default_codec(), default_rules()\n"
         "forbidden = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources', 'logging',"
-        " 'typing', 'tempfile', 'shutil'}\n"
+        " 'typing', 'tempfile', 'shutil', 'fractions', 'decimal', 'numbers'}\n"
         "print(sorted(forbidden & set(sys.modules)))\n"
     )
     done = subprocess.run(
