@@ -151,6 +151,16 @@ def _engine_trees(args: argparse.Namespace) -> dict[str, Path]:
     return dict(zip(engines, preds))
 
 
+def _tree_files(src: Path, pattern: str) -> list[Path]:
+    """The files under src that the recursive glob matches, never outside it."""
+    if os.path.isabs(pattern) or ".." in pattern.split("/"):
+        raise ManifestError(f"--pattern {pattern!r} must stay under --in: no absolute path, no '..' part")
+    files = sorted(src.rglob(pattern))
+    if not files:
+        raise ManifestError(f"no files matching {pattern!r} under {src}")
+    return files
+
+
 def _cmd_normalize(args: argparse.Namespace) -> int:
     codec = _resolve_codec(args.codec)
     rules = _resolve_rules(args.rules)
@@ -170,9 +180,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         return 0
     if not src.is_dir():
         raise ManifestError(f"input {src} is neither file nor directory")
-    files = sorted(src.rglob(args.pattern))
-    if not files:
-        raise ManifestError(f"no files matching {args.pattern!r} under {src}")
+    files = _tree_files(src, args.pattern)
     # Every file is normalized before any is written: a bad line in a later
     # file leaves no partial output tree.
     _write_tree([(dst / f.relative_to(src), normalized(f)) for f in files])
@@ -184,9 +192,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     codec = _resolve_codec(args.codec)
     require_utf8("codec name", codec.name)
     src = Path(args.input).resolve()
-    files = sorted(src.rglob(args.pattern))
-    if not files:
-        raise ManifestError(f"no files matching {args.pattern!r} under {src}")
+    files = _tree_files(src, args.pattern)
     texts = [read_text_file(f) for f in files]
     in_codec, out_of_codec = codec_coverage_report(texts, codec)
     payload = {

@@ -87,10 +87,9 @@ def unescape_entry(token: str, lineno: int, path: str) -> str:
             hexpart = token[i + 2 : i + 6]
             if len(hexpart) != 4:
                 raise CodecError(f"{path}:{lineno}: truncated \\u escape in {token!r}")
-            try:
-                code = int(hexpart, 16)
-            except ValueError:
-                raise CodecError(f"{path}:{lineno}: bad \\u escape in {token!r}") from None
+            if hexpart.strip("0123456789abcdefABCDEF"):  # int() would take a sign, _ or space
+                raise CodecError(f"{path}:{lineno}: bad \\u escape in {token!r}")
+            code = int(hexpart, 16)
             if 0xD800 <= code <= 0xDFFF:  # no UTF-8 text can hold it
                 raise CodecError(f"{path}:{lineno}: surrogate \\u escape in {token!r}")
             out.append(chr(code))

@@ -36,6 +36,7 @@ _DEFAULT_RULES_FILE = Path(__file__).parent / "data" / "rules_default.tsv"
 
 # A rewrite loop that survives this many full passes is treated as divergent.
 _MAX_PASSES = 8
+_last_stop = (None, None, None)  # _stop_codec's rules, codec and answer for the last pair
 
 DEFAULT_KEEP = ("ſ", "ß")  # long s, eszett
 
@@ -128,17 +129,35 @@ def _one_pass(text: str, rules: NormalizationRuleSet) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-def normalize_text(text: str, rules: NormalizationRuleSet) -> str:
-    """Apply the rule set to a fixpoint. Raises ConvergenceError on rewrite loops."""
+def _fixpoint(text: str, rules: NormalizationRuleSet, stop: Codec | None) -> tuple[str, bool]:
+    """The fixpoint, and whether stop covers it. Stop is tried before each
+    pass, so the result of the last pass is never taken for a fixpoint."""
     current = text
     for _ in range(_MAX_PASSES):
+        if stop is not None and stop.covers(current) and unicodedata.is_normalized("NFC", current):
+            return current, True
         nxt = _one_pass(current, rules)
         if nxt == current:
-            return current
+            return current, False
         current = nxt
     raise ConvergenceError(
         f"rule set {rules.name!r} did not converge after {_MAX_PASSES} passes on {text!r}"
     )
+
+
+def normalize_text(text: str, rules: NormalizationRuleSet) -> str:
+    """Apply the rule set to a fixpoint. Raises ConvergenceError on rewrite loops."""
+    return _fixpoint(text, rules, None)[0]
+
+
+def _stop_codec(rules: NormalizationRuleSet, codec: Codec) -> Codec | None:
+    """The codec when each rule source holds a character outside it, else None:
+    then an NFC text the codec covers holds no source, so is its own fixpoint."""
+    global _last_stop
+    if _last_stop[0] is not rules or _last_stop[1] is not codec:
+        closed = not any(codec.covers(source) for source, _ in rules.rules)
+        _last_stop = (rules, codec, codec if closed else None)
+    return _last_stop[2]
 
 
 def require_replacement_in_codec(replacement: str | None, codec: Codec) -> None:
@@ -166,8 +185,8 @@ def normalize_line(
     Book, line and engine are preserved; only the text changes. The operation
     is idempotent for any text it accepts.
     """
-    text = normalize_text(line.text, rules)
-    if codec.covers(text):
+    text, covered = _fixpoint(line.text, rules, _stop_codec(rules, codec))
+    if covered or codec.covers(text):
         if text == line.text:
             return line
         return TranscriptionLine(line.book_id, line.line_id, text, line.engine_id)

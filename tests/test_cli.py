@@ -930,6 +930,37 @@ class TestCoverageCommand:
             assert captured.out == COVERAGE_JSON
 
 
+class TestPatternStaysUnderIn:
+    """A --pattern that could leave --in is a data error before any file is
+    read, and nothing is written anywhere."""
+
+    @pytest.mark.parametrize("command", ["normalize", "coverage"])
+    @pytest.mark.parametrize(
+        "pattern",
+        ["../side/*.gt.txt", "b1/../../side/*.gt.txt", "{root}/side/*.gt.txt", "/x/*.txt"],
+        ids=["parent", "inner-parent", "absolute", "absolute-missing"],
+    )
+    def test_rejected(self, tmp_path, capsys, command, pattern):
+        gt = make_gt_tree(tmp_path / "gt", {"b1": {"l1": "Im Anfang"}})
+        (tmp_path / "side").mkdir()
+        (tmp_path / "side" / "x.gt.txt").write_text("Im Hof\n", encoding="utf-8")
+        pattern = pattern.format(root=tmp_path)
+        out = tmp_path / "out" / ("norm" if command == "normalize" else "coverage.json")
+        argv = [command, "--in", str(gt), "--out", str(out), "--pattern", pattern]
+
+        def tree():
+            return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+        before = tree()
+        message = f"--pattern {pattern!r} must stay under --in: no absolute path, no '..' part"
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": {"type": "ManifestError", "message": message}}
+        assert tree() == before
+
+
 class TestEvalCommand:
     def eval_args(self, corpus: Path, out: Path, *extra: str) -> list[str]:
         return [
@@ -991,9 +1022,19 @@ class TestEvalCommand:
             ("--codec", "\\s\na\n\\uD800\n", "CodecError", "{path}:3: surrogate \\u escape in '\\\\uD800'"),
             ("--rules", "# snowman\n☃\t\\udfff\n", "RuleSetError",
              "{path}:2: surrogate \\u escape in '\\\\udfff'"),
+            # \uXXXX is four hex digits: int() would also take a sign, _, space or other digits
+            ("--codec", "\\s\n\\u-0ff\n", "CodecError", "{path}:2: bad \\u escape in '\\\\u-0ff'"),
+            ("--codec", "\\s\n\\u+0ff\n", "CodecError", "{path}:2: bad \\u escape in '\\\\u+0ff'"),
+            ("--codec", "\\s\n\\u 0ff\n", "CodecError", "{path}:2: bad \\u escape in '\\\\u 0ff'"),
+            ("--codec", "\\s\n\\u\u0660\u0660ff\n", "CodecError",
+             "{path}:2: bad \\u escape in '\\\\u\u0660\u0660ff'"),
+            ("--rules", "\\u0_ff\tu\n", "RuleSetError", "{path}:1: bad \\u escape in '\\\\u0_ff'"),
+            ("--rules", "ů\t\\u-0ff\n", "RuleSetError", "{path}:1: bad \\u escape in '\\\\u-0ff'"),
         ],
         ids=["codec", "rules", "codec-not-utf8", "codec-dangling-backslash", "rules-not-utf8",
-             "rules-truncated-escape", "codec-surrogate-escape", "rules-surrogate-escape"],
+             "rules-truncated-escape", "codec-surrogate-escape", "rules-surrogate-escape",
+             "codec-minus-escape", "codec-plus-escape", "codec-space-escape",
+             "codec-arabic-digit-escape", "rules-underscore-escape", "rules-minus-escape"],
     )
     def test_bad_codec_or_rules_file(self, corpus, capsys, flag, content, error_type, message):
         path = corpus / "bad.txt"

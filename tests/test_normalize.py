@@ -5,7 +5,10 @@ import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fraktur_bench import normalize as normalize_module
 from fraktur_bench.codec import Codec, default_codec, unescape_entry
 from fraktur_bench.errors import (
     ConvergenceError,
@@ -21,6 +24,24 @@ from fraktur_bench.normalize import (
     normalize_text,
     parse_unmapped_policy,
 )
+
+
+def reference_fixpoint(text: str, rules: NormalizationRuleSet) -> str:
+    """The fixpoint loop without any early stop: NFC, every rule top to
+    bottom, NFC, repeated until a pass changes nothing, at most 8 passes."""
+    current = text
+    for _ in range(8):
+        nxt = unicodedata.normalize("NFC", current)
+        for source, target in rules.rules:
+            nxt = nxt.replace(source, target)
+        nxt = unicodedata.normalize("NFC", nxt)
+        if nxt == current:
+            return current
+        current = nxt
+    raise ConvergenceError(
+        f"rule set {rules.name!r} did not converge after 8 passes on {text!r}"
+    )
+
 
 VECTORS = Path(__file__).parent / "data" / "normalization_vectors.tsv"
 
@@ -232,3 +253,107 @@ class TestDefaultRules:
             line = TranscriptionLine("b", label, source)
             got = normalize_line(line, rules, codec).text
             assert got == expected, f"{label}: {got!r} != {expected!r}"
+
+
+DEFAULT_CODEC = default_codec()
+DEFAULT_RULES = default_rules()
+# A source made only of codec characters: no text is known to be its own
+# fixpoint, so every line takes the full loop.
+CK_RULES = NormalizationRuleSet(DEFAULT_RULES.rules + (("ck", "k"),), name="ck")
+# A codec holding a combining mark covers text that is not NFC yet.
+MARK_CODEC = Codec(DEFAULT_CODEC.characters + ("\u0308",), name="marks")
+# A codec holding the source I of the default rules.
+I_CODEC = Codec(DEFAULT_CODEC.characters + ("I",), name="with-I")
+PAIRS = [
+    (DEFAULT_RULES, DEFAULT_CODEC),
+    (CK_RULES, DEFAULT_CODEC),
+    (DEFAULT_RULES, MARK_CODEC),
+    (DEFAULT_RULES, I_CODEC),
+]
+
+stop_text = st.lists(
+    st.one_of(
+        st.sampled_from("aceknJmſßäH -"),  # codec characters
+        st.sampled_from([source for source, _ in CK_RULES.rules]),
+        st.sampled_from("\u0302\u0308\u0364\u0301"),  # combining marks
+        st.sampled_from("\u2020\u20ac\u0100"),  # outside codec and rules
+    ),
+    max_size=12,
+).map("".join)
+
+
+class TestStopRule:
+    """normalize_line stops at the first text the codec covers in NFC when
+    every rule source holds a character outside the codec. The result is
+    the reference loop's, under every policy."""
+
+    @settings(max_examples=300)
+    @given(stop_text, st.sampled_from(PAIRS), st.sampled_from([None, "", "?"]))
+    def test_matches_reference_fixpoint(self, text, pair, replacement):
+        rules, codec = pair
+        line = TranscriptionLine("b", "l", text, "e")
+        expected = reference_fixpoint(text, rules)
+        if not codec.covers(expected):
+            if replacement is None:
+                with pytest.raises(NormalizationError):
+                    normalize_line(line, rules, codec, replacement)
+                return
+            expected = "".join(ch if ch in codec else replacement for ch in expected)
+        out = normalize_line(line, rules, codec, replacement)
+        assert out == TranscriptionLine("b", "l", expected, "e")
+
+    @pytest.mark.parametrize(
+        "rules, codec, passes",
+        [(DEFAULT_RULES, DEFAULT_CODEC, 0), (CK_RULES, DEFAULT_CODEC, 1), (DEFAULT_RULES, MARK_CODEC, 0)],
+        ids=["default", "codec-source", "codec-with-mark"],
+    )
+    def test_clean_text_passes(self, monkeypatch, rules, codec, passes):
+        line = TranscriptionLine("b", "l", "Jm Haus", "e")
+        # the pair last seen, with the same rules, holds a source in its codec
+        normalize_line(line, CK_RULES, DEFAULT_CODEC)
+        normalize_line(line, DEFAULT_RULES, I_CODEC)
+        calls = []
+        one_pass = normalize_module._one_pass
+
+        def counted(text, rules):
+            calls.append(text)
+            return one_pass(text, rules)
+
+        monkeypatch.setattr(normalize_module, "_one_pass", counted)
+        assert normalize_line(line, rules, codec) is line
+        assert len(calls) == passes
+
+    @pytest.mark.parametrize(
+        "rules, codec, text, expected",
+        [(CK_RULES, DEFAULT_CODEC, "Backen", "Baken"), (DEFAULT_RULES, I_CODEC, "Im", "Jm")],
+        ids=["ck", "codec-with-I"],
+    )
+    def test_source_made_of_codec_characters_still_fires(self, rules, codec, text, expected):
+        # the pair last seen may stop early; this one must not
+        normalize_line(TranscriptionLine("b", "l", "Jm"), DEFAULT_RULES, DEFAULT_CODEC)
+        assert normalize_line(TranscriptionLine("b", "l", text), rules, codec).text == expected
+
+    def test_covered_text_that_is_not_nfc_takes_a_pass(self):
+        line = TranscriptionLine("b", "l", "a\u0308", "e")
+        assert normalize_line(line, DEFAULT_RULES, MARK_CODEC).text == "\u00e4"
+
+    @staticmethod
+    def chain(steps: int) -> tuple[str, NormalizationRuleSet]:
+        """A text that one rule per pass moves through ``steps`` non-codec
+        characters, reaching the codec text 'a' on pass ``steps``."""
+        links = [chr(0x2460 + k) for k in range(steps)]  # circled digits
+        rules = [(links[k], links[k + 1]) for k in range(steps - 1)] + [(links[-1], "a")]
+        return links[0], NormalizationRuleSet(tuple(reversed(rules)), name="chain")
+
+    def test_seven_pass_chain_converges(self):
+        text, rules = self.chain(7)
+        assert reference_fixpoint(text, rules) == "a"
+        assert normalize_line(TranscriptionLine("b", "l", text), rules, DEFAULT_CODEC).text == "a"
+
+    def test_eight_pass_chain_still_diverges(self):
+        text, rules = self.chain(8)
+        message = f"rule set 'chain' did not converge after 8 passes on {text!r}"
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
+            reference_fixpoint(text, rules)
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
+            normalize_line(TranscriptionLine("b", "l", text), rules, DEFAULT_CODEC)
