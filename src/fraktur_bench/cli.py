@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from pathlib import Path
+from fnmatch import fnmatchcase
 
 from . import __version__
 from .analytics import (
@@ -36,7 +36,7 @@ from .analytics import (
 from .codec import Codec, codec_coverage_report, default_codec, load_codec
 from .errors import ManifestError, ReportError, ToolkitError, VotingError
 from .jsonout import dump_json
-from .lines import TranscriptionLine, line_id_of, pred_suffix, require_utf8
+from .lines import TranscriptionLine, line_id_of, path_parts, posix_path, pred_suffix, require_utf8
 from .manifests import (
     BookEntry,
     build_schedule,
@@ -61,15 +61,24 @@ from .voting import TIE_BREAKS, VOTED_ENGINE_ID, VoterOutput, VotingConfig, vote
 FORMATS = ("json", "csv", "markdown")
 
 
-def _cannot_write(path: Path, exc: OSError) -> ToolkitError:
+def _cannot_write(path: str, exc: OSError) -> ToolkitError:
     return ToolkitError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _make_dirs(path: str) -> None:
+    """os.makedirs; a symlink loop raises its own error, not EEXIST."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except FileExistsError:
+        os.stat(path)
+        raise
 
 
 _TEMP_NAMES = 100  # temp names tried before a write gives up
 _temp_serial = itertools.count()
 
 
-def write_atomic(path: Path, data: bytes) -> None:
+def write_atomic(path: str | os.PathLike, data: bytes) -> None:
     """Write through a temp file and a rename, making the directory only
     when it is missing; a path that cannot be written is a data error.
     The temp file .NAME.PID.N.tmp beside the output is made with O_EXCL
@@ -77,10 +86,11 @@ def write_atomic(path: Path, data: bytes) -> None:
     followed."""
     tmp = None
     try:
-        if not path.parent.is_dir():
-            path.parent.mkdir(parents=True, exist_ok=True)
+        head, tail = os.path.split(path)
+        if head and not os.path.isdir(head):
+            _make_dirs(head)
         for left in range(_TEMP_NAMES, 0, -1):
-            name = path.parent / f".{path.name}.{os.getpid()}.{next(_temp_serial)}.tmp"
+            name = os.path.join(head, f".{tail}.{os.getpid()}.{next(_temp_serial)}.tmp")
             try:
                 fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
                 break
@@ -102,17 +112,17 @@ def write_atomic(path: Path, data: bytes) -> None:
                 pass
 
 
-def _write_tree(outputs: list[tuple[Path, bytes]]) -> None:
+def _write_tree(outputs: list[tuple[str, bytes]]) -> None:
     """Write each (path, data) with write_atomic, after making every
     directory they go in, in first-seen order: a directory that cannot be
     made fails the command before any file is written. Its error names the
     first file meant for it, as write_atomic's would."""
-    first_file: dict[Path, Path] = {}
+    first_file: dict[str, str] = {}
     for path, _ in outputs:
-        first_file.setdefault(path.parent, path)
+        first_file.setdefault(os.path.dirname(path), path)
     for parent, path in first_file.items():
         try:
-            parent.mkdir(parents=True, exist_ok=True)
+            _make_dirs(parent)
         except OSError as exc:
             raise _cannot_write(path, exc) from exc
     for path, data in outputs:
@@ -122,7 +132,8 @@ def _write_tree(outputs: list[tuple[Path, bytes]]) -> None:
 def _read_input(path: str, error: type[ToolkitError]) -> bytes:
     """Read an input file named on the command line; failure is a data error."""
     try:
-        return Path(path).read_bytes()
+        with open(posix_path(path), "rb") as handle:
+            return handle.read()
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -135,9 +146,9 @@ def _resolve_rules(spec: str) -> NormalizationRuleSet:
     return default_rules() if spec == "default" else load_rules(spec)
 
 
-def _engine_trees(args: argparse.Namespace) -> dict[str, Path]:
+def _engine_trees(args: argparse.Namespace) -> dict[str, str]:
     """Zip repeated --pred/--engine flags; a single --pred fans out."""
-    preds = [Path(p).resolve() for p in args.pred]
+    preds = [os.path.realpath(p) for p in args.pred]
     engines = list(args.engine)
     if len(preds) == 1 and len(engines) > 1:
         preds = preds * len(engines)
@@ -151,11 +162,26 @@ def _engine_trees(args: argparse.Namespace) -> dict[str, Path]:
     return dict(zip(engines, preds))
 
 
-def _tree_files(src: Path, pattern: str) -> list[Path]:
-    """The files under src that the recursive glob matches, never outside it."""
+def _glob_match(parts: list[str], pats: list[str]) -> bool:
+    """Whether path parts match glob parts, a '**' part matching any number."""
+    if not pats:
+        return not parts
+    if pats[0] == "**":
+        return any(_glob_match(parts[i:], pats[1:]) for i in range(len(parts) + 1))
+    return bool(parts) and fnmatchcase(parts[0], pats[0]) and _glob_match(parts[1:], pats[1:])
+
+
+def _tree_files(src: str, pattern: str) -> list[str]:
+    """Files whose path below src matches **/pattern, sorted by parts; no symlinked dir is entered."""
     if os.path.isabs(pattern) or ".." in pattern.split("/"):
         raise ManifestError(f"--pattern {pattern!r} must stay under --in: no absolute path, no '..' part")
-    files = sorted(src.rglob(pattern))
+    pats, files = ["**", *path_parts(pattern)], []
+    if pats[-1] != "**" and not pattern.endswith("/"):  # else only directories match
+        prefix = os.path.join(src, "")
+        for top, _, names in os.walk(src):
+            below = path_parts(top[len(prefix) :])
+            files += [os.path.join(top, n) for n in names if _glob_match([*below, n], pats)]
+    files.sort(key=lambda path: path.split("/"))
     if not files:
         raise ManifestError(f"no files matching {pattern!r} under {src}")
     return files
@@ -166,24 +192,25 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
     rules = _resolve_rules(args.rules)
     rules.require_codec_closed(codec)
     require_replacement_in_codec(args.replacement, codec)
-    src = Path(args.input).resolve()
-    dst = Path(args.out).resolve()
+    src = os.path.realpath(args.input)
+    dst = os.path.realpath(args.out)
 
-    def normalized(in_file: Path) -> bytes:
+    def normalized(in_file: str) -> bytes:
         text = read_text_file(in_file)
-        line = TranscriptionLine(in_file.parent.name, line_id_of(in_file.name), text)
+        book_dir, name = os.path.split(in_file)
+        line = TranscriptionLine(os.path.basename(book_dir), line_id_of(name), text)
         return (normalize_line(line, rules, codec, args.replacement).text + "\n").encode("utf-8")
 
-    if src.is_file():
+    if os.path.isfile(src):
         write_atomic(dst, normalized(src))
         print(f"normalized 1 file -> {dst}")
         return 0
-    if not src.is_dir():
+    if not os.path.isdir(src):
         raise ManifestError(f"input {src} is neither file nor directory")
     files = _tree_files(src, args.pattern)
     # Every file is normalized before any is written: a bad line in a later
     # file leaves no partial output tree.
-    _write_tree([(dst / f.relative_to(src), normalized(f)) for f in files])
+    _write_tree([(os.path.join(dst, os.path.relpath(f, src)), normalized(f)) for f in files])
     print(f"normalized {len(files)} file(s) -> {dst}")
     return 0
 
@@ -191,8 +218,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 def _cmd_coverage(args: argparse.Namespace) -> int:
     codec = _resolve_codec(args.codec)
     require_utf8("codec name", codec.name)
-    src = Path(args.input).resolve()
-    files = _tree_files(src, args.pattern)
+    files = _tree_files(os.path.realpath(args.input), args.pattern)
     texts = [read_text_file(f) for f in files]
     in_codec, out_of_codec = codec_coverage_report(texts, codec)
     payload = {
@@ -203,7 +229,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     }
     data = dump_json(payload)
     if args.out:
-        write_atomic(Path(args.out).resolve(), data)
+        write_atomic(os.path.realpath(args.out), data)
     else:
         sys.stdout.write(data.decode("utf-8"))
     return 0
@@ -213,7 +239,7 @@ def _run_eval(args: argparse.Namespace):
     codec = _resolve_codec(args.codec)
     rules = _resolve_rules(args.rules)
     return eval_pipeline(
-        Path(args.gt).resolve(),
+        os.path.realpath(args.gt),
         _engine_trees(args),
         codec,
         rules,
@@ -229,19 +255,19 @@ def _run_eval(args: argparse.Namespace):
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     report = _run_eval(args)
-    write_atomic(Path(args.out).resolve(), emit_report(report, args.format))
+    write_atomic(os.path.realpath(args.out), emit_report(report, args.format))
     print(f"evaluated {len(report.engines)} engine(s) on {len(report.datasets)} dataset(s) -> {args.out}")
     return 0
 
 
 def _cmd_errors(args: argparse.Namespace) -> int:
     report = _run_eval(args)
-    write_atomic(Path(args.out).resolve(), emit_errors_report(report, args.format))
+    write_atomic(os.path.realpath(args.out), emit_errors_report(report, args.format))
     print(f"error analytics for {len(report.engines)} engine(s) -> {args.out}")
     return 0
 
 
-def _load_confidences(conf_path: Path | None, text: str):
+def _load_confidences(conf_path: str | None, text: str):
     if conf_path is None:
         return None
     tokens = read_text_file(conf_path).split()
@@ -312,9 +338,9 @@ def _cmd_vote(args: argparse.Namespace) -> int:
         if exc.line is None:
             raise
         raise _line_error(*keys[exc.line], exc) from None
-    out_root = Path(args.out).resolve()
+    out_root = os.path.realpath(args.out)
     voted = [
-        (out_root / book / (lid + pred_suffix(VOTED_ENGINE_ID)), (text + "\n").encode("utf-8"))
+        (os.path.join(out_root, book, lid + pred_suffix(VOTED_ENGINE_ID)), (text + "\n").encode("utf-8"))
         for (book, lid), text in zip(keys, texts)
     ]
     _write_tree(voted)
@@ -323,8 +349,8 @@ def _cmd_vote(args: argparse.Namespace) -> int:
 
 
 def _cmd_prepare_scan(args: argparse.Namespace) -> int:
-    books = scan_corpus(Path(args.root).resolve(), args.corpus)
-    write_atomic(Path(args.out).resolve(), manifest_to_json(books))
+    books = scan_corpus(os.path.realpath(args.root), args.corpus)
+    write_atomic(os.path.realpath(args.out), manifest_to_json(books))
     total = sum(b.line_count for b in books)
     print(f"scanned {len(books)} book(s), {total} line(s) -> {args.out}")
     return 0
@@ -358,7 +384,7 @@ def _cmd_prepare_refine(args: argparse.Namespace) -> int:
         )
         for b in books
     ]
-    write_atomic(Path(args.out).resolve(), manifest_to_json(refined))
+    write_atomic(os.path.realpath(args.out), manifest_to_json(refined))
     total = sum(b.line_count for b in refined)
     print(f"refinement subset: {total} line(s) from {len(refined)} book(s) (cap {args.cap}, seed {args.seed}) -> {args.out}")
     return 0
@@ -385,7 +411,7 @@ def _cmd_prepare_schedule(args: argparse.Namespace) -> int:
     books = _load_manifests(args.manifest)
     stages = _parse_stage_specs(args.stage)
     expanded = build_schedule(books, stages, args.cap, args.seed)
-    write_atomic(Path(args.out).resolve(), schedule_to_json(stages, args.cap, args.seed, expanded))
+    write_atomic(os.path.realpath(args.out), schedule_to_json(stages, args.cap, args.seed, expanded))
     counts = ", ".join(f"{name}: {len(items)}" for name, items in expanded.items())
     print(f"schedule written -> {args.out} ({counts})")
     return 0
@@ -415,7 +441,7 @@ def _cmd_prepare_verify(args: argparse.Namespace) -> int:
     problems = verify_counts(books, expected)
     data = dump_json(problems, ascii=True)
     if args.out:
-        write_atomic(Path(args.out).resolve(), data)
+        write_atomic(os.path.realpath(args.out), data)
     else:
         sys.stdout.write(data.decode("utf-8"))
     # With the JSON on stdout, the status line goes to stderr so that stdout parses.
@@ -425,7 +451,7 @@ def _cmd_prepare_verify(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     report = report_from_json(_read_input(args.input, ReportError))
-    write_atomic(Path(args.out).resolve(), emit_report(report, args.format))
+    write_atomic(os.path.realpath(args.out), emit_report(report, args.format))
     print(f"re-emitted report as {args.format} -> {args.out}")
     return 0
 

@@ -20,14 +20,15 @@ umlauts and accented vowels used in period printing, and the space.
 
 from __future__ import annotations
 
+import os
 from collections import Counter, namedtuple
 from collections.abc import Iterable
-from pathlib import Path
 
 from .errors import CodecError
+from .lines import posix_path, stem
 
 # The default file sits next to the sources.
-_DEFAULT_CODEC_FILE = Path(__file__).parent / "data" / "codec_default.txt"
+_DEFAULT_CODEC_FILE = os.path.join(os.path.dirname(__file__), "data", "codec_default.txt")
 
 
 class Codec(namedtuple("Codec", "characters name", defaults=("codec",))):
@@ -123,22 +124,23 @@ def _parse_codec_text(content: str, source: str, name: str) -> Codec:
     return Codec(tuple(characters), name=name)
 
 
-def load_codec(path: str | Path) -> Codec:
+def load_codec(path: str | os.PathLike) -> Codec:
     """Load a codec file; the codec is named after the file's stem.
 
     Raises CodecError for unreadable files, undecodable bytes, empty files,
     malformed entries and duplicates (naming character and line).
     """
-    p = Path(path)
+    p = posix_path(path)
     try:
-        raw = p.read_bytes()
+        with open(p, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise CodecError(f"cannot read codec file {p}: {exc}") from exc
     try:
         content = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CodecError(f"{p}: codec file is not valid UTF-8: {exc}") from exc
-    return _parse_codec_text(content, str(p), p.stem)
+    return _parse_codec_text(content, p, stem(p))
 
 
 def default_codec() -> Codec:
@@ -148,8 +150,9 @@ def default_codec() -> Codec:
     authoritative: nothing in the toolkit assumes a fixed cardinality, and
     loaders report the actual count.
     """
-    content = _DEFAULT_CODEC_FILE.read_text(encoding="utf-8")
-    return _parse_codec_text(content, _DEFAULT_CODEC_FILE.name, "default")
+    with open(_DEFAULT_CODEC_FILE, encoding="utf-8") as handle:
+        content = handle.read()
+    return _parse_codec_text(content, os.path.basename(_DEFAULT_CODEC_FILE), "default")
 
 
 def validate_against_codec(text: str, codec: Codec) -> list[tuple[int, str]]:

@@ -16,6 +16,8 @@ from json import JSONDecodeError, JSONEncoder, loads
 
 _SCALARS = (str, int, float, type(None))
 _LISTS = (list, tuple)
+# How a \uD800-\uDFFF escape starts, in bytes and in str.
+_SURROGATE_ESCAPES = ((b"\\ud", b"\\uD"), ("\\ud", "\\uD"))
 
 
 def dump_json(value: object, ascii: bool = False) -> bytes:
@@ -27,13 +29,20 @@ def dump_json(value: object, ascii: bool = False) -> bytes:
 def load_json(data: bytes | str, kind: str, version: int, error: type[Exception]) -> dict:
     """The JSON object of a stored file of the given kind (report,
     manifest), whose schema_version must be version; raises error, naming
-    the kind, for anything else."""
+    the kind, for anything else, such as a surrogate escape outside a pair,
+    which json decodes to a lone surrogate that no UTF-8 output can hold."""
     try:
         payload = loads(data)
     except JSONDecodeError as exc:
         raise error(f"{kind} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{kind} is not valid UTF-8: {exc}") from exc
+    if any(escape in data for escape in _SURROGATE_ESCAPES[isinstance(data, str)]):
+        try:
+            _encoder(False, 0)(payload).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            code = ord(exc.object[exc.start])
+            raise error(f"{kind} holds a lone surrogate escape \\u{code:04x}") from None
     if not isinstance(payload, dict):
         raise error(f"{kind} is not a JSON object")
     found = payload.get("schema_version")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from pathlib import Path, PurePath
 
 from .errors import ManifestError
 
@@ -48,7 +47,28 @@ def line_id_of(name: str) -> str:
     head, sep, _ = name.rpartition(".pred.")
     if sep and name.endswith(".txt"):
         return head
-    return PurePath(name).stem
+    return stem(name)
+
+
+def path_parts(path: str | os.PathLike) -> list[str]:
+    """The parts of a /-separated path that are neither empty nor '.'."""
+    return [part for part in os.fspath(path).split("/") if part not in ("", ".")]
+
+
+def posix_path(path: str | os.PathLike) -> str:
+    """``str(PurePosixPath(path))``: empty and ``.`` parts dropped, so no
+    trailing slash, and a leading ``//`` kept; ``.`` when nothing is left."""
+    path = os.fspath(path)
+    root = "//" if path[:2] == "//" and path[2:3] != "/" else "/" * path.startswith("/")
+    return root + "/".join(path_parts(path)) or "."
+
+
+def stem(path: str | os.PathLike) -> str:
+    """``PurePosixPath(path).stem``: the last part without its last
+    extension, a dot that is neither first nor last."""
+    name = (path_parts(path) or [""])[-1]
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
 def require_utf8(what: str, *names: str) -> None:
@@ -62,9 +82,9 @@ def require_utf8(what: str, *names: str) -> None:
             raise ManifestError(f"{what} {os.fsencode(name)!r} is not valid UTF-8") from None
 
 
-def list_books(root: Path, label: str) -> list[tuple[Path, tuple[str, ...]]]:
-    """Each immediate sub-directory of root, sorted by name, with the sorted
-    names of its entries.
+def list_books(root: str | os.PathLike, label: str) -> list[tuple[str, str, tuple[str, ...]]]:
+    """The name and path of each immediate sub-directory of root, sorted by
+    name, with the sorted names of its entries.
 
     Each directory is listed once. A root that cannot be listed raises
     ManifestError naming it as label; so does a book directory.
@@ -76,9 +96,9 @@ def list_books(root: Path, label: str) -> list[tuple[Path, tuple[str, ...]]]:
         raise ManifestError(f"{label} {root} is not a readable directory") from exc
     books = []
     for name in book_names:
-        book_dir = root / name
+        book_dir = os.path.join(root, name)
         try:
-            books.append((book_dir, tuple(sorted(os.listdir(book_dir)))))
+            books.append((name, book_dir, tuple(sorted(os.listdir(book_dir)))))
         except OSError as exc:
             raise ManifestError(
                 f"cannot list book directory {book_dir}: {exc.strerror or exc}"

@@ -22,13 +22,13 @@ paths), so corpora can relocate freely.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 import re
 import sys
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
-from pathlib import Path
 
 from .errors import ManifestError
 from .jsonout import dump_json, load_json
@@ -71,7 +71,7 @@ class BookEntry(
         return len(self.line_ids)
 
 
-def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
+def scan_corpus(root: str | os.PathLike, corpus_id: str) -> list[BookEntry]:
     """Scan a line-pair tree into one BookEntry per book directory.
 
     Lines missing either the ground-truth file or the image sibling are
@@ -79,11 +79,10 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
     book directories, and a corpus, book or line id that is not valid UTF-8
     are errors.
     """
-    root = Path(root)
     require_utf8("corpus id", corpus_id)
     books: list[BookEntry] = []
-    for book_dir, names in list_books(root, "corpus root"):
-        require_utf8("book id", book_dir.name)
+    for book_id, _, names in list_books(root, "corpus root"):
+        require_utf8("book id", book_id)
         gt_ids: list[str] = []
         images: list[tuple[str, str, str]] = []  # (name, line id, suffix)
         for match in filter(None, map(_LINE_FILE.fullmatch, names)):
@@ -99,7 +98,7 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
             for line_id in gt_ids:
                 if line_id not in imaged:
                     print(
-                        f"{corpus_id}/{book_dir.name}: line {line_id!r} has ground truth"
+                        f"{corpus_id}/{book_id}: line {line_id!r} has ground truth"
                         " but no image sibling, excluded",
                         file=sys.stderr,
                     )
@@ -110,12 +109,12 @@ def scan_corpus(root: str | Path, corpus_id: str) -> list[BookEntry]:
             for name, line_id, _ in images:
                 if line_id not in with_gt:
                     print(
-                        f"{corpus_id}/{book_dir.name}: image {name!r} has no ground-truth"
+                        f"{corpus_id}/{book_id}: image {name!r} has no ground-truth"
                         " sibling, excluded",
                         file=sys.stderr,
                     )
-        require_utf8(f"{corpus_id}/{book_dir.name}: line id", *line_ids)
-        books.append(BookEntry(book_dir.name, corpus_id, tuple(line_ids)))
+        require_utf8(f"{corpus_id}/{book_id}: line id", *line_ids)
+        books.append(BookEntry(book_id, corpus_id, tuple(line_ids)))
     if not books:
         raise ManifestError(f"corpus root {root} contains no book directories")
     return books

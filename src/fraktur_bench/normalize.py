@@ -23,16 +23,16 @@ when a rewrite exposes new rule sources at sequence boundaries.
 from __future__ import annotations
 
 import hashlib
+import os
 import unicodedata
 from collections import namedtuple
-from pathlib import Path
 
 from .codec import Codec, unescape_entry, validate_against_codec
 from .errors import CodecError, ConvergenceError, NormalizationError, RuleSetError
-from .lines import TranscriptionLine
+from .lines import TranscriptionLine, posix_path
 
 # The default file sits next to the sources.
-_DEFAULT_RULES_FILE = Path(__file__).parent / "data" / "rules_default.tsv"
+_DEFAULT_RULES_FILE = os.path.join(os.path.dirname(__file__), "data", "rules_default.tsv")
 
 # A rewrite loop that survives this many full passes is treated as divergent.
 _MAX_PASSES = 8
@@ -105,20 +105,22 @@ def _parse_rules_text(content: str, source_name: str) -> NormalizationRuleSet:
     return NormalizationRuleSet(tuple(rules), name=source_name)
 
 
-def load_rules(path: str | Path) -> NormalizationRuleSet:
-    p = Path(path)
+def load_rules(path: str | os.PathLike) -> NormalizationRuleSet:
+    p = posix_path(path)
     try:
-        content = p.read_bytes().decode("utf-8")
+        with open(p, "rb") as handle:
+            content = handle.read().decode("utf-8")
     except OSError as exc:
         raise RuleSetError(f"cannot read rules file {p}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise RuleSetError(f"{p}: rules file is not valid UTF-8: {exc}") from exc
-    return _parse_rules_text(content, str(p))
+    return _parse_rules_text(content, p)
 
 
 def default_rules() -> NormalizationRuleSet:
-    content = _DEFAULT_RULES_FILE.read_text(encoding="utf-8")
-    return _parse_rules_text(content, _DEFAULT_RULES_FILE.name)
+    with open(_DEFAULT_RULES_FILE, encoding="utf-8") as handle:
+        content = handle.read()
+    return _parse_rules_text(content, os.path.basename(_DEFAULT_RULES_FILE))
 
 
 def _one_pass(text: str, rules: NormalizationRuleSet) -> str:

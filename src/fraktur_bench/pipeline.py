@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from pathlib import Path
 
 from . import __version__
 from .align import AlignmentResult, align
@@ -37,7 +36,7 @@ from .normalize import NormalizationRuleSet, normalize_line, require_replacement
 _CHUNK = 1 << 16
 
 
-def read_text_file(path: str | Path) -> str:
+def read_text_file(path: str | os.PathLike) -> str:
     """Read one line file: UTF-8, one trailing line ending (CRLF, LF or CR)
     stripped, nothing else."""
     try:
@@ -63,36 +62,35 @@ def read_text_file(path: str | Path) -> str:
 
 
 def _match_books(
-    books: Sequence[tuple[Path, tuple[str, ...]]], suffix: str, sidecar_suffix: str | None = None
-) -> tuple[dict[str, dict[str, str]], dict[str, dict[str, Path]]]:
+    books: Sequence[tuple[str, str, tuple[str, ...]]], suffix: str, sidecar_suffix: str | None = None
+) -> tuple[dict[str, dict[str, str]], dict[str, dict[str, str]]]:
     """dataset id -> line id -> text of every listed file whose name ends
     with suffix, and dataset id -> line id -> path of every listed file
     whose name ends with sidecar_suffix, not read."""
     tree: dict[str, dict[str, str]] = {}
-    sidecars: dict[str, dict[str, Path]] = {}
-    for book_dir, names in books:
-        prefix = os.path.join(book_dir, "")  # str joins: no Path per file
+    sidecars: dict[str, dict[str, str]] = {}
+    for book_id, book_dir, names in books:
+        prefix = os.path.join(book_dir, "")
         lines = {
             name[: -len(suffix)]: read_text_file(prefix + name)
             for name in names
             if name.endswith(suffix)
         }
         if lines:
-            tree[book_dir.name] = lines
+            tree[book_id] = lines
         if sidecar_suffix is not None:
             found = {
-                name[: -len(sidecar_suffix)]: book_dir / name
+                name[: -len(sidecar_suffix)]: prefix + name
                 for name in names
                 if name.endswith(sidecar_suffix)
             }
             if found:
-                sidecars[book_dir.name] = found
+                sidecars[book_id] = found
     return tree, sidecars
 
 
-def load_gt_tree(root: str | Path) -> dict[str, dict[str, str]]:
+def load_gt_tree(root: str | os.PathLike) -> dict[str, dict[str, str]]:
     """dataset id -> line id -> ground-truth text."""
-    root = Path(root)
     tree, _ = _match_books(list_books(root, "ground-truth root"), GT_SUFFIX)
     if not tree:
         raise ManifestError(f"no ground-truth lines found under {root}")
@@ -100,8 +98,8 @@ def load_gt_tree(root: str | Path) -> dict[str, dict[str, str]]:
 
 
 def load_pred_trees(
-    pred_roots: Mapping[str, str | Path],
-) -> Iterator[tuple[str, dict[str, dict[str, str]], dict[str, dict[str, Path]]]]:
+    pred_roots: Mapping[str, str | os.PathLike],
+) -> Iterator[tuple[str, dict[str, dict[str, str]], dict[str, dict[str, str]]]]:
     """For each engine of pred_roots, in its order: the engine id, dataset
     id -> line id -> predicted text, and dataset id -> line id -> path of
     the engine's confidence sidecars.
@@ -110,9 +108,9 @@ def load_pred_trees(
     listed once, when its first engine comes up, and each engine's files
     are read when it comes up.
     """
-    listings: dict[Path, list[tuple[Path, tuple[str, ...]]]] = {}
+    listings: dict[str, list[tuple[str, str, tuple[str, ...]]]] = {}
     for engine, root in pred_roots.items():
-        root = Path(root)
+        root = os.fspath(root)
         if root not in listings:
             listings[root] = list_books(root, "prediction root")
         tree, sidecars = _match_books(listings[root], pred_suffix(engine), conf_suffix(engine))
@@ -145,8 +143,8 @@ def check_parity(
 
 
 def eval_pipeline(
-    gt_root: str | Path,
-    pred_roots: Mapping[str, str | Path],
+    gt_root: str | os.PathLike,
+    pred_roots: Mapping[str, str | os.PathLike],
     codec: Codec,
     rules: NormalizationRuleSet,
     raw_pred: bool = False,

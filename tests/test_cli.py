@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import itertools
 import json
@@ -72,10 +73,26 @@ def report_with(edit) -> str:
     return json.dumps(payload)
 
 
+def manifest_with(edit) -> str:
+    """A valid one-book manifest with one member changed in place by edit."""
+    payload = json.loads(manifest_to_json([BookEntry("N-1", "N", ("l1",))]))
+    edit(payload)
+    return json.dumps(payload)
+
+
+def rename_dataset(report: dict) -> None:
+    """Rewrite the dataset id N-1 to a lone surrogate, which json.dumps
+    writes as the escape \\ud800."""
+    report["datasets"] = ["\ud800"]
+    report["cells"] = {"\ud800": report["cells"]["N-1"]}
+
+
 EVAL_ARGS = ("--gt", "{root}/gt", "--pred", "{root}/pred", "--engine", "abbyy", "--out", "{out}")
 REPORT_CSV = ("report", "--in", "{bad}", "--format", "csv", "--out", "{out}")
 REPORT_JSON = ("report", "--in", "{bad}", "--format", "json", "--out", "{out}")
+REPORT_MARKDOWN = ("report", "--in", "{bad}", "--format", "markdown", "--out", "{out}")
 REFINE = ("prepare", "refine", "--manifest", "{bad}", "--cap", "1", "--out", "{out}")
+SCHEDULE = ("prepare", "schedule", "--manifest", "{bad}", "--stage", "real=N", "--out", "{out}")
 VERIFY = ("prepare", "verify", "--manifest", "{manifest}", "--expected", "{bad}", "--out", "{out}")
 
 
@@ -220,6 +237,20 @@ class TestExitCodes:
              "manifest is not valid JSON: Expecting property name enclosed in double quotes: "
              "line 1 column 22 (char 21)"),
             (REPORT_CSV, '{"schema_version": 2}', "ReportError", "unsupported report schema_version 2"),
+            (REPORT_JSON, report_with(rename_dataset), "ReportError",
+             "report holds a lone surrogate escape \\ud800"),
+            (REPORT_CSV, report_with(rename_dataset), "ReportError",
+             "report holds a lone surrogate escape \\ud800"),
+            (REPORT_MARKDOWN, report_with(rename_dataset), "ReportError",
+             "report holds a lone surrogate escape \\ud800"),
+            (REPORT_CSV, report_with(lambda r: r["metadata"].update({"\udc00x": 1})), "ReportError",
+             "report holds a lone surrogate escape \\udc00"),
+            (REFINE, manifest_with(lambda m: m["books"][0].update(book_id="\ud800")), "ManifestError",
+             "manifest holds a lone surrogate escape \\ud800"),
+            (SCHEDULE, manifest_with(lambda m: m["books"][0].update(book_id="\ud800")), "ManifestError",
+             "manifest holds a lone surrogate escape \\ud800"),
+            (SCHEDULE, manifest_with(lambda m: m["books"][0]["lines"].append("l\udfff\ud800")),
+             "ManifestError", "manifest holds a lone surrogate escape \\udfff"),
             (REFINE, '{"books": []}', "ManifestError", "unsupported manifest schema_version None"),
             (["eval", *EVAL_ARGS, "--pred", "{root}/pred", "--engine", "tess", "--engine", "x"], "",
              "ToolkitError",
@@ -249,6 +280,9 @@ class TestExitCodes:
             "report-k-string", "report-k-zero", "report-cer-sum-string", "report-cer-sum-bool",
             "report-metadata-pairs", "report-metadata-empty-list",
             "report-not-json", "manifest-not-json", "report-schema-version",
+            "report-json-surrogate", "report-csv-surrogate", "report-markdown-surrogate",
+            "report-key-surrogate", "refine-surrogate", "schedule-surrogate",
+            "schedule-reversed-pair",
             "manifest-schema-version", "pred-engine-count", "engine-repeated",
             "datasets-unknown", "line-not-utf8", "confidence-malformed", "vote-no-predictions",
             "normalize-no-match", "coverage-no-match",
@@ -959,6 +993,130 @@ class TestPatternStaysUnderIn:
         payload = json.loads(capsys.readouterr().err)
         assert payload == {"error": {"type": "ManifestError", "message": message}}
         assert tree() == before
+
+
+def tree_bytes(root: Path) -> dict[Path, bytes | None]:
+    """Every path under root, with the bytes of each regular file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+class TestPatternMatchesFiles:
+    """--pattern matches files only, at any depth below --in: '*' passes
+    a sub-directory over rather than read it, and a pattern that only a
+    directory could match finds no file."""
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        gt = make_gt_tree(tmp_path / "gt", {"A": {"l1": "Im"}, "B": {"l1": "Hof"}})
+        make_gt_tree(gt / "A" / "sub", {"C": {"l2": "ſa"}})
+        for png in gt.rglob("*.png"):
+            png.unlink()
+        return gt
+
+    def test_normalize_star(self, tree, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["normalize", "--in", str(tree), "--out", str(out), "--pattern", "*"]) == 0
+        assert capsys.readouterr() == (f"normalized 3 file(s) -> {out}\n", "")
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+        assert written == ["A/l1.gt.txt", "A/sub/C/l2.gt.txt", "B/l1.gt.txt"]
+        assert (out / "A" / "sub" / "C" / "l2.gt.txt").read_bytes() == "ſa\n".encode("utf-8")
+
+    def test_coverage_star(self, tree, tmp_path, capsys):
+        out = tmp_path / "coverage.json"
+        assert run(["coverage", "--in", str(tree), "--pattern", "*", "--out", str(out)]) == 0
+        assert json.loads(out.read_bytes())["total_chars"] == len("Im" + "Hof" + "ſa")
+
+    @pytest.mark.parametrize("command", ["normalize", "coverage"])
+    @pytest.mark.parametrize("pattern", ["**", "", "A/", "*/**"], ids=["star-star", "empty", "dir", "ends-in-star-star"])
+    def test_no_file(self, tree, tmp_path, capsys, command, pattern):
+        argv = [command, "--in", str(tree), "--out", str(tmp_path / "out"), "--pattern", pattern]
+        before = tree_bytes(tmp_path)
+        message = f"no files matching {pattern!r} under {tree}"
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": {"type": "ManifestError", "message": message}}
+        assert tree_bytes(tmp_path) == before
+
+
+class TestSymlinkLoop:
+    """A path argument that runs into a symlink loop is a data error: the
+    message its command gives any unreadable input or unwritable output,
+    with the system's reason for the loop, and nothing is written."""
+
+    REASON = os.strerror(errno.ELOOP)
+    VOTE = ("vote", "--engine", "abbyy", "--engine", "tess")
+
+    @pytest.mark.parametrize(
+        "argv, error_type, message",
+        [
+            (["eval", "--gt", "{loop}", "--pred", "{root}/pred", "--engine", "abbyy", "--out", "{out}"],
+             "ManifestError", "ground-truth root {loop} is not a readable directory"),
+            (["eval", "--gt", "{root}/gt", "--pred", "{loop}", "--engine", "abbyy", "--out", "{out}"],
+             "ManifestError", "prediction root {loop} is not a readable directory"),
+            (["eval", "--gt", "{root}/gt", "--pred", "{root}/pred", "--engine", "abbyy",
+              "--out", "{loop}/r.json"], "ToolkitError", "cannot write {loop}/r.json: {reason}"),
+            (["errors", "--gt", "{root}/gt", "--pred", "{root}/pred", "--engine", "abbyy",
+              "--out", "{loop}/deeper/r.json"], "ToolkitError",
+             "cannot write {loop}/deeper/r.json: {reason}"),
+            ([*VOTE, "--pred", "{loop}", "--out", "{out}"],
+             "ManifestError", "prediction root {loop} is not a readable directory"),
+            ([*VOTE, "--pred", "{root}/pred", "--out", "{loop}"],
+             "ToolkitError", "cannot write {loop}/N-1781/l1.pred.voted.txt: {reason}"),
+            (["normalize", "--in", "{loop}", "--out", "{out}"],
+             "ManifestError", "input {loop} is neither file nor directory"),
+            (["normalize", "--in", "{root}/gt", "--out", "{loop}"],
+             "ToolkitError", "cannot write {loop}/N-1781/l1.gt.txt: {reason}"),
+            (["normalize", "--in", "{root}/gt/N-1781/l1.gt.txt", "--out", "{loop}/l1.gt.txt"],
+             "ToolkitError", "cannot write {loop}/l1.gt.txt: {reason}"),
+            (["coverage", "--in", "{loop}", "--out", "{out}"],
+             "ManifestError", "no files matching '*.gt.txt' under {loop}"),
+            (["coverage", "--in", "{root}/gt", "--out", "{loop}/c.json"],
+             "ToolkitError", "cannot write {loop}/c.json: {reason}"),
+            (["prepare", "scan", "--root", "{loop}", "--corpus", "N", "--out", "{out}"],
+             "ManifestError", "corpus root {loop} is not a readable directory"),
+            (["prepare", "scan", "--root", "{root}/gt", "--corpus", "N", "--out", "{loop}/m.json"],
+             "ToolkitError", "cannot write {loop}/m.json: {reason}"),
+            (["report", "--in", "{loop}", "--format", "csv", "--out", "{out}"],
+             "ReportError", "cannot read {loop}: {reason}"),
+            (["report", "--in", "{report}", "--format", "csv", "--out", "{loop}/r.csv"],
+             "ToolkitError", "cannot write {loop}/r.csv: {reason}"),
+        ],
+        ids=["eval-gt", "eval-pred", "eval-out", "errors-out-deeper", "vote-pred", "vote-out",
+             "normalize-in", "normalize-tree-out", "normalize-file-out", "coverage-in",
+             "coverage-out", "scan-root", "scan-out", "report-in", "report-out"],
+    )
+    def test_data_error(self, corpus, capsys, argv, error_type, message):
+        loop = corpus / "loop"
+        loop.symlink_to("loop")
+        report = corpus / "report.json"
+        report.write_text(report_with(lambda r: None), encoding="utf-8")
+        paths = {"loop": loop, "root": corpus, "out": corpus / "out", "report": report,
+                 "reason": self.REASON}
+        argv = [a.format(**paths) for a in argv]
+        message = message.format(**paths)
+        before = tree_bytes(corpus)
+
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert run(["--error-json", *argv]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": {"type": error_type, "message": message}}
+        assert tree_bytes(corpus) == before
+        assert os.readlink(loop) == "loop"
+
+    def test_output_named_by_the_loop_replaces_it(self, corpus, capsys):
+        """An output whose own name is a looping link is renamed over the
+        link, like any output over what its name held: no loop is followed."""
+        loop = corpus / "loop"
+        loop.symlink_to("loop")
+        argv = ["eval", "--gt", str(corpus / "gt"), "--pred", str(corpus / "pred"),
+                "--engine", "abbyy", "--out", str(loop)]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert not loop.is_symlink()
+        assert json.loads(loop.read_bytes())["engines"] == ["abbyy"]
 
 
 class TestEvalCommand:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraktur_bench.jsonout import dump_json
+from fraktur_bench.errors import ReportError
+from fraktur_bench.jsonout import dump_json, load_json
 
 
 def reference(value: object, ascii: bool) -> bytes:
@@ -96,3 +97,41 @@ def test_other_keys_give_the_same_bytes_or_type_error(value):
     except TypeError:
         return
     assert got == reference(value, False)
+
+
+@pytest.mark.parametrize(
+    "member, loaded",
+    [
+        (r'"\ud83d\ude00"', "\U0001F600"),
+        (r'"\uD83D\uDE00"', "\U0001F600"),
+        (r'"\\ud800"', "\\ud800"),
+        (r'"\u00e4\u0064"', "äd"),
+    ],
+    ids=["pair", "pair-upper-case", "escaped-backslash", "not-a-surrogate"],
+)
+@pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "str"])
+def test_load_json_keeps_what_is_not_a_lone_surrogate(member, loaded, as_bytes):
+    """A surrogate pair is one character, and a backslash escaped before
+    'ud800' leaves it text; neither is a lone surrogate."""
+    data = '{"schema_version": 1, "x": [%s]}' % member
+    payload = load_json(data.encode("utf-8") if as_bytes else data, "report", 1, ReportError)
+    assert payload == {"schema_version": 1, "x": [loaded]}
+
+
+@pytest.mark.parametrize(
+    "member, escape",
+    [
+        (r'"\ud800"', r"\ud800"),
+        (r'"a\uDBFFb"', r"\udbff"),
+        (r'"\ude00\ud83d"', r"\ude00"),
+        (r'"\ud83d\u0041"', r"\ud83d"),
+        (r'{"\udfff": 1}', r"\udfff"),
+    ],
+    ids=["high", "high-inside", "reversed-pair", "high-then-other", "key"],
+)
+@pytest.mark.parametrize("as_bytes", [True, False], ids=["bytes", "str"])
+def test_load_json_rejects_a_lone_surrogate(member, escape, as_bytes):
+    data = '{"schema_version": 1, "x": [%s]}' % member
+    with pytest.raises(ReportError) as err:
+        load_json(data.encode("utf-8") if as_bytes else data, "report", 1, ReportError)
+    assert str(err.value) == f"report holds a lone surrogate escape {escape}"

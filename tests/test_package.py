@@ -78,7 +78,7 @@ def test_only_align_names_the_op_vocabulary(path):
     assert names & {"OpKind", "EditOp"} == set()
 
 
-@pytest.mark.parametrize("forbidden", ["dataclasses", "typing", "tempfile", "fractions"])
+@pytest.mark.parametrize("forbidden", ["dataclasses", "typing", "tempfile", "fractions", "pathlib"])
 def test_no_module_imports(forbidden):
     """Every command imports every record type, and the records are
     collections.namedtuple classes. With @dataclass records, importing
@@ -89,7 +89,9 @@ def test_no_module_imports(forbidden):
     (with shutil, bz2 and lzma) served only the temp file of each output,
     which cli.write_atomic makes with os.open. fractions (with decimal and
     numbers) served only the top-k share, which is its two counts reduced
-    by math.gcd."""
+    by math.gcd. pathlib (with ntpath, urllib, ipaddress and errno) served
+    only path joins, globbing and names that os.path, os.walk with fnmatch
+    and lines.posix_path and lines.stem give as str."""
     importers = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -112,13 +114,15 @@ def test_set_up_leaves_out_class_machinery():
     to stderr itself. Nor typing: the records are collections.namedtuple
     classes. Nor tempfile and the shutil it brings: an output's temp file
     is made with os.open. Nor fractions and the decimal and numbers it
-    brings: a top-k share is a pair of ints in lowest terms."""
+    brings: a top-k share is a pair of ints in lowest terms. Nor pathlib
+    and the ntpath, urllib and ipaddress it brings: every path is a str."""
     code = (
         "import sys, fraktur_bench.cli\n"
         "from fraktur_bench import default_codec, default_rules\n"
         "default_codec(), default_rules()\n"
         "forbidden = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources', 'logging',"
-        " 'typing', 'tempfile', 'shutil', 'fractions', 'decimal', 'numbers'}\n"
+        " 'typing', 'tempfile', 'shutil', 'fractions', 'decimal', 'numbers',"
+        " 'pathlib', 'ntpath', 'urllib', 'urllib.parse', 'ipaddress'}\n"
         "print(sorted(forbidden & set(sys.modules)))\n"
     )
     done = subprocess.run(

@@ -123,8 +123,8 @@ class TestTrees:
             (root / name).write_text("0.5\n", encoding="utf-8")
         (_, texts, sidecars), (_, _, e2_sidecars) = load_pred_trees({"e1": root, "e2": root})
         assert texts == {"b1": {"l1": "a", "l2": "b"}, "b2": {"l1": "c"}}
-        assert sidecars == {"b1": {"l2": root / "b1" / "l2.pred.e1.conf"}}
-        assert e2_sidecars == {"b1": {"l1": root / "b1" / "l1.pred.e2.conf"}}
+        assert sidecars == {"b1": {"l2": str(root / "b1" / "l2.pred.e1.conf")}}
+        assert e2_sidecars == {"b1": {"l1": str(root / "b1" / "l1.pred.e2.conf")}}
 
     def test_parity_reports_both_directions(self, tmp_path):
         gt = load_gt_tree(make_gt_tree(tmp_path / "gt", {"b1": {"l1": "x", "l2": "y"}}))

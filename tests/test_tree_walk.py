@@ -10,6 +10,10 @@ in the same order; the reference scan prints its warnings instead of
 logging them, and no longer logs its count line, as the scan does.
 Engine ids stay free of glob metacharacters here, because the reference
 reads those as patterns.
+
+The ``--pattern`` walk of ``normalize`` and ``coverage`` and the path
+rules of the codec and rules loaders are checked against ``pathlib``,
+which the package no longer imports.
 """
 
 from __future__ import annotations
@@ -19,14 +23,15 @@ import io
 import os
 import sys
 import tempfile
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraktur_bench.cli import _tree_files
 from fraktur_bench.errors import ManifestError
-from fraktur_bench.lines import line_id_of
+from fraktur_bench.lines import line_id_of, posix_path, stem
 from fraktur_bench.manifests import BookEntry, scan_corpus
 from fraktur_bench.pipeline import load_gt_tree, load_pred_trees, read_text_file
 
@@ -293,3 +298,120 @@ class TestLineIds:
     )
     def test_line_id_of(self, name, line_id):
         assert line_id_of(name) == line_id
+
+
+# --- the --pattern walk against rglob -----------------------------------
+
+# Directory and file names are disjoint, so any drawn paths fit in one tree.
+WALK_DIRS = ("a", "b", ".d")
+WALK_FILES = ("a.gt.txt", "b.txt", ".h", "ab", "x.y.gt.txt")
+# Literal parts, wildcards and '**'. No literal part names the broken link
+# gone.gt.txt: rglob tests a literal last part with exists(), which a broken
+# link fails, while a wildcard part yields it. _tree_files yields it either
+# way, and reading it is then a data error naming it.
+PATTERN_PARTS = (
+    "*", "?", "[ab]*", "?b*", "x.*", "*.txt", "*.gt.txt", "a.gt.txt", ".h", "a", "b", ".d", "ln",
+    "**",
+)
+
+walk_trees = st.lists(
+    st.tuples(st.lists(st.sampled_from(WALK_DIRS), max_size=2), st.sampled_from(WALK_FILES)),
+    max_size=8,
+)
+
+
+@st.composite
+def patterns(draw) -> str:
+    """One to three parts, joined by '/' or '//', maybe after './' or
+    with a trailing slash; or the empty pattern."""
+    parts = draw(st.lists(st.sampled_from(PATTERN_PARTS), min_size=1, max_size=3))
+    pattern = "".join(
+        part + draw(st.sampled_from(("/", "//", "/./"))) for part in parts[:-1]
+    ) + parts[-1]
+    lead, trail = draw(st.sampled_from(("", "./", ".//"))), draw(st.sampled_from(("", "", "/")))
+    return draw(st.sampled_from((lead + pattern + trail,) * 9 + ("",)))
+
+
+def build_walk_tree(src: Path, paths) -> None:
+    """The drawn files under src, with a/ always there; beside them a
+    symlink ln to a/ at the top and in a/, a symlink lf.txt to a file, and
+    the broken link gone.gt.txt."""
+    (src / "a").mkdir(parents=True)
+    (src / "a" / "a.gt.txt").write_text("x\n", encoding="utf-8")
+    for dirs, name in paths:
+        (src / Path(*dirs)).mkdir(parents=True, exist_ok=True)
+        (src / Path(*dirs) / name).write_text("x\n", encoding="utf-8")
+    (src / "ln").symlink_to(src / "a", target_is_directory=True)
+    (src / "a" / "ln").symlink_to(src / "a", target_is_directory=True)
+    (src / "lf.txt").symlink_to(src / "a" / "a.gt.txt")
+    (src / "gone.gt.txt").symlink_to(src / "nowhere")
+
+
+def reference_tree_files(src: Path, pattern: str) -> list[str]:
+    """rglob's matches that are not directories, as strings, less those
+    below a symlinked directory: rglob enters one where a pattern part
+    other than '**' names it, and _tree_files enters none."""
+
+    def through_link(path: Path) -> bool:
+        return any((src / parent).is_symlink() for parent in path.relative_to(src).parents)
+
+    return [str(x) for x in sorted(src.rglob(pattern)) if not x.is_dir() and not through_link(x)]
+
+
+def tree_files(src: Path, pattern: str) -> list[str]:
+    """_tree_files, with no match as an empty list."""
+    try:
+        return _tree_files(str(src), pattern)
+    except ManifestError as exc:
+        assert str(exc) == f"no files matching {pattern!r} under {src}"
+        return []
+
+
+class TestPatternWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(paths=walk_trees, pattern=patterns())
+    def test_matches_rglob(self, paths, pattern):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(os.path.realpath(tmp)) / "in"
+            build_walk_tree(src, paths)
+            assert tree_files(src, pattern) == reference_tree_files(src, pattern)
+
+    @pytest.mark.parametrize(
+        "pattern, found",
+        [
+            ("*.gt.txt", ["a/a.gt.txt", "gone.gt.txt"]),
+            ("a/**/*.gt.txt", ["a/a.gt.txt"]),
+            ("*/a.gt.txt", ["a/a.gt.txt"]),
+            ("ln/*.gt.txt", []),
+            ("*", ["a/a.gt.txt", "gone.gt.txt", "lf.txt"]),
+            ("a**", ["a/a.gt.txt"]),
+        ],
+        ids=["suffix", "inner-any-depth", "one-directory", "symlinked-directory", "star",
+             "star-star-inside-a-part"],
+    )
+    def test_files_found(self, tmp_path, pattern, found):
+        """Symlinked directories are never entered, not even where a
+        pattern part names one; a '**' inside a part is two '*'."""
+        build_walk_tree(tmp_path / "in", [])
+        assert tree_files(tmp_path / "in", pattern) == [str(tmp_path / "in" / f) for f in found]
+
+
+# --- the path rules of the codec and rules loaders ------------------------
+
+path_texts = st.text(st.sampled_from("/.a b"), max_size=8) | st.lists(
+    st.sampled_from(("", ".", "..", "a", ".a", "a.", "a.b", "a..b", ".a.b", "..a")), max_size=4
+).map("/".join)
+
+
+class TestPathRules:
+    @settings(max_examples=300, deadline=None)
+    @given(path_texts)
+    def test_posix_path_is_pure_posix_path_str(self, text):
+        assert posix_path(text) == str(PurePosixPath(text))
+        assert posix_path(PurePosixPath(text)) == str(PurePosixPath(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(path_texts)
+    def test_stem_is_pure_posix_path_stem(self, text):
+        assert stem(text) == PurePosixPath(text).stem
+        assert stem(PurePosixPath(text)) == PurePosixPath(text).stem
