@@ -23,7 +23,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .align import AlignmentResult, Edit
 from .errors import ReportError
-from .jsonout import dump_json, load_json
+from .jsonout import dump_json, load_json, utf8
 
 SCHEMA_VERSION = 1
 
@@ -196,29 +196,15 @@ def compute_aggregates(
     cells: Mapping[str, Mapping[str, CerCell]],
     dictionary_corpus: str = DICTIONARY_CORPUS,
 ) -> tuple[tuple[str, dict[str, CerCell]], ...]:
-    corpora: list[str] = []
-    members: dict[str, list[str]] = {}
+    members: dict[str, list[str]] = {}  # corpus id -> its datasets, in first-appearance order
     for ds in datasets:
-        c = corpus_of(ds)
-        if c not in members:
-            corpora.append(c)
-            members[c] = []
-        members[c].append(ds)
+        members.setdefault(corpus_of(ds), []).append(ds)
 
     def summed(subset: Sequence[str]) -> dict[str, CerCell]:
-        out: dict[str, CerCell] = {}
-        for eng in engines:
-            total = CerCell.zero()
-            for ds in subset:
-                total = total + cells[ds][eng]
-            out[eng] = total
-        return out
+        return {eng: sum((cells[ds][eng] for ds in subset), CerCell.zero()) for eng in engines}
 
-    rows: list[tuple[str, dict[str, CerCell]]] = []
-    for c in corpora:
-        if len(members[c]) >= 2:
-            rows.append((f"{c}-all", summed(members[c])))
-    if dictionary_corpus in corpora and len(corpora) > 1:
+    rows = [(f"{c}-all", summed(subset)) for c, subset in members.items() if len(subset) >= 2]
+    if dictionary_corpus in members and len(members) > 1:
         nod = [ds for ds in datasets if corpus_of(ds) != dictionary_corpus]
         rows.append(("NOD", summed(nod)))
     rows.append(("All", summed(list(datasets))))
@@ -282,6 +268,8 @@ def _cell_from_payload(data: Mapping[str, object], ds: str, eng: str) -> CerCell
             raise ReportError(f"{member} {name} is {value!r}, not an integer")
         if value < 0:
             raise ReportError(f"{member} {name} is {value}, below 0")
+        if value >= 2**53:  # CER divides counts as floats, exact below 2**53
+            raise ReportError(f"{member} {name} is {value}, not below 2**53")
     lines, macro_lines = data["lines"], data["macro_lines"]
     if macro_lines > lines:
         raise ReportError(f"{member} macro_lines {macro_lines} exceeds lines {lines}")
@@ -427,7 +415,7 @@ def _report_to_csv(report: EvaluationReport) -> bytes:
             writer.writerow(
                 [name, eng, cell.micro_pct, cell.macro_pct, cell.lines, cell.gt_chars, cell.distance]
             )
-    return buf.getvalue().encode("utf-8")
+    return utf8(buf.getvalue())
 
 
 def _md_escape(text: str) -> str:
@@ -469,7 +457,7 @@ def _report_to_markdown(report: EvaluationReport) -> bytes:
                 f"| {w['space_insertions']} | {w['space_deletions']} | {w['other']} |"
             )
     out.append("")
-    return "\n".join(out).encode("utf-8")
+    return utf8("\n".join(out))
 
 
 def emit_report(report: EvaluationReport, format: str) -> bytes:
@@ -504,7 +492,7 @@ def emit_errors_report(report: EvaluationReport, format: str) -> bytes:
         for eng in report.engines:
             for e in report.confusion.get(eng, ()):
                 writer.writerow([eng, e.gt_seq, e.pred_seq, e.count])
-        return buf.getvalue().encode("utf-8")
+        return utf8(buf.getvalue())
     if format == "markdown":
         out: list[str] = []
         for eng in report.engines:
@@ -528,5 +516,5 @@ def emit_errors_report(report: EvaluationReport, format: str) -> bytes:
                 pred = _md_escape(e.pred_seq).replace(" ", "␣") or "ε"
                 out.append(f"| {gt} | {pred} | {e.count} |")
             out.append("")
-        return "\n".join(out).encode("utf-8")
+        return utf8("\n".join(out))
     raise ReportError(f"unknown report format {format!r} (expected csv, markdown or json)")

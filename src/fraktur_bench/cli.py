@@ -36,7 +36,7 @@ from .analytics import (
 from .codec import Codec, codec_coverage_report, default_codec, load_codec
 from .errors import ManifestError, ReportError, ToolkitError, VotingError
 from .jsonout import dump_json
-from .lines import TranscriptionLine, line_id_of, path_parts, posix_path, pred_suffix, require_utf8
+from .lines import TranscriptionLine, line_id_of, path_parts, posix_path, pred_suffix
 from .manifests import (
     BookEntry,
     build_schedule,
@@ -217,7 +217,6 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
     codec = _resolve_codec(args.codec)
-    require_utf8("codec name", codec.name)
     files = _tree_files(os.path.realpath(args.input), args.pattern)
     texts = [read_text_file(f) for f in files]
     in_codec, out_of_codec = codec_coverage_report(texts, codec)
@@ -432,11 +431,11 @@ def _cmd_prepare_verify(args: argparse.Namespace) -> int:
         )
     for row in reader:
         try:
-            expected.append((row["corpus_id"], int(row["books"]), int(row["lines"])))
-        except (TypeError, ValueError) as exc:
+            expected.append((row["corpus_id"], _count(row["books"]), _count(row["lines"])))
+        except ValueError as exc:
             raise ManifestError(
-                f"{args.expected}:{reader.line_num}: books and lines must be integers, "
-                f"got {row['books']!r} and {row['lines']!r}"
+                f"{args.expected}:{reader.line_num}: books and lines must be counts written in "
+                f"the digits 0-9, got {row['books']!r} and {row['lines']!r}"
             ) from exc
     problems = verify_counts(books, expected)
     data = dump_json(problems, ascii=True)
@@ -476,12 +475,21 @@ def _dataset_ids(text: str) -> list[str]:
     return ids
 
 
+def _count(text: str | None) -> int:
+    """A count written in the digits 0-9, with the whitespace int allows
+    around it; anything else, such as '1_0', '-1' or '\u0663', raises ValueError."""
+    digits = (text or "").strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a count: {text!r}")
+    return int(digits)
+
+
 def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than low."""
+    """An argparse type: a count no smaller than low."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = _count(text)
         except ValueError:
             value = low - 1
         if value < low:

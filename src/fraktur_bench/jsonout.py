@@ -1,5 +1,6 @@
-"""The indented JSON of every output file, written by json's C encoder,
-and the envelope of every stored JSON file read back.
+"""The bytes of every report, coverage table and manifest, made by ``utf8``,
+the one place that rejects a name that is not valid UTF-8; their indented
+JSON, by json's C encoder; and the envelope of each stored JSON file.
 
 ``json.dumps`` with ``indent`` runs the pure-Python encoder. The C encoder
 writes the same bytes, with a level's line break and indent as its item
@@ -10,20 +11,43 @@ encoded string holds no raw newline and no scalar ends in ``]`` or ``}``.
 
 from __future__ import annotations
 
+import os
+import re
 from functools import cache
 from itertools import chain, repeat
-from json import JSONDecodeError, JSONEncoder, loads
+from json import JSONEncoder, loads
+
+from .errors import ManifestError
 
 _SCALARS = (str, int, float, type(None))
 _LISTS = (list, tuple)
 # How a \uD800-\uDFFF escape starts, in bytes and in str.
 _SURROGATE_ESCAPES = ((b"\\ud", b"\\uD"), ("\\ud", "\\uD"))
+# A field of an output: what lies between a JSON string's quotes, CSV
+# commas, Markdown bars and line breaks.
+_FIELD = re.compile('[^",|\n]+')
+
+
+def utf8(text: str) -> bytes:
+    """text as UTF-8. A name read from the file system or the command line
+    holds a surrogate for each byte that is not UTF-8: the first such
+    character raises ManifestError naming the bytes of its field, trimmed
+    of spaces and a Markdown heading's #."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        field = next(m[0] for m in _FIELD.finditer(text) if m.end() > exc.start).strip(" #")
+        try:
+            name = os.fsencode(field)
+        except UnicodeEncodeError:  # a surrogate below U+DC80 or above U+DCFF
+            name = field.encode("utf-8", "backslashreplace")
+        raise ManifestError(f"name {name!r} is not valid UTF-8") from None
 
 
 def dump_json(value: object, ascii: bool = False) -> bytes:
     """``(json.dumps(value, sort_keys=True, ensure_ascii=ascii, indent=2) + "\\n").encode()``
     exactly; a dict that holds a container must have str keys (else TypeError)."""
-    return (_layout(value, 0, ascii) + "\n").encode("utf-8")
+    return utf8(_layout(value, 0, ascii) + "\n")
 
 
 def load_json(data: bytes | str, kind: str, version: int, error: type[Exception]) -> dict:
@@ -33,10 +57,10 @@ def load_json(data: bytes | str, kind: str, version: int, error: type[Exception]
     which json decodes to a lone surrogate that no UTF-8 output can hold."""
     try:
         payload = loads(data)
-    except JSONDecodeError as exc:
-        raise error(f"{kind} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{kind} is not valid UTF-8: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer over int_max_str_digits
+        raise error(f"{kind} is not valid JSON: {exc}") from exc
     if any(escape in data for escape in _SURROGATE_ESCAPES[isinstance(data, str)]):
         try:
             _encoder(False, 0)(payload).encode("utf-8")

@@ -71,17 +71,6 @@ def stem(path: str | os.PathLike) -> str:
     return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
-def require_utf8(what: str, *names: str) -> None:
-    """Raise ManifestError naming the bytes of the first name that is not
-    valid UTF-8. A name read from the file system or the command line holds
-    a surrogate for each such byte, and reports and manifests are UTF-8."""
-    for name in names:
-        try:
-            name.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ManifestError(f"{what} {os.fsencode(name)!r} is not valid UTF-8") from None
-
-
 def list_books(root: str | os.PathLike, label: str) -> list[tuple[str, str, tuple[str, ...]]]:
     """The name and path of each immediate sub-directory of root, sorted by
     name, with the sorted names of its entries.

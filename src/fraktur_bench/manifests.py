@@ -31,8 +31,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import repeat
 
 from .errors import ManifestError
-from .jsonout import dump_json, load_json
-from .lines import GT_SUFFIX, IMAGE_SUFFIXES, list_books, require_utf8
+from .jsonout import dump_json, load_json, utf8
+from .lines import GT_SUFFIX, IMAGE_SUFFIXES, list_books
 
 MANIFEST_SCHEMA_VERSION = 1
 SCHEDULE_SCHEMA_VERSION = 1
@@ -75,14 +75,11 @@ def scan_corpus(root: str | os.PathLike, corpus_id: str) -> list[BookEntry]:
     """Scan a line-pair tree into one BookEntry per book directory.
 
     Lines missing either the ground-truth file or the image sibling are
-    reported on stderr and excluded. An unreadable root, a root without
-    book directories, and a corpus, book or line id that is not valid UTF-8
-    are errors.
+    reported on stderr and excluded. An unreadable root and a root without
+    book directories are errors.
     """
-    require_utf8("corpus id", corpus_id)
     books: list[BookEntry] = []
     for book_id, _, names in list_books(root, "corpus root"):
-        require_utf8("book id", book_id)
         gt_ids: list[str] = []
         images: list[tuple[str, str, str]] = []  # (name, line id, suffix)
         for match in filter(None, map(_LINE_FILE.fullmatch, names)):
@@ -113,7 +110,6 @@ def scan_corpus(root: str | os.PathLike, corpus_id: str) -> list[BookEntry]:
                         " sibling, excluded",
                         file=sys.stderr,
                     )
-        require_utf8(f"{corpus_id}/{book_id}: line id", *line_ids)
         books.append(BookEntry(book_id, corpus_id, tuple(line_ids)))
     if not books:
         raise ManifestError(f"corpus root {root} contains no book directories")
@@ -131,7 +127,7 @@ def refinement_sample(book: BookEntry, cap: int, seed: int) -> list[str]:
         raise ManifestError(f"cap must be >= 1, got {cap}")
     if book.line_count <= cap:
         return sorted(book.line_ids)
-    material = f"{seed}:{book.corpus_id}:{book.book_id}".encode("utf-8")
+    material = b":".join(map(utf8, (str(seed), book.corpus_id, book.book_id)))
     book_seed = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
     rng = random.Random(book_seed)
     # sample from the sorted population: manifests listing the same lines

@@ -6,9 +6,8 @@ and ligatures that the codec deliberately excludes; charging those as
 errors would say nothing about recognition quality), aligns per line and
 assembles the evaluation report.
 
-Dataset ids are the book directory names. Every name a report holds
-(dataset and engine ids, the dictionary corpus, the codec and rules names)
-must be valid UTF-8, as the report is.
+Dataset ids are the book directory names, taken as they are: the
+report's emitters reject a name that is not valid UTF-8.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .analytics import (
 )
 from .codec import Codec
 from .errors import ManifestError, PairingError
-from .lines import GT_SUFFIX, TranscriptionLine, conf_suffix, list_books, pred_suffix, require_utf8
+from .lines import GT_SUFFIX, TranscriptionLine, conf_suffix, list_books, pred_suffix
 from .normalize import NormalizationRuleSet, normalize_line, require_replacement_in_codec
 
 
@@ -166,10 +165,6 @@ def eval_pipeline(
     """
     rules.require_codec_closed(codec)
     require_replacement_in_codec(replacement, codec)
-    require_utf8("engine id", *pred_roots)
-    require_utf8("dictionary corpus", dictionary_corpus)
-    require_utf8("codec name", codec.name)
-    require_utf8("rules name", rules.name)
     gt_tree = load_gt_tree(gt_root)
     if datasets is None:
         dataset_list = sorted(gt_tree)
@@ -178,7 +173,6 @@ def eval_pipeline(
         if unknown:
             raise ManifestError(f"datasets not present under {gt_root}: {', '.join(unknown)}")
         dataset_list = list(datasets)
-    require_utf8("dataset id", *dataset_list)
     engines = sorted(pred_roots)
 
     def normalized_gt(ds: str) -> list[TranscriptionLine]:

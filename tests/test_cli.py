@@ -80,6 +80,21 @@ def manifest_with(edit) -> str:
     return json.dumps(payload)
 
 
+# CPython 3.11 bounds the digits of an int read from text; 0 is no bound.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+INT_DIGITS_BOUNDED = pytest.mark.skipif(INT_DIGITS == 0, reason="int digits are not bounded")
+HUGE_INT = "1" * (INT_DIGITS + 1)
+
+
+def int_error(digits: str) -> str:
+    """int's message for digits, or '' when they make an int."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
 def rename_dataset(report: dict) -> None:
     """Rewrite the dataset id N-1 to a lone surrogate, which json.dumps
     writes as the escape \\ud800."""
@@ -199,9 +214,15 @@ class TestExitCodes:
             (VERIFY, "", "ManifestError",
              "{bad}: header lacks corpus_id, books, lines (want corpus_id,books,lines)"),
             (VERIFY, "corpus_id,books,lines\nN,one,1\n", "ManifestError",
-             "{bad}:2: books and lines must be integers, got 'one' and '1'"),
+             "{bad}:2: books and lines must be counts written in the digits 0-9, got 'one' and '1'"),
             (VERIFY, "corpus_id,books,lines\nN,1\n", "ManifestError",
-             "{bad}:2: books and lines must be integers, got '1' and None"),
+             "{bad}:2: books and lines must be counts written in the digits 0-9, got '1' and None"),
+            (VERIFY, "corpus_id,books,lines\nN,1_0,1\n", "ManifestError",
+             "{bad}:2: books and lines must be counts written in the digits 0-9, got '1_0' and '1'"),
+            (VERIFY, "corpus_id,books,lines\nN,\u0663,1\n", "ManifestError",
+             "{bad}:2: books and lines must be counts written in the digits 0-9, got '\u0663' and '1'"),
+            (VERIFY, "corpus_id,books,lines\nN,1,-1\n", "ManifestError",
+             "{bad}:2: books and lines must be counts written in the digits 0-9, got '1' and '-1'"),
             (VERIFY, b"corpus_id,books,lines\nN\xff,1,1\n", "ManifestError",
              "{bad} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 23: "
              "invalid start byte"),
@@ -221,6 +242,8 @@ class TestExitCodes:
              "ReportError", "malformed report: top_share 'e' k is '3', not an integer >= 1"),
             (REPORT_CSV, report_with(lambda r: r["top_share"]["e"].update(k=0)),
              "ReportError", "malformed report: top_share 'e' k is 0, not an integer >= 1"),
+            (REPORT_CSV, report_with(lambda r: r["cells"]["N-1"]["e"].update(distance=10**400)),
+             "ReportError", f"malformed report: cell 'N-1'/'e': distance is {10**400}, not below 2**53"),
             (REPORT_CSV, report_with(lambda r: r["cells"]["N-1"]["e"].update(cer_sum="0.5")),
              "ReportError", "malformed report: cell 'N-1'/'e': cer_sum is '0.5', not a number"),
             (REPORT_CSV, report_with(lambda r: r["cells"]["N-1"]["e"].update(cer_sum=False)),
@@ -236,6 +259,19 @@ class TestExitCodes:
             (REFINE, '{"schema_version": 1,', "ManifestError",
              "manifest is not valid JSON: Expecting property name enclosed in double quotes: "
              "line 1 column 22 (char 21)"),
+            pytest.param(
+                REPORT_CSV, report_with(lambda r: r["cells"]["N-1"]["e"].update(distance=0)).replace(
+                    '"distance": 0', f'"distance": {HUGE_INT}'
+                ),
+                "ReportError", f"report is not valid JSON: {int_error(HUGE_INT)}", marks=INT_DIGITS_BOUNDED,
+            ),
+            pytest.param(
+                REFINE, manifest_with(lambda m: m["books"][0]["metadata"].update(century=0)).replace(
+                    '"century": 0', f'"century": {HUGE_INT}'
+                ),
+                "ManifestError", f"manifest is not valid JSON: {int_error(HUGE_INT)}",
+                marks=INT_DIGITS_BOUNDED,
+            ),
             (REPORT_CSV, '{"schema_version": 2}', "ReportError", "unsupported report schema_version 2"),
             (REPORT_JSON, report_with(rename_dataset), "ReportError",
              "report holds a lone surrogate escape \\ud800"),
@@ -275,11 +311,14 @@ class TestExitCodes:
             "report-not-object", "report-no-engines", "report-no-cells", "report-no-aggregates",
             "manifest-no-books", "manifest-not-object", "manifest-book-without-id",
             "expected-no-columns", "expected-empty", "expected-not-integer", "expected-short-row",
+            "expected-underscore", "expected-arabic-indic-digit", "expected-sign",
             "expected-not-utf8", "report-not-utf8", "manifest-not-utf8",
             "report-count-float", "report-count-negative", "report-count-bool",
-            "report-k-string", "report-k-zero", "report-cer-sum-string", "report-cer-sum-bool",
+            "report-k-string", "report-k-zero", "report-distance-past-float",
+            "report-cer-sum-string", "report-cer-sum-bool",
             "report-metadata-pairs", "report-metadata-empty-list",
-            "report-not-json", "manifest-not-json", "report-schema-version",
+            "report-not-json", "manifest-not-json", "report-int-too-long", "manifest-int-too-long",
+            "report-schema-version",
             "report-json-surrogate", "report-csv-surrogate", "report-markdown-surrogate",
             "report-key-surrogate", "refine-surrogate", "schedule-surrogate",
             "schedule-reversed-pair",
@@ -321,6 +360,10 @@ class TestExitCodes:
             (["prepare", "refine", "--manifest", "{manifest}", "--cap", "0", "--out", "{out}"], "--cap"),
             (["prepare", "schedule", "--manifest", "{manifest}", "--stage", "real=N",
               "--cap", "-1", "--out", "{out}"], "--cap"),
+            (["prepare", "refine", "--manifest", "{manifest}", "--cap", "1_0", "--out", "{out}"], "--cap"),
+            (["errors", *EVAL_ARGS, "--k", "\u0663"], "--k"),
+            (["vote", "--pred", "{root}/pred", "--engine", "abbyy", "--engine", "tess",
+              "--out", "{out}", "--min-voters", "+2"], "--min-voters"),
             (["eval", *EVAL_ARGS, "--datasets", "N-1781,N-1781"], "--datasets"),
             (["errors", *EVAL_ARGS, "--datasets", "N-1781,N-1803,N-1781"], "--datasets"),
             (["eval", *EVAL_ARGS, "--datasets", ",N-1781"], "--datasets"),
@@ -329,6 +372,7 @@ class TestExitCodes:
         ids=[
             "unmapped-unknown", "unmapped-replace-two-chars", "unmapped-replace-empty", "k-zero",
             "k-not-integer", "min-voters-one", "refine-cap-zero", "schedule-cap-negative",
+            "refine-cap-underscore", "k-arabic-indic-digit", "min-voters-sign",
             "datasets-repeated", "datasets-repeated-apart", "datasets-empty-id", "datasets-empty",
         ],
     )
@@ -1301,9 +1345,10 @@ class TestLiteralEngineIds:
 class TestNamesThatAreNotUtf8:
     """A name read from the file system or the command line holds a
     surrogate for each byte that is not UTF-8. Reports, coverage tables and
-    manifests are UTF-8, so eval, errors, coverage and prepare scan reject
-    such a name with one line that names its bytes; vote uses the names
-    only as file names, and keeps them."""
+    manifests are UTF-8, so the emitter that would write such a name
+    rejects it with one line that names its bytes, whatever member holds
+    it; a name the chosen output does not hold is not checked. vote uses
+    the names only as file names, and keeps them."""
 
     BOOK = os.fsdecode(b"b\xe4")
     ENGINE = os.fsdecode(b"\xff")
@@ -1328,27 +1373,28 @@ class TestNamesThatAreNotUtf8:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["eval", *EVAL], "dataset id b'b\\xe4' is not valid UTF-8"),
-            (["eval", *EVAL, "--format", "markdown"], "dataset id b'b\\xe4' is not valid UTF-8"),
-            (["errors", *EVAL], "dataset id b'b\\xe4' is not valid UTF-8"),
+            (["eval", *EVAL], "name b'b\\xe4' is not valid UTF-8"),
+            (["eval", *EVAL, "--format", "markdown"], "name b'b\\xe4' is not valid UTF-8"),
+            (["errors", *EVAL, "--datasets", "N-1", "--engine", ENGINE, "--format", "markdown"],
+             "name b'\\xff' is not valid UTF-8"),
             (["eval", *EVAL, "--datasets", "N-1", "--engine", ENGINE],
-             "engine id b'\\xff' is not valid UTF-8"),
+             "name b'\\xff' is not valid UTF-8"),
             (["errors", *EVAL, "--datasets", "N-1", "--dictionary-corpus", ENGINE],
-             "dictionary corpus b'\\xff' is not valid UTF-8"),
+             "name b'\\xff' is not valid UTF-8"),
             (["eval", *EVAL, "--datasets", "N-1", "--codec", f"{{root}}/c{ENGINE}.txt"],
-             "codec name b'c\\xff' is not valid UTF-8"),
+             "name b'c\\xff' is not valid UTF-8"),
             (["eval", *EVAL, "--datasets", "N-1", "--rules", f"{{root}}/r{ENGINE}.tsv"],
-             "rules name b'{root}/r\\xff.tsv' is not valid UTF-8"),
+             "name b'{root}/r\\xff.tsv' is not valid UTF-8"),
             (["coverage", "--in", "{root}/gt", "--codec", f"{{root}}/c{ENGINE}.txt", "--out", "{out}"],
-             "codec name b'c\\xff' is not valid UTF-8"),
+             "name b'c\\xff' is not valid UTF-8"),
             (["prepare", "scan", "--root", "{root}/gt", "--corpus", "N", "--out", "{out}"],
-             "book id b'b\\xe4' is not valid UTF-8"),
+             "name b'b\\xe4' is not valid UTF-8"),
             (["prepare", "scan", "--root", "{root}/lines", "--corpus", ENGINE, "--out", "{out}"],
-             "corpus id b'\\xff' is not valid UTF-8"),
+             "name b'\\xff' is not valid UTF-8"),
             (["prepare", "scan", "--root", "{root}/lines", "--corpus", "N", "--out", "{out}"],
-             "N/N-1: line id b'\\xff' is not valid UTF-8"),
+             "name b'\\xff' is not valid UTF-8"),
         ],
-        ids=["eval-dataset", "eval-markdown-dataset", "errors-dataset", "eval-engine",
+        ids=["eval-dataset", "eval-markdown-dataset", "errors-markdown-engine", "eval-engine",
              "errors-dictionary-corpus", "eval-codec-name", "eval-rules-name",
              "coverage-codec-name", "scan-book", "scan-corpus", "scan-line"],
     )
@@ -1363,6 +1409,26 @@ class TestNamesThatAreNotUtf8:
         payload = json.loads(capsys.readouterr().err)
         assert payload == {"error": {"type": "ManifestError", "message": message}}
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["errors", *EVAL],
+            ["eval", *EVAL, "--datasets", "N-1", "--format", "csv", "--codec", f"{{root}}/c{ENGINE}.txt"],
+            ["errors", *EVAL, "--datasets", "N-1", "--format", "csv", "--codec", f"{{root}}/c{ENGINE}.txt"],
+            ["eval", *EVAL, "--datasets", "N-1", "--format", "csv", "--dictionary-corpus", ENGINE],
+            ["errors", *EVAL, "--datasets", "N-1", "--format", "csv", "--dictionary-corpus", ENGINE],
+        ],
+        ids=["errors-dataset", "eval-csv-codec-name", "errors-csv-codec-name",
+             "eval-csv-dictionary-corpus", "errors-csv-dictionary-corpus"],
+    )
+    def test_kept(self, tree, capsys, argv):
+        """A name the output does not hold: the errors report holds no
+        dataset id, and a CSV table no codec name or dictionary corpus."""
+        out = tree / "out"
+        assert run([a.format(root=tree, out=out) for a in argv]) == 0
+        assert capsys.readouterr().err == ""
+        out.read_bytes().decode("utf-8")
 
     def test_vote_keeps_the_names(self, tree, capsys):
         out = tree / "voted"
@@ -1772,6 +1838,21 @@ class TestPrepareCommands:
         out = tmp_path / "verify.json"
         assert run(["prepare", "verify", "--manifest", str(manifest), "--expected", str(expected), "--out", str(out)]) == 0
         assert json.loads(out.read_text(encoding="utf-8")) == []
+        capsys.readouterr()
+
+    def test_counts_may_have_whitespace_around(self, corpus, tmp_path, capsys):
+        """A count is written in the digits 0-9, with the whitespace int
+        allows around it, in verify's table and in a flag."""
+        manifest = tmp_path / "N.json"
+        assert run(["prepare", "scan", "--root", str(corpus / "gt"), "--corpus", "N", "--out", str(manifest)]) == 0
+        expected = tmp_path / "expected.csv"
+        expected.write_text("corpus_id,books,lines\nN, 2 ,\t3\n", encoding="utf-8")
+        out = tmp_path / "verify.json"
+        assert run(["prepare", "verify", "--manifest", str(manifest), "--expected", str(expected), "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8")) == []
+        refined = tmp_path / "refined.json"
+        assert run(["prepare", "refine", "--manifest", str(manifest), "--cap", " 1\n", "--out", str(refined)]) == 0
+        assert [len(b["lines"]) for b in json.loads(refined.read_text(encoding="utf-8"))["books"]] == [1, 1]
         capsys.readouterr()
 
     def test_verify_without_out_prints_only_json(self, corpus, tmp_path, capsys):

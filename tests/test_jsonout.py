@@ -1,4 +1,5 @@
-"""dump_json against json.dumps(sort_keys=True, indent=2), byte for byte."""
+"""dump_json against json.dumps(sort_keys=True, indent=2), byte for byte;
+load_json's envelope; every emitter's check that its output is UTF-8."""
 
 from __future__ import annotations
 
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraktur_bench.errors import ReportError
+from fraktur_bench.analytics import CerCell, ConfusionEntry, build_report, emit_errors_report, emit_report
+from fraktur_bench.errors import ManifestError, ReportError
 from fraktur_bench.jsonout import dump_json, load_json
+from fraktur_bench.manifests import BookEntry, manifest_to_json, refinement_sample
 
 
 def reference(value: object, ascii: bool) -> bytes:
@@ -135,3 +138,48 @@ def test_load_json_rejects_a_lone_surrogate(member, escape, as_bytes):
     with pytest.raises(ReportError) as err:
         load_json(data.encode("utf-8") if as_bytes else data, "report", 1, ReportError)
     assert str(err.value) == f"report holds a lone surrogate escape {escape}"
+
+
+def report_naming(dataset: str, engine: str):
+    return build_report(
+        [dataset],
+        [engine],
+        {dataset: {engine: CerCell(1, 2, 1, 1, 0.5)}},
+        confusion={engine: [ConfusionEntry("a", "b", 1)]},
+    )
+
+
+# Each emitter, given a function of the name to write.
+EMITTERS = {
+    **{
+        f"report-{fmt}": (lambda name, fmt=fmt: emit_report(report_naming(name, "e"), fmt))
+        for fmt in ("json", "csv", "markdown")
+    },
+    **{
+        f"errors-{fmt}": (lambda name, fmt=fmt: emit_errors_report(report_naming("N-1", name), fmt))
+        for fmt in ("json", "csv", "markdown")
+    },
+    "dump-json": lambda name: dump_json({"names": ["a", name]}),
+    "manifest": lambda name: manifest_to_json([BookEntry(name, "N", ("l1",))]),
+    "refinement-sample": lambda name: refinement_sample(BookEntry(name, "N", ("l1", "l2")), 1, 0),
+}
+
+
+@pytest.mark.parametrize("emit", EMITTERS.values(), ids=EMITTERS.keys())
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("b\udce4", "name b'b\\xe4' is not valid UTF-8"),
+        ("b\ud800", "name b'b\\\\ud800' is not valid UTF-8"),
+    ],
+    ids=["byte-not-utf8", "lone-surrogate"],
+)
+def test_emitter_names_what_is_not_utf8(emit, name, message):
+    """A name read from the file system holds a surrogate from U+DC80 to
+    U+DCFF for each byte that is not UTF-8, named as that byte; any other
+    lone surrogate, which only a library caller can pass, is named by its
+    escape. Either is a data error, not a UnicodeEncodeError."""
+    emit("ok")
+    with pytest.raises(ManifestError) as err:
+        emit(name)
+    assert str(err.value) == message

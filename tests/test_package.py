@@ -60,6 +60,30 @@ def test_every_import_is_used(path):
     assert unused == []
 
 
+def module_private_names(tree: ast.Module) -> list[str]:
+    """The _names a module's top level defines: functions, classes and
+    assignment targets, dunder names left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_private_name_is_used(path):
+    """The twin of test_every_import_is_used: a private helper, constant or
+    class that its own module never reads is left over from a change."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert [name for name in module_private_names(tree) if name not in read] == []
+
+
 @pytest.mark.parametrize(
     "path", [path for path in SOURCES if path.name != "align.py"], ids=lambda path: path.name
 )
