@@ -23,7 +23,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .align import AlignmentResult, Edit
 from .errors import ReportError
-from .jsonout import dump_json, load_json, utf8
+from .jsonout import INTEGER, LIST, OBJECT, STRING, STRINGS, checked, dump_json, load_json, utf8
 
 SCHEMA_VERSION = 1
 
@@ -244,76 +244,24 @@ def build_report(
 
 
 def _cell_payload(cell: CerCell) -> dict[str, object]:
-    return {
-        "lines": cell.lines,
-        "gt_chars": cell.gt_chars,
-        "distance": cell.distance,
-        "macro_lines": cell.macro_lines,
-        "cer_sum": cell.cer_sum,
-        "micro_cer": cell.micro_cer,
-        "macro_cer": cell.macro_cer,
-        "micro_pct": cell.micro_pct,
-        "macro_pct": cell.macro_pct,
-    }
+    derived = ("micro_cer", "macro_cer", "micro_pct", "macro_pct")
+    return {**cell._asdict(), **{name: getattr(cell, name) for name in derived}}
 
 
-_CELL_COUNTS = ("lines", "gt_chars", "distance", "macro_lines")
-
-
-def _cell_from_payload(data: Mapping[str, object], ds: str, eng: str) -> CerCell:
-    member = f"malformed report: cell {ds!r}/{eng!r}:"
-    counts = [data[name] for name in _CELL_COUNTS]
-    for name, value in zip(_CELL_COUNTS, counts):
-        if type(value) is not int:
-            raise ReportError(f"{member} {name} is {value!r}, not an integer")
-        if value < 0:
-            raise ReportError(f"{member} {name} is {value}, below 0")
-        if value >= 2**53:  # CER divides counts as floats, exact below 2**53
-            raise ReportError(f"{member} {name} is {value}, not below 2**53")
-    lines, macro_lines = data["lines"], data["macro_lines"]
-    if macro_lines > lines:
-        raise ReportError(f"{member} macro_lines {macro_lines} exceeds lines {lines}")
-    # An int where no line was macro-eligible (the empty sum), else a float;
-    # kept as it is so that it is emitted again as it was.
-    cer_sum = data["cer_sum"]
-    if type(cer_sum) not in (int, float):
-        raise ReportError(f"{member} cer_sum is {cer_sum!r}, not a number")
-    if not (cer_sum >= 0 and math.isfinite(cer_sum)):
-        raise ReportError(f"{member} cer_sum is {cer_sum!r}, not a finite number >= 0")
-    return CerCell(*counts, cer_sum=cer_sum)
-
-
-def _count_from_payload(value: object, member: str) -> int:
-    if type(value) is not int or value < 1:
-        raise ReportError(f"malformed report: {member} is {value!r}, not an integer >= 1")
-    return value
-
-
-def _confusion_from_payload(entries: list[dict], eng: str) -> tuple[ConfusionEntry, ...]:
-    member = f"malformed report: confusion {eng!r}"
-    table = []
-    for e in entries:
-        for side in ("gt", "pred"):
-            if type(e[side]) is not str:
-                raise ReportError(f"{member} {side} is {e[side]!r}, not a string")
-        if not (e["gt"] or e["pred"]):
-            raise ReportError(f"{member} has a class with both sides empty")
-        count = _count_from_payload(e["count"], f"confusion {eng!r} count")
-        table.append(ConfusionEntry(e["gt"], e["pred"], count))
-    repeated = [f"{g!r} -> {p!r}" for (g, p), n in Counter(e[:2] for e in table).items() if n > 1]
-    if repeated:
-        raise ReportError(f"{member} repeats {', '.join(repeated)}")
-    return tuple(table)
-
-
-def _names_from_payload(payload: Mapping[str, object], key: str) -> tuple[str, ...]:
-    names = payload[key]
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ReportError(f"malformed report: {key} must be a list of strings")
-    repeated = [n for n, count in Counter(names).items() if count > 1]
-    if repeated:
-        raise ReportError(f"malformed report: {key} repeat {', '.join(map(repr, repeated))}")
-    return tuple(names)
+# The report's own kinds. CER divides cell counts as floats, exact below
+# 2**53. A cer_sum is an int where no line was macro-eligible (the empty
+# sum), else a float; it is kept as it is, to be emitted again as it was.
+_COUNT = (
+    *INTEGER,
+    (lambda v: v >= 0, "{what} is {value}, below 0"),
+    (lambda v: v < 2**53, "{what} is {value}, not below 2**53"),
+)
+_CER_SUM = (
+    (lambda v: type(v) in (int, float), "{what} is {value!r}, not a number"),
+    (lambda v: v >= 0 and math.isfinite(v), "{what} is {value!r}, not a finite number >= 0"),
+)
+_CELL = (_COUNT, _COUNT, _COUNT, _COUNT, _CER_SUM)  # the kinds of CerCell's fields
+_POSITIVE = ((lambda v: type(v) is int and v >= 1, "{what} is {value!r}, not an integer >= 1"),)
 
 
 def _errors_payload(report: EvaluationReport) -> dict[str, object]:
@@ -358,43 +306,62 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
     with the dictionary corpus recorded in the metadata."""
     payload = load_json(data, "report", SCHEMA_VERSION, ReportError)
     try:
-        engines = _names_from_payload(payload, "engines")
-        datasets = _names_from_payload(payload, "datasets")
-        cells = {
-            ds: {eng: _cell_from_payload(payload["cells"][ds][eng], ds, eng) for eng in engines}
-            for ds in datasets
-        }
+        for key in ("engines", "datasets"):
+            names = checked(payload[key], STRINGS, key, ValueError)
+            repeated = [n for n, count in Counter(names).items() if count > 1]
+            if repeated:
+                raise ValueError(f"{key} repeat {', '.join(map(repr, repeated))}")
+        engines, datasets = payload["engines"], payload["datasets"]
+        rows = checked(payload["cells"], OBJECT, "cells", ValueError)
+        cells = {}
+        for ds in datasets:
+            row = checked(rows[ds], OBJECT, f"cells {ds!r}", ValueError)
+            cells[ds] = {}
+            for eng in engines:
+                where = f"cell {ds!r}/{eng!r}"
+                data = checked(row[eng], OBJECT, where, ValueError)
+                cell = CerCell(*map(data.__getitem__, CerCell._fields))  # no member: checked first
+                for name, value, kind in zip(CerCell._fields, cell, _CELL):
+                    checked(value, kind, f"{where}: {name}", ValueError)
+                if cell.macro_lines > cell.lines:
+                    lines, macro_lines = cell.lines, cell.macro_lines
+                    raise ValueError(f"{where}: macro_lines {macro_lines} exceeds lines {lines}")
+                cells[ds][eng] = cell
         confusion = {}
-        for eng, entries in payload.get("confusion", {}).items():
+        tables = checked(payload.get("confusion", {}), OBJECT, "confusion", ValueError)
+        for eng, entries in tables.items():
+            where = f"confusion {eng!r}"
             if eng not in engines:
-                raise ReportError(f"malformed report: confusion {eng!r} is not in engines")
-            confusion[eng] = _confusion_from_payload(entries, eng)
-        ks = {
-            _count_from_payload(payload["top_share"][eng]["k"], f"top_share {eng!r} k")
-            for eng in confusion
-        }
+                raise ValueError(f"{where} is not in engines")
+            table = []
+            for i, e in enumerate(checked(entries, LIST, where, ValueError)):
+                checked(e, OBJECT, f"{where} class at index {i}", ValueError)
+                gt = checked(e["gt"], STRING, f"{where} gt", ValueError)
+                pred = checked(e["pred"], STRING, f"{where} pred", ValueError)
+                if not (gt or pred):
+                    raise ValueError(f"{where} has a class with both sides empty")
+                count = checked(e["count"], _POSITIVE, f"{where} count", ValueError)
+                table.append(ConfusionEntry(gt, pred, count))
+            classes = Counter(e[:2] for e in table)
+            repeated = [f"{g!r} -> {p!r}" for (g, p), n in classes.items() if n > 1]
+            if repeated:
+                raise ValueError(f"{where} repeats {', '.join(repeated)}")
+            confusion[eng] = tuple(table)
+        shares = checked(payload["top_share"], OBJECT, "top_share", ValueError) if confusion else {}
+        ks = set()
+        for eng in confusion:
+            share = checked(shares[eng], OBJECT, f"top_share {eng!r}", ValueError)
+            ks.add(checked(share["k"], _POSITIVE, f"top_share {eng!r} k", ValueError))
         if len(ks) > 1:
-            raise ReportError(f"malformed report: top_share entries disagree on k: {sorted(ks)}")
-        metadata = payload.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise ReportError("malformed report: metadata is not a JSON object")
+            raise ValueError(f"top_share entries disagree on k: {sorted(ks)}")
+        metadata = checked(payload.get("metadata", {}), OBJECT, "metadata", ValueError)
         dictionary_corpus = metadata.get("dictionary_corpus", DICTIONARY_CORPUS)
-        if type(dictionary_corpus) is not str:
-            raise ReportError(
-                f"malformed report: metadata dictionary_corpus is {dictionary_corpus!r}, not a string"
-            )
-        return build_report(
-            datasets,
-            engines,
-            cells,
-            confusion=confusion,
-            k=ks.pop() if ks else 1,  # no confusion statistics: no share, any k
-            metadata=metadata,
-            dictionary_corpus=dictionary_corpus,
-        )
+        checked(dictionary_corpus, STRING, "metadata dictionary_corpus", ValueError)
+        k = ks.pop() if ks else 1  # no confusion statistics: no share, any k
+        return build_report(datasets, engines, cells, confusion, k, metadata, dictionary_corpus)
     except KeyError as exc:
         raise ReportError(f"malformed report: no member {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:  # ValueError: a bad member
         raise ReportError(f"malformed report: {exc}") from exc
 
 

@@ -373,16 +373,7 @@ def _load_manifests(paths) -> list[BookEntry]:
 
 def _cmd_prepare_refine(args: argparse.Namespace) -> int:
     books = _load_manifests(args.manifest)
-    refined = [
-        BookEntry(
-            b.book_id,
-            b.corpus_id,
-            tuple(refinement_sample(b, args.cap, args.seed)),
-            b.century,
-            b.language,
-        )
-        for b in books
-    ]
+    refined = [b._replace(line_ids=tuple(refinement_sample(b, args.cap, args.seed))) for b in books]
     write_atomic(os.path.realpath(args.out), manifest_to_json(refined))
     total = sum(b.line_count for b in refined)
     print(f"refinement subset: {total} line(s) from {len(refined)} book(s) (cap {args.cap}, seed {args.seed}) -> {args.out}")
@@ -482,6 +473,17 @@ def _count(text: str | None) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a count: {text!r}")
     return int(digits)
+
+
+def _seed(text: str) -> int:
+    """An argparse type: an integer written as an optional sign and the
+    digits 0-9, with the whitespace int allows around it."""
+    body = text.strip()
+    try:
+        _count(body[1:] if body[:1] in ("+", "-") else body)
+        return int(body)  # int rejects whitespace after the sign
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"want an integer, got {text!r}") from None
 
 
 def _int_at_least(low: int):
@@ -625,7 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="OCR evaluation and corpus tooling for historical prints",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--seed", type=int, default=0, help="seed for all sampling (recorded in outputs)")
+    parser.add_argument(
+        "--seed", type=_seed, default=0, help="seed for all sampling (recorded in outputs)"
+    )
     parser.add_argument("--error-json", action="store_true", help="emit errors as JSON on stderr")
     sub = parser.add_subparsers(dest="command", required=True, action=_ChosenSubParsers)
     for name, fill, handler, text in (

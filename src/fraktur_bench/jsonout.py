@@ -1,6 +1,7 @@
 """The bytes of every report, coverage table and manifest, made by ``utf8``,
 the one place that rejects a name that is not valid UTF-8; their indented
-JSON, by json's C encoder; and the envelope of each stored JSON file.
+JSON, by json's C encoder; the envelope of each stored JSON file; and the
+kinds its members are checked against, by ``checked``.
 
 ``json.dumps`` with ``indent`` runs the pure-Python encoder. The C encoder
 writes the same bytes, with a level's line break and indent as its item
@@ -26,6 +27,31 @@ _SURROGATE_ESCAPES = ((b"\\ud", b"\\uD"), ("\\ud", "\\uD"))
 # A field of an output: what lies between a JSON string's quotes, CSV
 # commas, Markdown bars and line breaks.
 _FIELD = re.compile('[^",|\n]+')
+
+
+# A kind: the (test, message) steps a member of a stored file must pass, in
+# order; a message names the member as {what} and shows it as {value}.
+STRING = ((lambda v: type(v) is str, "{what} is {value!r}, not a string"),)
+STRINGS = (
+    (lambda v: type(v) is list and {*map(type, v)} <= {str}, "{what} must be a list of strings"),
+)
+INTEGER = ((lambda v: type(v) is int, "{what} is {value!r}, not an integer"),)
+OBJECT = ((lambda v: type(v) is dict, "{what} is not a JSON object"),)
+LIST = ((lambda v: type(v) is list, "{what} is not a JSON list"),)
+
+
+def checked(value, kind, what: str, error: type[Exception]):
+    """value, if it passes every step of kind; else error with the message
+    of the first step it fails."""
+    for test, message in kind:
+        if not test(value):
+            raise error(message.format(what=what, value=value))
+    return value
+
+
+def or_null(kind):
+    """kind, with null passing too: each message ends in "or null"."""
+    return tuple((lambda v, test=test: v is None or test(v), m + " or null") for test, m in kind)
 
 
 def utf8(text: str) -> bytes:
@@ -67,10 +93,9 @@ def load_json(data: bytes | str, kind: str, version: int, error: type[Exception]
         except UnicodeEncodeError as exc:
             code = ord(exc.object[exc.start])
             raise error(f"{kind} holds a lone surrogate escape \\u{code:04x}") from None
-    if not isinstance(payload, dict):
-        raise error(f"{kind} is not a JSON object")
+    checked(payload, OBJECT, kind, error)
     found = payload.get("schema_version")
-    if found != version:
+    if found != version or type(found) is not int:  # true and 1.0 equal 1
         raise error(f"unsupported {kind} schema_version {found!r}")
     return payload
 

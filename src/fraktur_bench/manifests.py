@@ -26,12 +26,11 @@ import os
 import random
 import re
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import repeat
 
 from .errors import ManifestError
-from .jsonout import dump_json, load_json, utf8
+from .jsonout import INTEGER, OBJECT, STRING, STRINGS, checked, dump_json, load_json, or_null, utf8
 from .lines import GT_SUFFIX, IMAGE_SUFFIXES, list_books
 
 MANIFEST_SCHEMA_VERSION = 1
@@ -234,31 +233,35 @@ def manifest_to_json(books: Sequence[BookEntry]) -> bytes:
     return dump_json(payload)
 
 
+# The manifest's own kinds.
+_IDS = ((lambda ids: {*map(type, ids)} <= {str}, "{what}: book_id and corpus_id must be strings"),)
+_CENTURY = or_null(INTEGER)
+_LANGUAGE = or_null(STRING)
+
+
 def manifest_from_json(data: bytes | str) -> list[BookEntry]:
     payload = load_json(data, "manifest", MANIFEST_SCHEMA_VERSION, ManifestError)
     if not isinstance(payload.get("books"), list):
         raise ManifestError("manifest has no books list")
     books = []
     try:
-        for item in payload["books"]:
+        for i, item in enumerate(payload["books"]):
+            checked(item, OBJECT, f"book at index {i}", ValueError)
             meta = item.get("metadata", {})
             book_id, corpus_id, lines = item["book_id"], item["corpus_id"], item["lines"]
-            where = f"malformed manifest: book {book_id!r}"
-            if not isinstance(book_id, str) or not isinstance(corpus_id, str):
-                raise ManifestError(f"{where}: book_id and corpus_id must be strings")
-            if not isinstance(lines, list) or not all(map(isinstance, lines, repeat(str))):
-                raise ManifestError(f"{where}: lines must be a list of strings")
-            if not isinstance(meta, dict):
-                raise ManifestError(f"{where}: metadata is not a JSON object")
-            century, language = meta.get("century"), meta.get("language")
-            if century is not None and type(century) is not int:
-                raise ManifestError(f"{where}: century is {century!r}, not an integer or null")
-            if language is not None and type(language) is not str:
-                raise ManifestError(f"{where}: language is {language!r}, not a string or null")
+            where = f"book {book_id!r}"
+            checked((book_id, corpus_id), _IDS, where, ValueError)
+            checked(lines, STRINGS, f"{where}: lines", ValueError)
+            checked(meta, OBJECT, f"{where}: metadata", ValueError)
+            century = checked(meta.get("century"), _CENTURY, f"{where}: century", ValueError)
+            language = checked(meta.get("language"), _LANGUAGE, f"{where}: language", ValueError)
+            if len(set(lines)) < len(lines):
+                repeated = [n for n, count in Counter(lines).items() if count > 1]
+                raise ValueError(f"{where}: lines repeat {', '.join(map(repr, repeated))}")
             books.append(BookEntry(book_id, corpus_id, tuple(lines), century, language))
     except KeyError as exc:
         raise ManifestError(f"malformed manifest: book without member {exc}") from exc
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:  # ValueError: a bad member
         raise ManifestError(f"malformed manifest: {exc}") from exc
     return books
 

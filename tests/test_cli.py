@@ -288,6 +288,15 @@ class TestExitCodes:
             (SCHEDULE, manifest_with(lambda m: m["books"][0]["lines"].append("l\udfff\ud800")),
              "ManifestError", "manifest holds a lone surrogate escape \\udfff"),
             (REFINE, '{"books": []}', "ManifestError", "unsupported manifest schema_version None"),
+            (REPORT_CSV, '{"schema_version": true}', "ReportError", "unsupported report schema_version True"),
+            (REFINE, '{"schema_version": 1.0, "books": []}', "ManifestError",
+             "unsupported manifest schema_version 1.0"),
+            (REPORT_CSV,
+             report_with(lambda r: r["cells"]["N-1"].update(
+                 e={"lines": -1, "gt_chars": 2, "distance": 1, "macro_lines": 1})),
+             "ReportError", "malformed report: no member 'cer_sum'"),
+            (SCHEDULE, manifest_with(lambda m: m["books"][0]["lines"].append("l1")), "ManifestError",
+             "malformed manifest: book 'N-1': lines repeat 'l1'"),
             (["eval", *EVAL_ARGS, "--pred", "{root}/pred", "--engine", "tess", "--engine", "x"], "",
              "ToolkitError",
              "2 --pred path(s) for 3 --engine id(s); give one --pred per engine or a single shared tree"),
@@ -322,7 +331,8 @@ class TestExitCodes:
             "report-json-surrogate", "report-csv-surrogate", "report-markdown-surrogate",
             "report-key-surrogate", "refine-surrogate", "schedule-surrogate",
             "schedule-reversed-pair",
-            "manifest-schema-version", "pred-engine-count", "engine-repeated",
+            "manifest-schema-version", "report-schema-version-true", "manifest-schema-version-float",
+            "report-cell-member-missing-before-bad", "manifest-lines-repeated", "pred-engine-count", "engine-repeated",
             "datasets-unknown", "line-not-utf8", "confidence-malformed", "vote-no-predictions",
             "normalize-no-match", "coverage-no-match",
         ],
@@ -368,12 +378,19 @@ class TestExitCodes:
             (["errors", *EVAL_ARGS, "--datasets", "N-1781,N-1803,N-1781"], "--datasets"),
             (["eval", *EVAL_ARGS, "--datasets", ",N-1781"], "--datasets"),
             (["eval", *EVAL_ARGS, "--datasets", ""], "--datasets"),
+            (["--seed", "1_0", "prepare", "schedule", "--manifest", "{manifest}", "--stage", "real=N",
+              "--out", "{out}"], "--seed"),
+            (["--seed", "\u0661_\u0660", "prepare", "schedule", "--manifest", "{manifest}",
+              "--stage", "real=N", "--out", "{out}"], "--seed"),
+            (["--seed", "- 3", *EVAL_ARGS], "--seed"),
+            (["--seed", "+-3", *EVAL_ARGS], "--seed"),
         ],
         ids=[
             "unmapped-unknown", "unmapped-replace-two-chars", "unmapped-replace-empty", "k-zero",
             "k-not-integer", "min-voters-one", "refine-cap-zero", "schedule-cap-negative",
             "refine-cap-underscore", "k-arabic-indic-digit", "min-voters-sign",
             "datasets-repeated", "datasets-repeated-apart", "datasets-empty-id", "datasets-empty",
+            "seed-underscore", "seed-arabic-indic-digits", "seed-space-after-sign", "seed-two-signs",
         ],
     )
     def test_bad_flag_value_is_usage_error(self, corpus, capsys, argv, flag):
@@ -524,6 +541,21 @@ class TestWrongJsonTypes:
                  _set(("top_share", "zzz"), {"denominator": 1, "k": 3, "numerator": 1, "value": 1.0}),
              ),
              "malformed report: confusion 'zzz' is not in engines"),
+            ("manifest", _set(BOOK, "N-1781"), "malformed manifest: book at index 0 is not a JSON object"),
+            ("manifest", _set(BOOK, {"book_id": 1781, "corpus_id": "N", "metadata": {}}),
+             "malformed manifest: book without member 'lines'"),
+            ("report", _set(("confusion",), []), "malformed report: confusion is not a JSON object"),
+            ("report", _set(("cells",), []), "malformed report: cells is not a JSON object"),
+            ("report", _set(("cells", "N-1803"), []), "malformed report: cells 'N-1803' is not a JSON object"),
+            ("report", _set(("cells", "N-1781", "tess"), [1, 2]),
+             "malformed report: cell 'N-1781'/'tess' is not a JSON object"),
+            ("report", _set(("confusion", "abbyy"), {"gt": "u", "pred": "n", "count": 1}),
+             "malformed report: confusion 'abbyy' is not a JSON list"),
+            ("report", _set(("confusion", "tess", 0), 3),
+             "malformed report: confusion 'tess' class at index 0 is not a JSON object"),
+            ("report", _set(("top_share",), []), "malformed report: top_share is not a JSON object"),
+            ("report", _set(("top_share", "abbyy"), 3),
+             "malformed report: top_share 'abbyy' is not a JSON object"),
         ],
         ids=[
             "lines-string", "lines-not-strings", "book-id-number", "corpus-id-null", "metadata-null",
@@ -535,7 +567,9 @@ class TestWrongJsonTypes:
             "cell-cer-sum-infinity", "cell-cer-sum-negative", "report-metadata-pairs",
             "report-metadata-empty-list", "dictionary-corpus-number", "confusion-gt-number",
             "confusion-pred-null", "confusion-both-sides-empty", "confusion-class-repeated",
-            "confusion-unknown-engine",
+            "confusion-unknown-engine", "book-string", "book-id-number-without-lines",
+            "confusion-list", "cells-list", "cells-row-list", "cell-list", "confusion-table-object",
+            "confusion-class-number", "top-share-list", "top-share-entry-number",
         ],
     )
     def test_rejected(self, corpus, tmp_path, capsys, kind, mutate, message):
@@ -1310,6 +1344,13 @@ class TestEvalCommand:
         assert run(["--seed", "42", *self.eval_args(corpus, out)]) == 0
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["metadata"]["seed"] == 42
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("text, seed", [("-3", -3), (" +5\n", 5)], ids=["negative", "plus-and-space"])
+    def test_signed_seed_recorded(self, corpus, capsys, text, seed):
+        out = corpus / "report.json"
+        assert run(["--seed", text, *self.eval_args(corpus, out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["metadata"]["seed"] == seed
         capsys.readouterr()
 
 

@@ -102,6 +102,22 @@ def test_only_align_names_the_op_vocabulary(path):
     assert names & {"OpKind", "EditOp"} == set()
 
 
+def test_member_kinds_are_worded_once():
+    """The readers of stored reports and manifests check a member's JSON
+    type through the kinds of jsonout; a reader that words such a check
+    itself would drift from the others' messages."""
+    wordings = ("must be a list of strings", "is not a JSON object", ", not a string")
+    found = [
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in SOURCES
+        if path.name != "jsonout.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(wording in node.value for wording in wordings)
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize("forbidden", ["dataclasses", "typing", "tempfile", "fractions", "pathlib"])
 def test_no_module_imports(forbidden):
     """Every command imports every record type, and the records are
