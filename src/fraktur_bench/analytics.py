@@ -323,9 +323,10 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
                 cell = CerCell(*map(data.__getitem__, CerCell._fields))  # no member: checked first
                 for name, value, kind in zip(CerCell._fields, cell, _CELL):
                     checked(value, kind, f"{where}: {name}", ValueError)
-                if cell.macro_lines > cell.lines:
-                    lines, macro_lines = cell.lines, cell.macro_lines
-                    raise ValueError(f"{where}: macro_lines {macro_lines} exceeds lines {lines}")
+                # a macro line is a line; a line's CER is at most its distance
+                for low, high in (("macro_lines", "lines"), ("cer_sum", "distance")):
+                    if data[low] > data[high]:
+                        raise ValueError(f"{where}: {low} {data[low]} exceeds {high} {data[high]}")
                 cells[ds][eng] = cell
         confusion = {}
         tables = checked(payload.get("confusion", {}), OBJECT, "confusion", ValueError)

@@ -36,7 +36,7 @@ from .analytics import (
 from .codec import Codec, codec_coverage_report, default_codec, load_codec
 from .errors import ManifestError, ReportError, ToolkitError, VotingError
 from .jsonout import dump_json
-from .lines import TranscriptionLine, line_id_of, path_parts, posix_path, pred_suffix
+from .lines import TranscriptionLine, line_id_of, path_parts, posix_path, pred_suffix, read_utf8
 from .manifests import (
     BookEntry,
     build_schedule,
@@ -127,15 +127,6 @@ def _write_tree(outputs: list[tuple[str, bytes]]) -> None:
             raise _cannot_write(path, exc) from exc
     for path, data in outputs:
         write_atomic(path, data)
-
-
-def _read_input(path: str, error: type[ToolkitError]) -> bytes:
-    """Read an input file named on the command line; failure is a data error."""
-    try:
-        with open(posix_path(path), "rb") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _resolve_codec(spec: str) -> Codec:
@@ -266,18 +257,24 @@ def _cmd_errors(args: argparse.Namespace) -> int:
     return 0
 
 
+def _confidence(token: str) -> float:
+    """float(token), refusing what float alone takes: 0.5_0 and non-ASCII digits."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
+
+
 def _load_confidences(conf_path: str | None, text: str):
     if conf_path is None:
         return None
-    tokens = read_text_file(conf_path).split()
+    content = read_text_file(conf_path)
+    parse = float if content.isascii() and "_" not in content else _confidence
     try:
-        values = tuple(map(float, tokens))
+        values = tuple(map(parse, content.split()))
     except ValueError as exc:
         raise VotingError(f"{conf_path}: malformed confidence value: {exc}") from None
     if len(values) != len(text):
-        raise VotingError(
-            f"{conf_path}: {len(values)} confidences for {len(text)} characters"
-        )
+        raise VotingError(f"{conf_path}: {len(values)} confidences for {len(text)} characters")
     return values
 
 
@@ -361,7 +358,7 @@ def _load_manifests(paths) -> list[BookEntry]:
     books: list[BookEntry] = []
     source: dict[str, str] = {}
     for p in paths:
-        for book in manifest_from_json(_read_input(p, ManifestError)):
+        for book in manifest_from_json(read_utf8(posix_path(p), ManifestError)):
             if book.book_id in source:
                 raise ManifestError(
                     f"book {book.book_id!r} is listed twice: in {source[book.book_id]} and in {p}"
@@ -410,10 +407,7 @@ def _cmd_prepare_schedule(args: argparse.Namespace) -> int:
 def _cmd_prepare_verify(args: argparse.Namespace) -> int:
     books = _load_manifests(args.manifest)
     expected: list[tuple[str, int, int]] = []
-    try:
-        text = _read_input(args.expected, ManifestError).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{args.expected} is not valid UTF-8: {exc}") from exc
+    text = read_utf8(posix_path(args.expected), ManifestError)
     reader = csv.DictReader(io.StringIO(text, newline=""))
     missing = [c for c in ("corpus_id", "books", "lines") if c not in (reader.fieldnames or ())]
     if missing:
@@ -440,7 +434,7 @@ def _cmd_prepare_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    report = report_from_json(_read_input(args.input, ReportError))
+    report = report_from_json(read_utf8(posix_path(args.input), ReportError))
     write_atomic(os.path.realpath(args.out), emit_report(report, args.format))
     print(f"re-emitted report as {args.format} -> {args.out}")
     return 0

@@ -25,7 +25,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable
 
 from .errors import CodecError
-from .lines import posix_path, stem
+from .lines import posix_path, read_utf8, stem
 
 # The default file sits next to the sources.
 _DEFAULT_CODEC_FILE = os.path.join(os.path.dirname(__file__), "data", "codec_default.txt")
@@ -131,16 +131,7 @@ def load_codec(path: str | os.PathLike) -> Codec:
     malformed entries and duplicates (naming character and line).
     """
     p = posix_path(path)
-    try:
-        with open(p, "rb") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        raise CodecError(f"cannot read codec file {p}: {exc}") from exc
-    try:
-        content = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"{p}: codec file is not valid UTF-8: {exc}") from exc
-    return _parse_codec_text(content, p, stem(p))
+    return _parse_codec_text(read_utf8(p, CodecError), p, stem(p))
 
 
 def default_codec() -> Codec:
@@ -150,8 +141,7 @@ def default_codec() -> Codec:
     authoritative: nothing in the toolkit assumes a fixed cardinality, and
     loaders report the actual count.
     """
-    with open(_DEFAULT_CODEC_FILE, encoding="utf-8") as handle:
-        content = handle.read()
+    content = read_utf8(_DEFAULT_CODEC_FILE, CodecError)
     return _parse_codec_text(content, os.path.basename(_DEFAULT_CODEC_FILE), "default")
 
 

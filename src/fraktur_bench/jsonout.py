@@ -22,8 +22,8 @@ from .errors import ManifestError
 
 _SCALARS = (str, int, float, type(None))
 _LISTS = (list, tuple)
-# How a \uD800-\uDFFF escape starts, in bytes and in str.
-_SURROGATE_ESCAPES = ((b"\\ud", b"\\uD"), ("\\ud", "\\uD"))
+# How a \uD800-\uDFFF escape starts.
+_SURROGATE_ESCAPES = ("\\ud", "\\uD")
 # A field of an output: what lies between a JSON string's quotes, CSV
 # commas, Markdown bars and line breaks.
 _FIELD = re.compile('[^",|\n]+')
@@ -79,15 +79,17 @@ def dump_json(value: object, ascii: bool = False) -> bytes:
 def load_json(data: bytes | str, kind: str, version: int, error: type[Exception]) -> dict:
     """The JSON object of a stored file of the given kind (report,
     manifest), whose schema_version must be version; raises error, naming
-    the kind, for anything else, such as a surrogate escape outside a pair,
-    which json decodes to a lone surrogate that no UTF-8 output can hold."""
+    the kind, for anything else: bytes not UTF-8, nesting too deep, or a
+    surrogate escape outside a pair, which json decodes to a lone surrogate
+    that no UTF-8 output can hold."""
     try:
+        data = data.decode("utf-8") if isinstance(data, bytes) else data
         payload = loads(data)
     except UnicodeDecodeError as exc:
         raise error(f"{kind} is not valid UTF-8: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer over int_max_str_digits
+    except (ValueError, RecursionError) as exc:  # also an integer over int_max_str_digits
         raise error(f"{kind} is not valid JSON: {exc}") from exc
-    if any(escape in data for escape in _SURROGATE_ESCAPES[isinstance(data, str)]):
+    if any(escape in data for escape in _SURROGATE_ESCAPES):
         try:
             _encoder(False, 0)(payload).encode("utf-8")
         except UnicodeEncodeError as exc:

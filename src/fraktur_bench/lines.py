@@ -1,5 +1,5 @@
-"""Core line type shared by every stage of the pipeline, and the on-disk
-names of line files.
+"""Core line type shared by every stage of the pipeline, the on-disk names
+of line files, and ``read_utf8``, the one reader of every input file.
 
 A TranscriptionLine is one text line together with its source identity.
 Ground-truth lines and engine predictions use the same type; predictions
@@ -22,11 +22,32 @@ from .errors import ManifestError
 
 GT_SUFFIX = ".gt.txt"
 IMAGE_SUFFIXES = (".bin.png", ".nrm.png", ".png")
+# Bytes asked of each os.read; a file is read until a read returns none.
+_CHUNK = 1 << 16
 
 
 TranscriptionLine = namedtuple(
     "TranscriptionLine", "book_id line_id text engine_id", defaults=(None,)
 )
+
+
+def read_utf8(path: str | os.PathLike, error: type[Exception]) -> str:
+    """The text of an input file, decoded strictly as UTF-8. A file that
+    cannot be read raises error ``cannot read <path>: <reason>``, one that
+    is not UTF-8 ``<path> is not valid UTF-8: <reason>``."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        return b"".join(chunks).decode("utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def pred_suffix(engine_id: str) -> str:

@@ -29,7 +29,7 @@ from collections import namedtuple
 
 from .codec import Codec, unescape_entry, validate_against_codec
 from .errors import CodecError, ConvergenceError, NormalizationError, RuleSetError
-from .lines import TranscriptionLine, posix_path
+from .lines import TranscriptionLine, posix_path, read_utf8
 
 # The default file sits next to the sources.
 _DEFAULT_RULES_FILE = os.path.join(os.path.dirname(__file__), "data", "rules_default.tsv")
@@ -107,19 +107,11 @@ def _parse_rules_text(content: str, source_name: str) -> NormalizationRuleSet:
 
 def load_rules(path: str | os.PathLike) -> NormalizationRuleSet:
     p = posix_path(path)
-    try:
-        with open(p, "rb") as handle:
-            content = handle.read().decode("utf-8")
-    except OSError as exc:
-        raise RuleSetError(f"cannot read rules file {p}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise RuleSetError(f"{p}: rules file is not valid UTF-8: {exc}") from exc
-    return _parse_rules_text(content, p)
+    return _parse_rules_text(read_utf8(p, RuleSetError), p)
 
 
 def default_rules() -> NormalizationRuleSet:
-    with open(_DEFAULT_RULES_FILE, encoding="utf-8") as handle:
-        content = handle.read()
+    content = read_utf8(_DEFAULT_RULES_FILE, RuleSetError)
     return _parse_rules_text(content, os.path.basename(_DEFAULT_RULES_FILE))
 
 

@@ -27,34 +27,14 @@ from .analytics import (
 )
 from .codec import Codec
 from .errors import ManifestError, PairingError
-from .lines import GT_SUFFIX, TranscriptionLine, conf_suffix, list_books, pred_suffix
+from .lines import GT_SUFFIX, TranscriptionLine, conf_suffix, list_books, pred_suffix, read_utf8
 from .normalize import NormalizationRuleSet, normalize_line, require_replacement_in_codec
-
-
-# Bytes asked of each os.read; a line file is read until a read returns none.
-_CHUNK = 1 << 16
 
 
 def read_text_file(path: str | os.PathLike) -> str:
     """Read one line file: UTF-8, one trailing line ending (CRLF, LF or CR)
     stripped, nothing else."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            chunks = []
-            while chunk := os.read(fd, _CHUNK):
-                chunks.append(chunk)
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        if exc.filename is None:  # os.read names no file, e.g. for a directory
-            exc = OSError(exc.errno, exc.strerror, os.fspath(path))
-        raise ManifestError(f"cannot read {path}: {exc}") from exc
-    raw = b"".join(chunks)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path} is not valid UTF-8: {exc}") from exc
+    text = read_utf8(path, ManifestError)
     if text.endswith("\r\n"):
         return text[:-2]
     return text[:-1] if text.endswith(("\n", "\r")) else text

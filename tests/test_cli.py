@@ -95,6 +95,18 @@ def int_error(digits: str) -> str:
     return ""
 
 
+def json_error(text: str) -> str:
+    """json's message for text, or '' when it loads."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    return ""
+
+
+DEEP_LIST, DEEP_OBJECT = "[" * 100_000, '{"a": ' * 100_000
+
+
 def rename_dataset(report: dict) -> None:
     """Rewrite the dataset id N-1 to a lone surrogate, which json.dumps
     writes as the escape \\ud800."""
@@ -174,7 +186,7 @@ class TestExitCodes:
                 ["eval", "--gt", "{missing}", "--pred", "{missing}", "--engine", "e",
                  "--rules", "{missing}", "--out", "{out}"],
                 "RuleSetError",
-                "cannot read rules file {missing}: [Errno 2] No such file or directory: '{missing}'",
+                "cannot read {missing}: No such file or directory",
             ),
         ],
         ids=["report", "refine", "schedule", "verify-manifest", "verify-expected", "normalize-in",
@@ -227,10 +239,10 @@ class TestExitCodes:
              "{bad} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 23: "
              "invalid start byte"),
             (REPORT_CSV, b'{"schema_version": 1, "engines": ["\xff"]}', "ReportError",
-             "report is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 35: "
+             "{bad} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 35: "
              "invalid start byte"),
             (REFINE, b'{"schema_version": 1, "books": ["\xff"]}', "ManifestError",
-             "manifest is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 33: "
+             "{bad} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 33: "
              "invalid start byte"),
             (REPORT_CSV, report_with(lambda r: r["confusion"]["e"][0].update(count=1.9)),
              "ReportError", "malformed report: confusion 'e' count is 1.9, not an integer >= 1"),
@@ -315,6 +327,26 @@ class TestExitCodes:
              "ManifestError", "no files matching '*.xml' under {root}/gt"),
             (["coverage", "--in", "{root}/gt", "--pattern", "*.xml", "--out", "{out}"], "",
              "ManifestError", "no files matching '*.xml' under {root}/gt"),
+            (REPORT_CSV, DEEP_LIST, "ReportError",
+             f"report is not valid JSON: {json_error(DEEP_LIST)}"),
+            (REFINE, DEEP_OBJECT, "ManifestError",
+             f"manifest is not valid JSON: {json_error(DEEP_OBJECT)}"),
+            (REPORT_JSON, report_with(lambda r: r["cells"]["N-1"]["e"].update(cer_sum=1e308)),
+             "ReportError", "malformed report: cell 'N-1'/'e': cer_sum 1e+308 exceeds distance 1"),
+            (REPORT_CSV, report_with(lambda r: None).encode("utf-16"), "ReportError",
+             "{bad} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+             "invalid start byte"),
+            (REPORT_CSV, "\ufeff" + report_with(lambda r: None), "ReportError",
+             "report is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+             "line 1 column 1 (char 0)"),
+            (["vote", "--pred", "{root}/pred", "--engine", "abbyy", "--engine", "tess", "--out", "{out}"],
+             ("pred/N-1803/l1.pred.abbyy.conf", "0.9 0.9 0.9 0.9 0.5_0 0.9 0.9 0.9 0.9\n"),
+             "VotingError",
+             "{bad}: malformed confidence value: could not convert string to float: '0.5_0'"),
+            (["vote", "--pred", "{root}/pred", "--engine", "abbyy", "--engine", "tess", "--out", "{out}"],
+             ("pred/N-1803/l1.pred.abbyy.conf", "0.9 0.9 0.9 0.9 \u0660.\u0669 0.9 0.9 0.9 0.9\n"),
+             "VotingError",
+             "{bad}: malformed confidence value: could not convert string to float: '\u0660.\u0669'"),
         ],
         ids=[
             "report-not-object", "report-no-engines", "report-no-cells", "report-no-aggregates",
@@ -334,7 +366,9 @@ class TestExitCodes:
             "manifest-schema-version", "report-schema-version-true", "manifest-schema-version-float",
             "report-cell-member-missing-before-bad", "manifest-lines-repeated", "pred-engine-count", "engine-repeated",
             "datasets-unknown", "line-not-utf8", "confidence-malformed", "vote-no-predictions",
-            "normalize-no-match", "coverage-no-match",
+            "normalize-no-match", "coverage-no-match", "report-too-deep", "manifest-too-deep",
+            "report-cer-sum-over-distance", "report-utf16", "report-bom", "confidence-underscore",
+            "confidence-arabic-indic-digits",
         ],
     )
     def test_malformed_input(self, corpus, capsys, argv, content, error_type, message):
@@ -1248,11 +1282,11 @@ class TestEvalCommand:
             ("--rules", "# fold\nů u\n", "RuleSetError",
              "{path}:2: rule line has no tab separator: 'ů u'"),
             ("--codec", b"\\s\n\xff\n", "CodecError",
-             "{path}: codec file is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+             "{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
              "in position 3: invalid start byte"),
             ("--codec", "\\s\na\\\n", "CodecError", "{path}:2: dangling backslash in entry 'a\\\\'"),
             ("--rules", b"\xff\tu\n", "RuleSetError",
-             "{path}: rules file is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+             "{path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
              "in position 0: invalid start byte"),
             ("--rules", "\\u00\tu\n", "RuleSetError", "{path}:1: truncated \\u escape in '\\\\u00'"),
             ("--codec", "\\s\na\n\\uD800\n", "CodecError", "{path}:3: surrogate \\u escape in '\\\\uD800'"),

@@ -140,6 +140,44 @@ def test_load_json_rejects_a_lone_surrogate(member, escape, as_bytes):
     assert str(err.value) == f"report holds a lone surrogate escape {escape}"
 
 
+def json_error(text: str) -> str:
+    """json's message for text, or '' when it loads."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    return ""
+
+
+BOM = '\ufeff{"schema_version": 1}'
+DEEP_LIST, DEEP_OBJECT = "[" * 100_000, '{"a": ' * 100_000
+NOT_UTF8 = (
+    "report is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ('{"schema_version": 1}'.encode("utf-16"), NOT_UTF8),
+        ('{"schema_version": 1}'.encode("utf-32"), NOT_UTF8),
+        (BOM.encode("utf-8"), f"report is not valid JSON: {json_error(BOM)}"),
+        (BOM, f"report is not valid JSON: {json_error(BOM)}"),
+        (DEEP_LIST.encode("utf-8"), f"report is not valid JSON: {json_error(DEEP_LIST)}"),
+        (DEEP_OBJECT, f"report is not valid JSON: {json_error(DEEP_OBJECT)}"),
+    ],
+    ids=["utf-16", "utf-32", "bom-bytes", "bom-str", "deep-list-bytes", "deep-object-str"],
+)
+def test_load_json_reads_strict_utf8_json_only(data, message):
+    """Bytes are decoded as UTF-8, not by json's encoding detection, so a
+    UTF-16 file or a BOM is a data error; so is nesting that json cannot
+    follow without running out of recursion depth."""
+    assert json_error(BOM) and json_error(DEEP_LIST) and json_error(DEEP_OBJECT)
+    with pytest.raises(ReportError) as err:
+        load_json(data, "report", 1, ReportError)
+    assert str(err.value) == message
+
+
 def report_naming(dataset: str, engine: str):
     return build_report(
         [dataset],

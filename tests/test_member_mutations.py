@@ -159,8 +159,9 @@ def reports(draw) -> bytes:
         for eng in engines:
             lines = draw(st.integers(0, 3))
             macro_lines = draw(st.integers(0, lines))
-            cer_sum = draw(st.floats(0, 3)) if macro_lines else 0
             gt_chars, distance = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+            # a line's CER is at most its distance
+            cer_sum = draw(st.floats(0, distance)) if macro_lines else 0
             cells[ds][eng] = CerCell(lines, gt_chars, distance, macro_lines, cer_sum)
     sides = st.tuples(st.sampled_from(["", "a", "ſ "]), st.sampled_from(["", "b", " "]))
     confusion = {}

@@ -118,6 +118,33 @@ def test_member_kinds_are_worded_once():
     assert found == []
 
 
+def _opens_for_reading(node: ast.AST) -> bool:
+    """Whether node calls open with no mode that writes, or os.open with
+    flags that do not name O_WRONLY."""
+    func = ast.unparse(node.func) if isinstance(node, ast.Call) else None
+    if func == "open":
+        modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+        return not any(isinstance(m, ast.Constant) and set("wax") & set(m.value) for m in modes)
+    return func == "os.open" and "O_WRONLY" not in ast.unparse(node)
+
+
+def test_only_lines_reads_files():
+    """Every input file is read by lines.read_utf8, which words both ways
+    a read can fail; a module that opened or worded a read itself would
+    drift from it."""
+    found = {
+        path.name: [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if _opens_for_reading(node)
+            or isinstance(node, ast.Constant) and isinstance(node.value, str) and "cannot read" in node.value
+        ]
+        for path in SOURCES
+    }
+    assert found.pop("lines.py")  # read_utf8 itself, so the guard sees a read
+    assert found == dict.fromkeys(found, [])
+
+
 @pytest.mark.parametrize("forbidden", ["dataclasses", "typing", "tempfile", "fractions", "pathlib"])
 def test_no_module_imports(forbidden):
     """Every command imports every record type, and the records are
