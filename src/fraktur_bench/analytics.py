@@ -262,6 +262,14 @@ _CER_SUM = (
 )
 _CELL = (_COUNT, _COUNT, _COUNT, _COUNT, _CER_SUM)  # the kinds of CerCell's fields
 _POSITIVE = ((lambda v: type(v) is int and v >= 1, "{what} is {value!r}, not an integer >= 1"),)
+# A metadata value is written back as it was read: a scalar, so that no
+# report nests deeper than the program's own layout, and a finite one.
+_NOT_SCALAR = "not a string, number, boolean or null"
+_METADATA_VALUE = (
+    (lambda v: type(v) is not dict, "{what} is a JSON object, " + _NOT_SCALAR),
+    (lambda v: type(v) is not list, "{what} is a JSON list, " + _NOT_SCALAR),
+    (lambda v: type(v) is not float or math.isfinite(v), "{what} is not a finite number"),
+)
 
 
 def _errors_payload(report: EvaluationReport) -> dict[str, object]:
@@ -356,6 +364,8 @@ def report_from_json(data: bytes | str) -> EvaluationReport:
         if len(ks) > 1:
             raise ValueError(f"top_share entries disagree on k: {sorted(ks)}")
         metadata = checked(payload.get("metadata", {}), OBJECT, "metadata", ValueError)
+        for key, value in metadata.items():
+            checked(value, _METADATA_VALUE, f"metadata {key!r}", ValueError)
         dictionary_corpus = metadata.get("dictionary_corpus", DICTIONARY_CORPUS)
         checked(dictionary_corpus, STRING, "metadata dictionary_corpus", ValueError)
         k = ks.pop() if ks else 1  # no confusion statistics: no share, any k

@@ -3,11 +3,12 @@
 One executable, one command per invocation:
 
     normalize   rewrite raw transcriptions into the codec
+    coverage    count a tree's characters in and out of the codec
     eval        CER evaluation of one or more engines against ground truth
     errors      confusion statistics and whitespace error classes
     vote        combine several engines' outputs per line
     prepare     corpus manifests, refinement sampling, training schedules
-    report      re-emit a stored JSON report as csv or markdown
+    report      re-emit a stored JSON report as json, csv or markdown
 
 Exit codes: 0 success, 1 data error, 2 usage error. All output files are
 written atomically (temp file plus rename).
@@ -289,40 +290,35 @@ def _cmd_vote(args: argparse.Namespace) -> int:
         tie_break=args.tie_break,
         pivot=args.pivot,
     )
-    per_engine, sidecars = {}, {}
-    for eng, texts, found in load_pred_trees(trees):
-        per_engine[eng], sidecars[eng] = texts, found
-    books = sorted({book for tree in per_engine.values() for book in tree})
-    if not books:
+    # (book, line id) -> (engine, text, sidecar path or None) of each engine with the line
+    found: dict[tuple[str, str], list] = {}
+    for eng, texts, sidecars in load_pred_trees(trees):
+        for book, lines in texts.items():
+            paths = sidecars.get(book, {})
+            for lid, text in lines.items():
+                found.setdefault((book, lid), []).append((eng, text, paths.get(lid)))
+    if not found:
         raise VotingError("no predictions found for any engine")
-    engines = sorted(per_engine)
+    keys = sorted(found)
     # Every check comes before any output: a line short of voters (a
     # thinner ensemble would skew voted-vs-single CER), then a bad sidecar
     # while voting; the voted lines are written only after the last one.
-    lines_by_book = {}
-    for book in books:
-        voter_count: dict[str, int] = {}
-        for eng in engines:
-            for lid in per_engine[eng].get(book, {}):
-                voter_count[lid] = voter_count.get(lid, 0) + 1
-        short = sorted(lid for lid, n in voter_count.items() if n < config.min_voters)
-        if short:
-            raise VotingError(
-                f"insufficient voters in book {book!r} on {len(short)} line(s), "
-                f"need {config.min_voters}: {', '.join(short[:10])}"
-            )
-        lines_by_book[book] = sorted(voter_count)
-    keys = [(book, lid) for book, line_ids in lines_by_book.items() for lid in line_ids]
+    short = [key for key in keys if len(found[key]) < config.min_voters]
+    if short:
+        book = short[0][0]
+        line_ids = [lid for b, lid in short if b == book]
+        raise VotingError(
+            f"insufficient voters in book {book!r} on {len(line_ids)} line(s), "
+            f"need {config.min_voters}: {', '.join(line_ids[:10])}"
+        )
 
     def voters(book: str, lid: str) -> list[VoterOutput]:
-        inputs = []
-        for eng in engines:
-            text = per_engine[eng].get(book, {}).get(lid)
-            if text is not None:
-                conf_path = sidecars[eng].get(book, {}).get(lid)
-                inputs.append((eng, text, _load_confidences(conf_path, text)))
+        inputs = [
+            (eng, text, _load_confidences(path, text))
+            for eng, text, path in sorted(found[book, lid])  # engine ids are distinct
+        ]
         try:
-            return [VoterOutput(eng, text, conf) for eng, text, conf in inputs]
+            return [VoterOutput(*voter) for voter in inputs]
         except VotingError as exc:
             raise _line_error(book, lid, exc) from None
 
@@ -340,6 +336,7 @@ def _cmd_vote(args: argparse.Namespace) -> int:
         for (book, lid), text in zip(keys, texts)
     ]
     _write_tree(voted)
+    books = {book for book, _ in keys}
     print(f"voted {len(voted)} line(s) across {len(books)} book(s) -> {out_root}")
     return 0
 

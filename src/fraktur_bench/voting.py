@@ -15,7 +15,9 @@ where nobody inserts, has one symbol with all the votes, so it keeps the
 pivot's text at no cost. Only the contested slots are built, cast in the
 same order (pivot first, then the voters by index, so confidence sums
 round the same) and resolved; their results are spliced into the pivot
-text.
+text. The pivot casts through the same rule as every voter, as a voter
+with no edits: its own character and confidence at a character slot, no
+insertion at a gap.
 
 vote_lines votes many lines in three passes: it checks every line (voter
 count, confidences when the tie-break needs them, the pivot engine), then
@@ -216,21 +218,19 @@ def vote_lines(lines: Iterable[Sequence[VoterOutput]], config: VotingConfig) -> 
     )
     texts = []
     for outputs, pivot_idx in checked:
-        voters = [
+        pivot = outputs[pivot_idx]
+        voters = [_Edits(pivot_idx, pivot, ())] + [
             _Edits(v_idx, voter, next(results).edits)
             for v_idx, voter in enumerate(outputs)
             if v_idx != pivot_idx
         ]
-        texts.append(_voted_text(outputs, pivot_idx, voters, config))
+        texts.append(_voted_text(pivot.text, voters, config))
     return texts
 
 
-def _voted_text(
-    outputs: Sequence[VoterOutput], pivot_idx: int, voters: Sequence[_Edits], config: VotingConfig
-) -> str:
-    """The pivot's text with each contested slot replaced by its result."""
-    pivot = outputs[pivot_idx]
-    text = pivot.text
+def _voted_text(text: str, voters: Sequence[_Edits], config: VotingConfig) -> str:
+    """The pivot's text with each contested slot replaced by its result;
+    voters starts with the pivot's own, which has no edits."""
     contested = set().union(*(v.spans for v in voters))
     if not contested:
         return text
@@ -239,15 +239,8 @@ def _voted_text(
     done = 0  # pivot characters already in pieces
     for key in sorted(contested):
         pos = key >> 1
-        # The pivot votes its own text: its character, or no insertion.
-        if key & 1:
-            conf = pivot.confidences[pos] if pivot.confidences is not None else 0.0
-            casts = [(text[pos], pivot_idx, conf)]
-        else:
-            casts = [("", pivot_idx, 0.0)]
-        casts += [voter.vote(key, text) for voter in voters]
         pieces.append(text[done:pos])
-        pieces.append(_resolve(casts, config))
+        pieces.append(_resolve([v.vote(key, text) for v in voters], config))
         done = pos + (key & 1)
     pieces.append(text[done:])
     return "".join(pieces)

@@ -105,6 +105,11 @@ def json_error(text: str) -> str:
 
 
 DEEP_LIST, DEEP_OBJECT = "[" * 100_000, '{"a": ' * 100_000
+# A metadata value json reads, nested deeper than the JSON writer can recurse.
+DEEP_METADATA = report_with(lambda r: r["metadata"].update(x=0)).replace(
+    '"x": 0', '"x": ' + "[" * 600 + "]" * 600
+)
+NOT_SCALAR = "not a string, number, boolean or null"
 
 
 def rename_dataset(report: dict) -> None:
@@ -347,6 +352,16 @@ class TestExitCodes:
              ("pred/N-1803/l1.pred.abbyy.conf", "0.9 0.9 0.9 0.9 \u0660.\u0669 0.9 0.9 0.9 0.9\n"),
              "VotingError",
              "{bad}: malformed confidence value: could not convert string to float: '\u0660.\u0669'"),
+            (REPORT_JSON, DEEP_METADATA, "ReportError",
+             f"malformed report: metadata 'x' is a JSON list, {NOT_SCALAR}"),
+            (REPORT_CSV, DEEP_METADATA, "ReportError",
+             f"malformed report: metadata 'x' is a JSON list, {NOT_SCALAR}"),
+            (REPORT_JSON, report_with(lambda r: r["metadata"].update(x=float("nan"))), "ReportError",
+             "malformed report: metadata 'x' is not a finite number"),
+            (REPORT_JSON, report_with(lambda r: r["metadata"].update(x=float("inf"))), "ReportError",
+             "malformed report: metadata 'x' is not a finite number"),
+            (REPORT_JSON, report_with(lambda r: r["metadata"].update(x={"seed": 7})), "ReportError",
+             f"malformed report: metadata 'x' is a JSON object, {NOT_SCALAR}"),
         ],
         ids=[
             "report-not-object", "report-no-engines", "report-no-cells", "report-no-aggregates",
@@ -368,7 +383,9 @@ class TestExitCodes:
             "datasets-unknown", "line-not-utf8", "confidence-malformed", "vote-no-predictions",
             "normalize-no-match", "coverage-no-match", "report-too-deep", "manifest-too-deep",
             "report-cer-sum-over-distance", "report-utf16", "report-bom", "confidence-underscore",
-            "confidence-arabic-indic-digits",
+            "confidence-arabic-indic-digits", "report-json-metadata-too-deep",
+            "report-csv-metadata-too-deep", "report-metadata-nan", "report-metadata-infinity",
+            "report-metadata-object",
         ],
     )
     def test_malformed_input(self, corpus, capsys, argv, content, error_type, message):
@@ -1641,6 +1658,44 @@ class TestVoteCommand:
         assert json.loads(capsys.readouterr().err) == {
             "error": {"type": "VotingError", "message": message}
         }
+        assert not out.exists()
+
+    def test_voters_go_in_engine_id_order(self, tmp_path, capsys):
+        # a first_voter tie goes to the smallest engine id, whatever the
+        # --engine order: e0's "b" beats e1's "c" both ways round
+        make_pred_tree(tmp_path / "pred", "e0", {"A": {"l1": "ab"}})
+        make_pred_tree(tmp_path / "pred", "e1", {"A": {"l1": "ac"}})
+        for engines in (["e0", "e1"], ["e1", "e0"]):
+            out = tmp_path / "-".join(engines)
+            argv = ["vote", "--pred", str(tmp_path / "pred"), "--out", str(out)]
+            assert run([*argv, *(f"--engine={eng}" for eng in engines)]) == 0
+            assert (out / "A" / "l1.pred.voted.txt").read_bytes() == b"ab\n"
+        capsys.readouterr()
+
+    def test_first_unreadable_file_is_of_the_first_engine_given(self, tmp_path, capsys):
+        # engines are read in --engine order, so e1's file is named first
+        for eng in ("e0", "e1"):
+            (tmp_path / "pred" / "A" / f"l1.pred.{eng}.txt").mkdir(parents=True)
+        out = tmp_path / "voted"
+        argv = ["vote", "--pred", str(tmp_path / "pred"), "--engine", "e1", "--engine", "e0",
+                "--out", str(out)]
+        message = f"cannot read {tmp_path / 'pred' / 'A' / 'l1.pred.e1.txt'}: Is a directory"
+
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_only_the_first_short_book_is_named(self, tmp_path, capsys):
+        make_pred_tree(tmp_path / "pred", "e0", {"A": {"l1": "a", "l2": "b", "l3": "c"}, "B": {"l1": "b"}})
+        make_pred_tree(tmp_path / "pred", "e1", {"A": {"l2": "b"}, "B": {"l2": "b"}})
+        out = tmp_path / "voted"
+        argv = ["vote", "--pred", str(tmp_path / "pred"), "--engine", "e0", "--engine", "e1",
+                "--out", str(out)]
+
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: insufficient voters in book 'A' on 2 line(s), need 2: l1, l3\n"
+        )
         assert not out.exists()
 
     def test_confidence_sidecars(self, corpus, capsys):

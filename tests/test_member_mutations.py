@@ -16,8 +16,8 @@ one of three things:
 
 The spec below says which outcome each mutation must have. A mutation
 that is never valid (another type, a negative count, a repeated id or
-class, an engine missing from engines) must be rejected; the others may be
-rejected or kept.
+class, an engine missing from engines, a metadata value made a container)
+must be rejected; the others may be rejected or kept.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ def report_outcome(payload, path, kind, new) -> str:
     if kind == "unknown engine":
         return "reject" if top == "confusion" else "write-only"  # a cell of no engine is not read
     if top == "metadata" and path[1:] and path[1] != "dictionary_corpus":
-        return "keep"  # metadata holds any JSON values besides the dictionary corpus
+        # metadata holds any scalar besides the dictionary corpus, no container
+        return "reject" if isinstance(new, (dict, list)) else "keep"
     if kind == "type" and path[-1] == "cer_sum" and json_type(new) in ("int", "float"):
         return "either"
     return "reject" if kind in ("type", "negative", "repeated") else "either"
@@ -174,7 +175,7 @@ def reports(draw) -> bytes:
         cells,
         confusion=confusion,
         k=draw(st.integers(1, 3)),
-        metadata={"seed": 7, "flags": {"merge_runs": False}},
+        metadata={"seed": 7, "merge_runs": False},
         dictionary_corpus=draw(st.sampled_from([DICTIONARY_CORPUS, "N"])),
     )
     return report_to_json(report)
