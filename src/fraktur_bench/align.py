@@ -57,7 +57,8 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from collections.abc import Sequence
-from itertools import repeat, zip_longest
+from itertools import compress, count, repeat, zip_longest
+from operator import ne
 
 
 class OpKind(enum.Enum):
@@ -106,23 +107,13 @@ def _trim(gt: str, pred: str) -> tuple[int, int, int]:
     that of the common suffix of what follows it, so k + s <= min(len(gt),
     len(pred))."""
     m, n = len(gt), len(pred)
-    # Galloping searches that compare each character at most a few times.
-    lo, hi = 0, min(m, n)
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if gt[lo:mid] == pred[lo:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    k = lo
-    lo, hi = 0, min(m, n) - k
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if gt[m - mid : m - lo] == pred[n - mid : n - lo]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return k, m - lo, n - lo
+    short = min(m, n)
+    # The first unequal pair from each end, each found by one C-level scan;
+    # the suffix is that of what follows the prefix, so at most short - k.
+    k = next(compress(count(), map(ne, gt, pred)), short)
+    s = next(compress(count(), map(ne, reversed(gt), reversed(pred))), short)
+    s = min(s, short - k)
+    return k, m - s, n - s
 
 
 # The most bits the lanes of one kernel run hold. An operation on a Python
@@ -194,8 +185,12 @@ def _edits(
     # columns give D[i-1][j-1] by popcount (column k is D[i][k] = i - k),
     # and v(i,j) = +1 exactly where deleting is optimal. Cost ties prefer
     # the diagonal, then delete, then insert. The walk stops at i == j <= k,
-    # where only matches are left. Each edit is recorded with (i, j) after
-    # the step: the numbers of characters before it.
+    # where only matches are left. A match is always the step taken, so a
+    # run of them is walked in one inner loop that tests neither the stop
+    # rule nor the block: it can pass the stop point only inside the common
+    # prefix, where it runs on to i == j == 0 and no edit is left either.
+    # Each edit is recorded with (i, j) after the step: the numbers of
+    # characters before it.
     bottom = 1 << off
     if vps:
         lane = (bottom << m - k) - bottom
@@ -204,9 +199,12 @@ def _edits(
     i, j = m, n
     while i > 0 and j > 0 and (i != j or j > k):
         g, p = gt[i - 1], pred[j - 1]
-        if g == p:  # D[i][j] == D[i-1][j-1]
+        if g == p:  # D[i][j] == D[i-1][j-1], and so on along the run
             i -= 1
             j -= 1
+            while i and j and gt[i - 1] == pred[j - 1]:
+                i -= 1
+                j -= 1
             continue
         if i <= k or j <= k:
             diagonal, up = False, i > j

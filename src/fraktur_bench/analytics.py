@@ -223,11 +223,15 @@ def build_report(
     """Assemble a report; aggregates, whitespace buckets and top-k shares
     are derived here so every emitter sees the same numbers. The
     dictionary corpus the aggregates were built with is recorded in the
-    metadata, over any value given there."""
+    metadata, over any value given there. Each metadata value must be one
+    that report_from_json reads back."""
     for ds in datasets:
         for eng in engines:
             if eng not in cells.get(ds, {}):
                 raise ReportError(f"missing cell for dataset {ds!r}, engine {eng!r}")
+    for key, value in (metadata or {}).items():
+        checked(key, STRING, "metadata key", ReportError)
+        checked(value, _METADATA_VALUE, f"metadata {key!r}", ReportError)
     confusion = confusion or {}
     conf_frozen = {eng: tuple(entries) for eng, entries in confusion.items()}
     return EvaluationReport(
@@ -268,7 +272,9 @@ _NOT_SCALAR = "not a string, number, boolean or null"
 _METADATA_VALUE = (
     (lambda v: type(v) is not dict, "{what} is a JSON object, " + _NOT_SCALAR),
     (lambda v: type(v) is not list, "{what} is a JSON list, " + _NOT_SCALAR),
-    (lambda v: type(v) is not float or math.isfinite(v), "{what} is not a finite number"),
+    # what json reads is one of the above or a scalar; a caller may pass more
+    (lambda v: isinstance(v, (str, int, float, type(None))), "{what} is " + _NOT_SCALAR),
+    (lambda v: not isinstance(v, float) or math.isfinite(v), "{what} is not a finite number"),
 )
 
 

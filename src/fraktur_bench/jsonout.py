@@ -1,7 +1,8 @@
 """The bytes of every report, coverage table and manifest, made by ``utf8``,
 the one place that rejects a name that is not valid UTF-8; their indented
-JSON, by json's C encoder; the envelope of each stored JSON file; and the
-kinds its members are checked against, by ``checked``.
+strict JSON, by json's C encoder, which refuses NaN and Infinity; the
+envelope of each stored JSON file; and the kinds its members are checked
+against, by ``checked``.
 
 ``json.dumps`` with ``indent`` runs the pure-Python encoder. The C encoder
 writes the same bytes, with a level's line break and indent as its item
@@ -16,7 +17,7 @@ import os
 import re
 from functools import cache
 from itertools import chain, repeat
-from json import JSONEncoder, loads
+from json import JSONEncoder, dumps, loads
 
 from .errors import ManifestError
 
@@ -71,9 +72,15 @@ def utf8(text: str) -> bytes:
 
 
 def dump_json(value: object, ascii: bool = False) -> bytes:
-    """``(json.dumps(value, sort_keys=True, ensure_ascii=ascii, indent=2) + "\\n").encode()``
-    exactly; a dict that holds a container must have str keys (else TypeError)."""
-    return utf8(_layout(value, 0, ascii) + "\n")
+    """``(json.dumps(value, sort_keys=True, ensure_ascii=ascii, indent=2, allow_nan=False)
+    + "\\n").encode()`` exactly; a dict that holds a container must have str keys
+    (else TypeError). A NaN or infinite float raises ManifestError, as strict
+    JSON cannot hold it."""
+    try:
+        text = _layout(value, 0, ascii)
+    except ValueError:  # the encoder's "Out of range float values are not JSON compliant"
+        raise ManifestError("output holds NaN or Infinity, which JSON cannot hold") from None
+    return utf8(text + "\n")
 
 
 def load_json(data: bytes | str, kind: str, version: int, error: type[Exception]) -> dict:
@@ -91,7 +98,7 @@ def load_json(data: bytes | str, kind: str, version: int, error: type[Exception]
         raise error(f"{kind} is not valid JSON: {exc}") from exc
     if any(escape in data for escape in _SURROGATE_ESCAPES):
         try:
-            _encoder(False, 0)(payload).encode("utf-8")
+            dumps(payload, ensure_ascii=False).encode("utf-8")  # NaN as json reads it
         except UnicodeEncodeError as exc:
             code = ord(exc.object[exc.start])
             raise error(f"{kind} holds a lone surrogate escape \\u{code:04x}") from None
@@ -105,7 +112,9 @@ def load_json(data: bytes | str, kind: str, version: int, error: type[Exception]
 @cache
 def _encoder(ascii: bool, depth: int):
     separators = (",\n" + "  " * depth, ": ")
-    return JSONEncoder(sort_keys=True, ensure_ascii=ascii, separators=separators).encode
+    return JSONEncoder(
+        sort_keys=True, ensure_ascii=ascii, separators=separators, allow_nan=False
+    ).encode
 
 
 def _layout(value: object, depth: int, ascii: bool) -> str:

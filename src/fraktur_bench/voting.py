@@ -12,12 +12,14 @@ Slots exist only where voters disagree. Each voter's edits, which its
 alignment result records with their positions, are read once; a
 character slot where every voter casts the pivot's character, or a gap
 where nobody inserts, has one symbol with all the votes, so it keeps the
-pivot's text at no cost. Only the contested slots are built, cast in the
-same order (pivot first, then the voters by index, so confidence sums
-round the same) and resolved; their results are spliced into the pivot
-text. The pivot casts through the same rule as every voter, as a voter
-with no edits: its own character and confidence at a character slot, no
-insertion at a gap.
+pivot's text at no cost. Only the contested slots are resolved, and
+their results are spliced into the pivot text. A slot is decided by its
+voters' symbols; their confidences are read only where the leaders tie
+under the confidence tie-break, and then summed in cast order (the
+pivot first, then the voters by index), which fixes how each sum rounds.
+The pivot casts through the same rule as every voter, as a voter
+with no edits: its own character (and confidence) at a character slot,
+no insertion at a gap.
 
 vote_lines votes many lines in three passes: it checks every line (voter
 count, confidences when the tie-break needs them, the pivot engine), then
@@ -113,32 +115,34 @@ def _pick_pivot(outputs: Sequence[VoterOutput], config: VotingConfig) -> int:
     return best
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
-def _resolve(casts: Sequence[tuple[str, int, float]], config: VotingConfig) -> str:
-    """The symbol a slot elects from its (symbol, voter index, confidence)
-    casts, the pivot's first. A symbol is one character (slots), the
-    inserted characters (gaps), or "" for no opinion."""
-    votes: dict[str, list[int]] = {}
-    confidence: dict[str, float] = {}
-    for symbol, voter, conf in casts:
-        votes.setdefault(symbol, []).append(voter)
-        confidence[symbol] = confidence.get(symbol, 0.0) + conf
-    top = max(len(v) for v in votes.values())
-    leaders = sorted(sym for sym, v in votes.items() if len(v) == top)
+def _resolve(key: int, text: str, voters: Sequence[_Edits], config: VotingConfig) -> str:
+    """The symbol the voters, the pivot's first, elect at slot key. A symbol
+    is one character (slots), the inserted characters (gaps), or "" for no
+    opinion. Confidences are read only where the leaders tie under the
+    confidence tie-break."""
+    symbols = [v.symbol(key, text) for v in voters]
+    votes: dict[str, int] = {}
+    for symbol in symbols:
+        votes[symbol] = votes.get(symbol, 0) + 1
+    top = max(votes.values())
+    leaders = sorted(sym for sym, n in votes.items() if n == top)
     if len(leaders) == 1:
         return leaders[0]
     if config.tie_break == "abstain_to_pivot":
-        return casts[0][0]
+        return symbols[0]
     if config.tie_break == "confidence":
-        best = max(confidence[s] for s in leaders)
+        # each leader's confidences, summed in cast order
+        confidence = dict.fromkeys(leaders, 0.0)
+        for v, symbol in zip(voters, symbols):
+            if symbol in confidence:
+                confidence[symbol] += v.confidence(key)
+        best = max(confidence.values())
         leaders = [s for s in leaders if confidence[s] == best]
         if len(leaders) == 1:
             return leaders[0]
-    # first_voter, and the fallback for exact confidence ties
-    return min(leaders, key=lambda s: min(votes[s]))
+    # first_voter, and the fallback for exact confidence ties: the leader
+    # cast by the voter with the lowest index
+    return min((v.index, symbol) for v, symbol in zip(voters, symbols) if symbol in leaders)[1]
 
 
 class _Edits:
@@ -174,20 +178,29 @@ class _Edits:
             self.starts.append(p)
             self.shifts.append(q - p)
 
-    def vote(self, key: int, pivot_text: str) -> tuple[str, int, float]:
-        """This voter's cast at a slot: its symbol, index and confidence."""
-        text, conf = self.voter.text, self.voter.confidences
+    def symbol(self, key: int, pivot_text: str) -> str:
+        """This voter's symbol at a slot."""
+        span = self.spans.get(key)
+        if span is None:
+            return pivot_text[key >> 1] if key & 1 else ""
+        return self.voter.text[span[0] : span[1]]
+
+    def confidence(self, key: int) -> float:
+        """This voter's confidence at a slot: its character's at a character
+        slot, the mean of its inserted characters' at a gap, 0.0 where it
+        casts nothing. Only the confidence tie-break reads it, and there
+        every voter has confidences."""
+        conf = self.voter.confidences
         span = self.spans.get(key)
         if span is None:
             if not key & 1:
-                return "", self.index, 0.0
+                return 0.0
             i = key >> 1
-            q = i + self.shifts[bisect_right(self.starts, i) - 1]
-            return pivot_text[i], self.index, conf[q] if conf is not None else 0.0
+            return conf[i + self.shifts[bisect_right(self.starts, i) - 1]]
         q0, q1 = span
-        if conf is None or q0 == q1:
-            return text[q0:q1], self.index, 0.0
-        return text[q0:q1], self.index, conf[q0] if key & 1 else _mean(conf[q0:q1])
+        if q0 == q1:
+            return 0.0
+        return conf[q0] if key & 1 else sum(conf[q0:q1]) / (q1 - q0)
 
 
 def vote_lines(lines: Iterable[Sequence[VoterOutput]], config: VotingConfig) -> list[str]:
@@ -240,7 +253,7 @@ def _voted_text(text: str, voters: Sequence[_Edits], config: VotingConfig) -> st
     for key in sorted(contested):
         pos = key >> 1
         pieces.append(text[done:pos])
-        pieces.append(_resolve([v.vote(key, text) for v in voters], config))
+        pieces.append(_resolve(key, text, voters, config))
         done = pos + (key & 1)
     pieces.append(text[done:])
     return "".join(pieces)

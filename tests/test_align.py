@@ -25,6 +25,10 @@ short_text = st.text(alphabet="abcdef ", max_size=24)
 # 64-bit words of the kernel's bit vectors.
 tie_text = st.text(alphabet="ab", max_size=40) | st.text(alphabet="ab c", max_size=90)
 tie_affix = st.text(alphabet="ab", max_size=12) | st.text(alphabet="ab c", max_size=70)
+# Tie-prone letters with a non-BMP letter and a combining diaeresis; an
+# affix, a middle, a middle and an affix make texts of 0-40 characters.
+trim_affix = st.text(alphabet="ab\U0001d51e\u0308", max_size=10)
+trim_middle = st.text(alphabet="ab\U0001d51e\u0308", max_size=20)
 
 
 def reference_alignment(a: str, b: str):
@@ -254,6 +258,26 @@ class TestTrimmedPaths:
     def test_match_ops_are_shared(self):
         ops = align("abab", "abab").ops
         assert ops[0] is ops[2] and ops[0] == match("a")
+
+    @staticmethod
+    def assert_trim_is_naive(gt, pred):
+        """_trim gives the common prefix, then the common suffix of the rest."""
+        k = 0
+        while k < min(len(gt), len(pred)) and gt[k] == pred[k]:
+            k += 1
+        s = 0
+        while s < min(len(gt), len(pred)) - k and gt[-1 - s] == pred[-1 - s]:
+            s += 1
+        assert _trim(gt, pred) == (k, len(gt) - s, len(pred) - s)
+        assert k + s <= min(len(gt), len(pred))
+
+    @given(trim_affix, trim_middle, trim_middle, trim_affix)
+    def test_trim_matches_naive(self, prefix, a, b, suffix):
+        self.assert_trim_is_naive(prefix + a + suffix, prefix + b + suffix)
+
+    @pytest.mark.parametrize("gt, pred", [("aa", "aaa"), ("abab", "ab"), ("", "x")])
+    def test_trim_explicit_cases(self, gt, pred):
+        self.assert_trim_is_naive(gt, pred)
 
 
 # Lanes for the multi-lane kernel: tie-heavy texts, and texts over letters

@@ -404,6 +404,9 @@ def small_report(**kwargs) -> EvaluationReport:
     return build_report(**defaults)
 
 
+NOT_SCALAR = "not a string, number, boolean or null"
+
+
 class TestReportRoundTrip:
     def test_json_round_trip(self):
         report = small_report()
@@ -493,6 +496,25 @@ class TestReportRoundTrip:
                 engines=["e1"],
                 cells={"N-1781": {}},
             )
+
+    @pytest.mark.parametrize(
+        "metadata, message",
+        [
+            ({"flags": {"a": 1}}, f"metadata 'flags' is a JSON object, {NOT_SCALAR}"),
+            ({"flags": [1]}, f"metadata 'flags' is a JSON list, {NOT_SCALAR}"),
+            ({"flags": (1,)}, f"metadata 'flags' is {NOT_SCALAR}"),
+            ({"flags": float("nan")}, "metadata 'flags' is not a finite number"),
+            ({"flags": float("-inf")}, "metadata 'flags' is not a finite number"),
+            ({1: "x"}, "metadata key is 1, not a string"),
+        ],
+        ids=["object", "list", "tuple", "nan", "infinity", "int-key"],
+    )
+    def test_metadata_the_reader_refuses_is_refused(self, metadata, message):
+        # report_from_json refuses each of these (JSON keys are strings),
+        # and strict JSON has no NaN or Infinity, so no report may hold one
+        with pytest.raises(ReportError) as err:
+            small_report(metadata={"seed": 0, **metadata})
+        assert str(err.value) == message
 
 
 class TestEmitters:

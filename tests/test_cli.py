@@ -29,7 +29,7 @@ from fraktur_bench.errors import ToolkitError
 from fraktur_bench.pipeline import eval_pipeline
 from fraktur_bench.manifests import BookEntry, manifest_to_json
 
-from trees import make_gt_tree, make_pred_tree, package_env
+from trees import make_gt_tree, make_pred_tree, package_env, strict_json
 
 
 @pytest.fixture
@@ -362,6 +362,9 @@ class TestExitCodes:
              "malformed report: metadata 'x' is not a finite number"),
             (REPORT_JSON, report_with(lambda r: r["metadata"].update(x={"seed": 7})), "ReportError",
              f"malformed report: metadata 'x' is a JSON object, {NOT_SCALAR}"),
+            (REPORT_JSON,
+             report_with(lambda r: (rename_dataset(r), r["metadata"].update(x=float("nan")))),
+             "ReportError", "report holds a lone surrogate escape \\ud800"),
         ],
         ids=[
             "report-not-object", "report-no-engines", "report-no-cells", "report-no-aggregates",
@@ -385,7 +388,7 @@ class TestExitCodes:
             "report-cer-sum-over-distance", "report-utf16", "report-bom", "confidence-underscore",
             "confidence-arabic-indic-digits", "report-json-metadata-too-deep",
             "report-csv-metadata-too-deep", "report-metadata-nan", "report-metadata-infinity",
-            "report-metadata-object",
+            "report-metadata-object", "report-nan-and-surrogate",
         ],
     )
     def test_malformed_input(self, corpus, capsys, argv, content, error_type, message):
@@ -1939,12 +1942,12 @@ class TestPrepareCommands:
     def test_scan_refine_schedule_verify(self, corpus, tmp_path, capsys):
         manifest = tmp_path / "N.json"
         assert run(["prepare", "scan", "--root", str(corpus / "gt"), "--corpus", "N", "--out", str(manifest)]) == 0
-        payload = json.loads(manifest.read_text(encoding="utf-8"))
+        payload = strict_json(manifest.read_bytes())
         assert [b["book_id"] for b in payload["books"]] == ["N-1781", "N-1803"]
 
         refined = tmp_path / "refined.json"
         assert run(["prepare", "refine", "--manifest", str(manifest), "--cap", "1", "--out", str(refined)]) == 0
-        back = json.loads(refined.read_text(encoding="utf-8"))
+        back = strict_json(refined.read_bytes())
         assert all(len(b["lines"]) == 1 for b in back["books"])
 
         sched = tmp_path / "sched.json"
@@ -1959,7 +1962,7 @@ class TestPrepareCommands:
             ]
         )
         assert code == 0
-        payload = json.loads(sched.read_text(encoding="utf-8"))
+        payload = strict_json(sched.read_bytes())
         assert [s["name"] for s in payload["stages"]] == ["real", "refinement"]
         assert payload["stages"][0]["count"] == 3
 
@@ -1967,7 +1970,7 @@ class TestPrepareCommands:
         expected.write_text("corpus_id,books,lines\nN,2,3\n", encoding="utf-8")
         out = tmp_path / "verify.json"
         assert run(["prepare", "verify", "--manifest", str(manifest), "--expected", str(expected), "--out", str(out)]) == 0
-        assert json.loads(out.read_text(encoding="utf-8")) == []
+        assert strict_json(out.read_bytes()) == []
         capsys.readouterr()
 
     def test_counts_may_have_whitespace_around(self, corpus, tmp_path, capsys):

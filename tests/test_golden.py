@@ -18,7 +18,7 @@ import pytest
 
 from fraktur_bench.cli import run
 
-from trees import make_gt_tree, make_pred_tree
+from trees import make_gt_tree, make_pred_tree, strict_json
 
 GT = {
     "N-1781": {
@@ -246,3 +246,22 @@ def test_voted_lines(vote_tree, tmp_path, capsys, tie_break):
         f.relative_to(out).as_posix().encode() + b"\0" + f.read_bytes() for f in files
     )
     assert sha256(listing) == VOTE_DIGESTS[tie_break]
+
+
+@pytest.mark.parametrize("tree", ["eval_tree", "unmapped_tree"])
+def test_json_outputs_are_strict(request, tmp_path, capsys, tree):
+    root = request.getfixturevalue(tree)
+    names = ("report", "errors", "again", "coverage")
+    report, errors, again, coverage = (tmp_path / f"{name}.json" for name in names)
+    # --on-unmapped drop: the unmapped tree needs a policy; the eval tree has nothing to drop
+    args = ["--gt", str(root / "gt"), "--pred", str(root / "pred"), "--engine", "a",
+            "--engine", "b", "--on-unmapped", "drop", "--format", "json"]
+    for argv in (
+        ["eval", *args, "--out", str(report)],
+        ["errors", *args, "--out", str(errors)],
+        ["report", "--in", str(report), "--format", "json", "--out", str(again)],
+        ["coverage", "--in", str(root / "gt"), "--out", str(coverage)],
+    ):
+        assert run(argv) == 0, capsys.readouterr().err
+    for path in (report, errors, again, coverage):
+        strict_json(path.read_bytes())

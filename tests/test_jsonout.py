@@ -17,8 +17,23 @@ from fraktur_bench.jsonout import dump_json, load_json
 from fraktur_bench.manifests import BookEntry, manifest_to_json, refinement_sample
 
 
-def reference(value: object, ascii: bool) -> bytes:
-    return (json.dumps(value, sort_keys=True, ensure_ascii=ascii, indent=2) + "\n").encode("utf-8")
+def reference(value: object, ascii: bool) -> bytes | None:
+    """json.dumps's bytes, or None where strict JSON refuses a NaN or an
+    infinite float."""
+    try:
+        text = json.dumps(value, sort_keys=True, ensure_ascii=ascii, indent=2, allow_nan=False)
+    except ValueError:
+        return None
+    return (text + "\n").encode("utf-8")
+
+
+def dumped(value: object, ascii: bool) -> bytes | None:
+    """dump_json's bytes, or None where it refuses a NaN or an infinite float."""
+    try:
+        return dump_json(value, ascii=ascii)
+    except ManifestError as exc:
+        assert str(exc) == "output holds NaN or Infinity, which JSON cannot hold"
+        return None
 
 
 # Quotes, backslashes, line breaks, control, non-ASCII and astral
@@ -84,7 +99,7 @@ payloads = st.one_of(
 def test_bytes_of_json_dumps(c_encoder, value):
     with mock.patch.object(json.encoder, "c_make_encoder", json.encoder.c_make_encoder if c_encoder else None):
         for ascii in (False, True):
-            assert dump_json(value, ascii=ascii) == reference(value, ascii)
+            assert dumped(value, ascii) == reference(value, ascii)
 
 
 keys = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), text)
@@ -96,7 +111,7 @@ def test_other_keys_give_the_same_bytes_or_type_error(value):
     """json.dumps writes int, float, bool and None keys as strings; a dict
     that dump_json lays out itself refuses them rather than differ."""
     try:
-        got = dump_json(value)
+        got = dumped(value, False)
     except TypeError:
         return
     assert got == reference(value, False)

@@ -374,6 +374,44 @@ class TestVoteLine:
         assert once == twice
 
 
+class CountedConfidences(tuple):
+    """Confidences that count the reads of their items and slices."""
+
+    def __new__(cls, values):
+        self = super().__new__(cls, values)
+        self.reads = 0
+        return self
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def counted_voters(*texts: str) -> list[VoterOutput]:
+    return [
+        VoterOutput(f"e{i}", t, CountedConfidences([0.5] * len(t))) for i, t in enumerate(texts)
+    ]
+
+
+class TestConfidenceReads:
+    """A slot is decided by its symbols; confidences are read only where
+    its leaders tie under the confidence tie-break."""
+
+    def test_no_tie_reads_none(self):
+        outputs = counted_voters("Die Sonne scheint", "Die Sonne schient", "Dle Sonne scheint")
+        assert vote_one(outputs, VotingConfig(tie_break="confidence")) == "Die Sonne scheint"
+        assert [o.confidences.reads for o in outputs] == [0, 0, 0]
+
+    @pytest.mark.parametrize("tie_break, reads", [("confidence", [1, 1]), ("first_voter", [0, 0]),
+                                                   ("abstain_to_pivot", [0, 0])])
+    def test_a_tie_reads_only_the_tied_casts(self, tie_break, reads):
+        outputs = [VoterOutput("e0", "abc", CountedConfidences([0.5, 0.5, 0.4])),
+                   VoterOutput("e1", "abd", CountedConfidences([0.5, 0.5, 0.9]))]
+        expected = "abd" if tie_break == "confidence" else "abc"
+        assert vote_one(outputs, VotingConfig(tie_break=tie_break)) == expected
+        assert [o.confidences.reads for o in outputs] == reads
+
+
 class TestMatchesReference:
     """vote_lines builds slots only where voters disagree; the text it votes
     must be the reference voter's, tie-breaks and float sums included."""

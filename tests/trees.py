@@ -1,4 +1,5 @@
-"""Builders for small on-disk line-pair trees, shared by the test modules.
+"""Builders for small on-disk line-pair trees, and helpers for reading
+what commands write, shared by the test modules.
 
 Layout under a tree root is <book>/<line>.gt.txt with an image sibling,
 and <book>/<line>.pred.<engine>.txt for predictions. Builders take
@@ -7,6 +8,7 @@ nested dicts so tests can describe a corpus in a few lines.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -19,6 +21,15 @@ def package_env() -> dict[str, str]:
     src = str(Path(fraktur_bench.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + inherited if inherited else "")}
+
+
+def strict_json(data: bytes) -> object:
+    """data parsed as strict JSON, which has no NaN, Infinity or -Infinity."""
+
+    def refuse(token: str) -> None:
+        raise AssertionError(f"{token} is not strict JSON")
+
+    return json.loads(data, parse_constant=refuse)
 
 
 def make_gt_tree(root: Path, books: dict[str, dict[str, str]]) -> Path:
