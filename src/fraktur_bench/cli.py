@@ -156,11 +156,13 @@ def _engine_trees(args: argparse.Namespace) -> dict[str, str]:
 
 def _glob_match(parts: list[str], pats: list[str]) -> bool:
     """Whether path parts match glob parts, a '**' part matching any number."""
-    if not pats:
-        return not parts
-    if pats[0] == "**":
-        return any(_glob_match(parts[i:], pats[1:]) for i in range(len(parts) + 1))
-    return bool(parts) and fnmatchcase(parts[0], pats[0]) and _glob_match(parts[1:], pats[1:])
+    counts = {0}  # the numbers of leading parts that the glob parts so far match
+    for pat in pats:
+        if pat == "**":
+            counts = set(range(min(counts, default=len(parts) + 1), len(parts) + 1))
+        else:
+            counts = {n + 1 for n in counts if n < len(parts) and fnmatchcase(parts[n], pat)}
+    return len(parts) in counts
 
 
 def _tree_files(src: str, pattern: str) -> list[str]:
@@ -406,19 +408,22 @@ def _cmd_prepare_verify(args: argparse.Namespace) -> int:
     expected: list[tuple[str, int, int]] = []
     text = read_utf8(posix_path(args.expected), ManifestError)
     reader = csv.DictReader(io.StringIO(text, newline=""))
-    missing = [c for c in ("corpus_id", "books", "lines") if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ManifestError(
-            f"{args.expected}: header lacks {', '.join(missing)} (want corpus_id,books,lines)"
-        )
-    for row in reader:
-        try:
-            expected.append((row["corpus_id"], _count(row["books"]), _count(row["lines"])))
-        except ValueError as exc:
+    try:
+        missing = [c for c in ("corpus_id", "books", "lines") if c not in (reader.fieldnames or ())]
+        if missing:
             raise ManifestError(
-                f"{args.expected}:{reader.line_num}: books and lines must be counts written in "
-                f"the digits 0-9, got {row['books']!r} and {row['lines']!r}"
-            ) from exc
+                f"{args.expected}: header lacks {', '.join(missing)} (want corpus_id,books,lines)"
+            )
+        for row in reader:
+            try:
+                expected.append((row["corpus_id"], _count(row["books"]), _count(row["lines"])))
+            except ValueError as exc:
+                raise ManifestError(
+                    f"{args.expected}:{reader.line_num}: books and lines must be counts written "
+                    f"in the digits 0-9, got {row['books']!r} and {row['lines']!r}"
+                ) from exc
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise ManifestError(f"{args.expected}:{reader.reader.line_num}: {exc}") from None
     problems = verify_counts(books, expected)
     data = dump_json(problems, ascii=True)
     if args.out:

@@ -8,8 +8,9 @@ deletion) and one per gap (the characters it inserts there, usually
 nothing). The symbol with a strict majority wins a slot; a unique
 plurality also wins; remaining ties fall to the configured tie-break.
 
-Slots exist only where voters disagree. Each voter's edits, which its
-alignment result records with their positions, are read once; a
+Slots exist only where voters disagree. Each voter keeps its edits as
+its alignment result records them, with the slot key of each; the edits
+it casts at a slot are the run of that key, found by bisection. A
 character slot where every voter casts the pivot's character, or a gap
 where nobody inserts, has one symbol with all the votes, so it keeps the
 pivot's text at no cost. Only the contested slots are resolved, and
@@ -32,7 +33,7 @@ multiple sequence alignment.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
@@ -108,11 +109,7 @@ def _pick_pivot(outputs: Sequence[VoterOutput], config: VotingConfig) -> int:
             if out.engine_id == config.pivot:
                 return i
         raise VotingError(f"pivot engine {config.pivot!r} not among voters")
-    best = 0
-    for i, out in enumerate(outputs):
-        if len(out.text) > len(outputs[best].text):
-            best = i
-    return best
+    return max(range(len(outputs)), key=lambda i: len(outputs[i].text))
 
 
 def _resolve(key: int, text: str, voters: Sequence[_Edits], config: VotingConfig) -> str:
@@ -146,44 +143,29 @@ def _resolve(key: int, text: str, voters: Sequence[_Edits], config: VotingConfig
 
 
 class _Edits:
-    """One voter's edits against the pivot (AlignmentResult.edits).
-
-    Slot keys: 2*g is the gap before pivot character g, 2*i+1 is pivot
-    character i, so sorted keys follow the text.
+    """One voter's edits against the pivot, as align_many returns them, and
+    keys, their slot keys: 2*g is the gap before pivot character g, 2*i+1
+    is pivot character i. Edits come in script order, so keys is sorted.
+    The edits a voter casts at a slot are the run of its key: none, one
+    substitution or deletion, or its insertions, consecutive in its text.
     """
 
     def __init__(self, index: int, voter: VoterOutput, edits: Sequence[Edit]) -> None:
         self.index = index
         self.voter = voter
-        # slot key -> voter range cast there: empty for a deletion, one
-        # character for a substitution, the inserted characters at a gap
-        self.spans: dict[int, tuple[int, int]] = {}
-        # A voter character matched to pivot character i sits at
-        # i + shifts[k], k the last index with starts[k] <= i.
-        self.starts = [0]
-        self.shifts = [0]
-        # pivot and voter characters before the edit, and its two characters
-        for p, q, pivot_c, voter_c in edits:
-            if pivot_c and voter_c:  # a substitution
-                self.spans[2 * p + 1] = (q, q + 1)
-                continue
-            if not pivot_c:  # an insertion
-                key = 2 * p
-                self.spans[key] = (self.spans.get(key, (q, q))[0], q + 1)
-                q += 1
-            else:  # a deletion
-                self.spans[2 * p + 1] = (q, q)
-                p += 1
-            # insertions and deletions shift the matches after them
-            self.starts.append(p)
-            self.shifts.append(q - p)
+        # pivot and voter characters before each edit, and its two characters
+        self.edits = edits
+        self.keys = [2 * p + (pivot_c != "") for p, _, pivot_c, _ in edits]
 
     def symbol(self, key: int, pivot_text: str) -> str:
         """This voter's symbol at a slot."""
-        span = self.spans.get(key)
-        if span is None:
-            return pivot_text[key >> 1] if key & 1 else ""
-        return self.voter.text[span[0] : span[1]]
+        keys = self.keys
+        lo = bisect_left(keys, key)
+        if key & 1:
+            return self.edits[lo][3] if lo < len(keys) and keys[lo] == key else pivot_text[key >> 1]
+        n = bisect_right(keys, key, lo) - lo
+        q = self.edits[lo][1] if n else 0
+        return self.voter.text[q : q + n]
 
     def confidence(self, key: int) -> float:
         """This voter's confidence at a slot: its character's at a character
@@ -191,16 +173,19 @@ class _Edits:
         casts nothing. Only the confidence tie-break reads it, and there
         every voter has confidences."""
         conf = self.voter.confidences
-        span = self.spans.get(key)
-        if span is None:
+        lo = bisect_left(self.keys, key)
+        hi = bisect_right(self.keys, key, lo)
+        if lo < hi:
+            _, q, _, voter_c = self.edits[lo]
             if not key & 1:
-                return 0.0
-            i = key >> 1
-            return conf[i + self.shifts[bisect_right(self.starts, i) - 1]]
-        q0, q1 = span
-        if q0 == q1:
+                return sum(conf[q : q + hi - lo]) / (hi - lo)
+            return conf[q] if voter_c else 0.0
+        if not key & 1:
             return 0.0
-        return conf[q0] if key & 1 else sum(conf[q0:q1]) / (q1 - q0)
+        # A matched character sits as far past the pivot's as the last edit
+        # before the slot left it.
+        p, q, pivot_c, voter_c = self.edits[lo - 1] if lo else (0, 0, "", "")
+        return conf[(key >> 1) + q + (voter_c != "") - p - (pivot_c != "")]
 
 
 def vote_lines(lines: Iterable[Sequence[VoterOutput]], config: VotingConfig) -> list[str]:
@@ -244,7 +229,7 @@ def vote_lines(lines: Iterable[Sequence[VoterOutput]], config: VotingConfig) -> 
 def _voted_text(text: str, voters: Sequence[_Edits], config: VotingConfig) -> str:
     """The pivot's text with each contested slot replaced by its result;
     voters starts with the pivot's own, which has no edits."""
-    contested = set().union(*(v.spans for v in voters))
+    contested = set().union(*(v.keys for v in voters))
     if not contested:
         return text
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import errno
 import inspect
 import itertools
@@ -365,6 +366,10 @@ class TestExitCodes:
             (REPORT_JSON,
              report_with(lambda r: (rename_dataset(r), r["metadata"].update(x=float("nan")))),
              "ReportError", "report holds a lone surrogate escape \\ud800"),
+            (VERIFY, "corpus_id,books,lines\n" + "x" * 200_000 + ",1,1\n", "ManifestError",
+             f"{{bad}}:2: field larger than field limit ({csv.field_size_limit()})"),
+            (VERIFY, "h" * 140_000 + ",corpus_id,books,lines\nN,1,1\n", "ManifestError",
+             f"{{bad}}:1: field larger than field limit ({csv.field_size_limit()})"),
         ],
         ids=[
             "report-not-object", "report-no-engines", "report-no-cells", "report-no-aggregates",
@@ -388,7 +393,8 @@ class TestExitCodes:
             "report-cer-sum-over-distance", "report-utf16", "report-bom", "confidence-underscore",
             "confidence-arabic-indic-digits", "report-json-metadata-too-deep",
             "report-csv-metadata-too-deep", "report-metadata-nan", "report-metadata-infinity",
-            "report-metadata-object", "report-nan-and-surrogate",
+            "report-metadata-object", "report-nan-and-surrogate", "expected-field-too-long",
+            "expected-header-too-long",
         ],
     )
     def test_malformed_input(self, corpus, capsys, argv, content, error_type, message):

@@ -23,13 +23,15 @@ import io
 import os
 import sys
 import tempfile
+import time
+from fnmatch import fnmatchcase
 from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraktur_bench.cli import _tree_files
+from fraktur_bench.cli import _glob_match, _tree_files
 from fraktur_bench.errors import ManifestError
 from fraktur_bench.lines import line_id_of, posix_path, stem
 from fraktur_bench.manifests import BookEntry, scan_corpus
@@ -394,6 +396,38 @@ class TestPatternWalk:
         pattern part names one; a '**' inside a part is two '*'."""
         build_walk_tree(tmp_path / "in", [])
         assert tree_files(tmp_path / "in", pattern) == [str(tmp_path / "in" / f) for f in found]
+
+
+def reference_glob_match(parts: list[str], pats: list[str]) -> bool:
+    """The earlier recursive _glob_match, exponential in its '**' parts."""
+    if not pats:
+        return not parts
+    if pats[0] == "**":
+        return any(reference_glob_match(parts[i:], pats[1:]) for i in range(len(parts) + 1))
+    return bool(parts) and fnmatchcase(parts[0], pats[0]) and reference_glob_match(parts[1:], pats[1:])
+
+
+class TestGlobMatch:
+    """_glob_match keeps the counts of path parts its glob parts can match,
+    in one pass over the glob parts."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        parts=st.lists(st.sampled_from(("a", "b", "ab", ".a", "a.gt.txt")), max_size=6),
+        pats=st.lists(st.sampled_from(("**", "*", "?", "a", "b", "[ab]*", "*.txt", ".*")), max_size=6),
+    )
+    def test_matches_recursive_reference(self, parts, pats):
+        assert _glob_match(parts, pats) == reference_glob_match(parts, pats)
+
+    def test_many_star_star_parts(self):
+        """12 '**' parts and a 12-deep path that they do not match, where the
+        recursion tries every way to share the path's parts among them and
+        takes seconds."""
+        parts = [f"d{i}" for i in range(11)] + ["l1.gt.txt"]
+        start = time.perf_counter()
+        assert not _glob_match(parts, [*["**"] * 12, "zz.gt.txt"])
+        assert _glob_match(parts, [*["**"] * 12, "l1.gt.txt"])
+        assert time.perf_counter() - start < 0.5
 
 
 # --- the path rules of the codec and rules loaders ------------------------

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraktur_bench.align import OpKind, align
+from fraktur_bench.align import OpKind, align, align_many
 from fraktur_bench.errors import VotingError
 from fraktur_bench.voting import (
     TIE_BREAKS,
     VOTED_ENGINE_ID,
     VoterOutput,
     VotingConfig,
+    _Edits,
     vote_lines,
 )
 
@@ -465,3 +466,63 @@ class TestMatchesReference:
                 confidences = tuple(rng.choice(CONFIDENCES) for _ in text)
                 outputs.append(VoterOutput(f"e{i}", text, confidences))
             assert_votes_like_reference(outputs)
+
+
+def replayed_ranges(pivot: str, edits) -> list[tuple[int, int]]:
+    """The voter range cast at each slot key 0..2*len(pivot), replayed one
+    slot at a time from the edits: a gap takes the insertions at its pivot
+    position, a character slot one substitution or deletion there, or else
+    one matched character."""
+    ranges = []
+    p = q = 0
+    todo = list(edits)
+    for key in range(2 * len(pivot) + 1):
+        start = q
+        if key & 1:
+            if todo and todo[0][0] == p and todo[0][2]:
+                _, at, _, voter_c = todo.pop(0)
+                assert at == q
+                q += len(voter_c)
+            else:
+                q += 1
+            p += 1
+        else:
+            while todo and todo[0][0] == p and not todo[0][2]:
+                assert todo.pop(0)[1] == q
+                q += 1
+        ranges.append((start, q))
+    assert not todo
+    return ranges
+
+
+@st.composite
+def pivot_voter_pairs(draw) -> tuple[str, str]:
+    """A pivot and a voter over 1-3 letters: the voter drawn freely, or
+    the pivot with characters cut and added at both ends."""
+    alphabet = "abc"[: draw(st.integers(min_value=1, max_value=3))]
+    pivot = draw(st.text(alphabet=alphabet, max_size=10))
+    ends = st.text(alphabet=alphabet, max_size=3)
+    cut = st.integers(min_value=0, max_value=3)
+    head, tail, front, back = draw(ends), draw(ends), draw(cut), draw(cut)
+    edited = head + pivot[front : max(front, len(pivot) - back)] + tail
+    return pivot, draw(st.sampled_from((edited, pivot)) | st.text(alphabet=alphabet, max_size=10))
+
+
+class TestEditsAtEverySlot:
+    """A voter's symbol and confidence at every slot, not only at the tied
+    ones that vote_lines reads, are those of the voter range its edits
+    cast there; the pivot's own, with no edits, casts its own text."""
+
+    @settings(max_examples=600)
+    @given(pivot_voter_pairs())
+    def test_slots_match_replayed_edits(self, pair):
+        pivot, text = pair
+        # distinct confidences, so that reading a neighbour's shows
+        voter = VoterOutput("v", text, tuple((j + 1) / 64 for j in range(len(text))))
+        own = VoterOutput("p", pivot, tuple((j + 1) / 64 for j in range(len(pivot))))
+        for out, edits in ((voter, align_many([(pivot, text)])[0].edits), (own, ())):
+            cast = _Edits(0, out, edits)
+            for key, (q0, q1) in enumerate(replayed_ranges(pivot, edits)):
+                assert cast.symbol(key, pivot) == out.text[q0:q1], key
+                conf = out.confidences[q0:q1]
+                assert cast.confidence(key) == (sum(conf) / len(conf) if conf else 0.0), key
