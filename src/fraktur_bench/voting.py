@@ -8,19 +8,21 @@ deletion) and one per gap (the characters it inserts there, usually
 nothing). The symbol with a strict majority wins a slot; a unique
 plurality also wins; remaining ties fall to the configured tie-break.
 
-Slots exist only where voters disagree. Each voter keeps its edits as
-its alignment result records them, with the slot key of each; the edits
-it casts at a slot are the run of that key, found by bisection. A
-character slot where every voter casts the pivot's character, or a gap
-where nobody inserts, has one symbol with all the votes, so it keeps the
-pivot's text at no cost. Only the contested slots are resolved, and
-their results are spliced into the pivot text. A slot is decided by its
-voters' symbols; their confidences are read only where the leaders tie
-under the confidence tie-break, and then summed in cast order (the
-pivot first, then the voters by index), which fixes how each sum rounds.
-The pivot casts through the same rule as every voter, as a voter
-with no edits: its own character (and confidence) at a character slot,
-no insertion at a gap.
+Each voter keeps its edits as its alignment result records them, with
+the slot key of each; the edits it casts at a slot are the run of that
+key, found by bisection. Only a slot where at least half the voters have
+an edit is resolved, and its result spliced into the pivot text; every
+other slot keeps the pivot's text at no cost. That is exact: a voter
+with no edit at a slot casts the pivot's symbol and a voter with an edit
+casts another, so with edits from fewer than half of the n voters the
+pivot's symbol has a strict majority, which wins under every tie-break
+without a confidence read. A resolved slot is decided by its voters'
+symbols; their confidences are read only where the leaders tie under the
+confidence tie-break, and then summed in cast order (the pivot first,
+then the voters by index), which fixes how each sum rounds. The pivot
+casts through the same rule as every voter, as a voter with no edits:
+its own character (and confidence) at a character slot, no insertion at
+a gap.
 
 vote_lines votes many lines in three passes: it checks every line (voter
 count, confidences when the tie-break needs them, the pivot engine), then
@@ -227,15 +229,18 @@ def vote_lines(lines: Iterable[Sequence[VoterOutput]], config: VotingConfig) -> 
 
 
 def _voted_text(text: str, voters: Sequence[_Edits], config: VotingConfig) -> str:
-    """The pivot's text with each contested slot replaced by its result;
-    voters starts with the pivot's own, which has no edits."""
-    contested = set().union(*(v.keys for v in voters))
-    if not contested:
-        return text
+    """The pivot's text with each slot where at least half the voters have
+    an edit replaced by its result; voters starts with the pivot's own,
+    which has no edits."""
+    editors: dict[int, int] = {}  # slot key -> voters with an edit there
+    for v in voters:
+        for key in dict.fromkeys(v.keys):  # a voter's insertions repeat a key
+            editors[key] = editors.get(key, 0) + 1
+    n = len(voters)
 
     pieces: list[str] = []
     done = 0  # pivot characters already in pieces
-    for key in sorted(contested):
+    for key in sorted(k for k, count in editors.items() if 2 * count >= n):
         pos = key >> 1
         pieces.append(text[done:pos])
         pieces.append(_resolve(key, text, voters, config))

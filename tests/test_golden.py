@@ -87,10 +87,24 @@ EVAL_DIGESTS = {
     ("errors", "markdown", True): "b16fd7d72b6f3b07804df88ebcb0672247f03bc76e4fde5c21cd3301965d6028",
 }
 
+# tie-break -> pivot -> digest: the longest text (e0 on four of the six
+# lines, e1 on two), the first voter (e0), and engine e1.
 VOTE_DIGESTS = {
-    "first_voter": "2a478ed940e01bc13b2c72a1694a19d1ba1a7a7e1e7237e58a06ac34773691e3",
-    "confidence": "2ef1abcc63d689db37423020d8fc2138d4757ee7a40deb05ef4b5e35ebc9a8d9",
-    "abstain_to_pivot": "ad7ea1b5dda75e153353a62f0abb8f297f2ec8b45867c11c24ee68accee3d4df",
+    "first_voter": {
+        "longest": "2a478ed940e01bc13b2c72a1694a19d1ba1a7a7e1e7237e58a06ac34773691e3",
+        "first": "2a478ed940e01bc13b2c72a1694a19d1ba1a7a7e1e7237e58a06ac34773691e3",
+        "e1": "837ec86649de29df31e6cdde80295486f9cce28c1389b4d54477edec61a25593",
+    },
+    "confidence": {
+        "longest": "2ef1abcc63d689db37423020d8fc2138d4757ee7a40deb05ef4b5e35ebc9a8d9",
+        "first": "2ef1abcc63d689db37423020d8fc2138d4757ee7a40deb05ef4b5e35ebc9a8d9",
+        "e1": "5a54f637b30b51c8276979fcb2a4e776b6672c92720712d48f26360a0047dc8d",
+    },
+    "abstain_to_pivot": {
+        "longest": "ad7ea1b5dda75e153353a62f0abb8f297f2ec8b45867c11c24ee68accee3d4df",
+        "first": "2a478ed940e01bc13b2c72a1694a19d1ba1a7a7e1e7237e58a06ac34773691e3",
+        "e1": "4844315be60f11e7c156f2df08163564801ab140c083c4ce544d98c3538278d5",
+    },
 }
 
 
@@ -235,17 +249,18 @@ def test_report_reemits_k_and_dictionary_corpus(eval_tree, tmp_path, capsys, fmt
 
 @pytest.mark.parametrize("tie_break", list(VOTE_DIGESTS))
 def test_voted_lines(vote_tree, tmp_path, capsys, tie_break):
-    out = tmp_path / "voted"
-    argv = ["vote", "--pred", str(vote_tree), "--out", str(out), "--tie-break", tie_break]
-    for engine in VOTERS:
-        argv += ["--engine", engine]
-    assert run(argv + ["--pivot", "longest"]) == 0, capsys.readouterr().err
-    files = sorted(out.rglob("*.pred.voted.txt"))
-    assert len(files) == sum(len(lines) for lines in VOTERS["e0"].values())
-    listing = b"".join(
-        f.relative_to(out).as_posix().encode() + b"\0" + f.read_bytes() for f in files
-    )
-    assert sha256(listing) == VOTE_DIGESTS[tie_break]
+    for pivot, digest in VOTE_DIGESTS[tie_break].items():
+        out = tmp_path / pivot
+        argv = ["vote", "--pred", str(vote_tree), "--out", str(out), "--tie-break", tie_break]
+        for engine in VOTERS:
+            argv += ["--engine", engine]
+        assert run(argv + ["--pivot", pivot]) == 0, capsys.readouterr().err
+        files = sorted(out.rglob("*.pred.voted.txt"))
+        assert len(files) == sum(len(lines) for lines in VOTERS["e0"].values())
+        listing = b"".join(
+            f.relative_to(out).as_posix().encode() + b"\0" + f.read_bytes() for f in files
+        )
+        assert sha256(listing) == digest, pivot
 
 
 @pytest.mark.parametrize("tree", ["eval_tree", "unmapped_tree"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraktur_bench import voting
 from fraktur_bench.align import OpKind, align, align_many
 from fraktur_bench.errors import VotingError
 from fraktur_bench.voting import (
@@ -192,6 +193,24 @@ def tie_heavy_voters(draw) -> list[VoterOutput]:
             st.none()
             | st.lists(st.sampled_from(CONFIDENCES), min_size=len(text), max_size=len(text)).map(tuple)
         )
+        outputs.append(VoterOutput(f"e{i}", text, confidences))
+    return outputs
+
+
+@st.composite
+def noisy_copies(draw) -> list[VoterOutput]:
+    """3-7 noisy copies of one 20-80 character text over 2-4 letters, all
+    with drawn confidences or none: most contested slots have one
+    dissenter, which the pivot's symbol outvotes."""
+    alphabet = "abcd"[: draw(st.integers(min_value=2, max_value=4))]
+    base = draw(st.text(alphabet=alphabet, min_size=20, max_size=80))
+    rng = draw(st.randoms(use_true_random=False))
+    rate = draw(st.sampled_from((0.01, 0.03, 0.08)))
+    with_confidences = draw(st.booleans())
+    outputs = []
+    for i in range(draw(st.integers(min_value=3, max_value=7))):
+        text = noisy_copy(rng, base, rate, alphabet)
+        confidences = tuple(rng.choice(CONFIDENCES) for _ in text) if with_confidences else None
         outputs.append(VoterOutput(f"e{i}", text, confidences))
     return outputs
 
@@ -413,13 +432,49 @@ class TestConfidenceReads:
         assert [o.confidences.reads for o in outputs] == reads
 
 
+class TestSlotsResolved:
+    """Only a slot where at least half the voters have an edit is
+    resolved; elsewhere the pivot's symbol holds a strict majority."""
+
+    @pytest.mark.parametrize("tie_break", ["first_voter", "abstain_to_pivot"])
+    @pytest.mark.parametrize(
+        "texts, resolved",
+        [
+            (("Die Sonne scheint", "Die Sonne schient", "Dle Sonne scheint"), 0),
+            (("Haus", "Hans", "Hans"), 1),
+            (("Haus", "Hans", "Hals", "Haus"), 1),  # 2 of 4 edit: a 2-2 split is possible
+            (("Haus", "Hans", "Hals", "Haus", "Haus"), 0),
+            (("Haus", "Hans"), 1),
+        ],
+    )
+    def test_resolve_calls(self, monkeypatch, tie_break, texts, resolved):
+        calls = []
+        resolve = voting._resolve
+
+        def spy(*args):
+            calls.append(args[0])
+            return resolve(*args)
+
+        monkeypatch.setattr(voting, "_resolve", spy)
+        outputs = voters(*texts)
+        config = VotingConfig(tie_break=tie_break)
+        assert vote_one(outputs, config) == reference_text(outputs, config)
+        assert len(calls) == resolved
+
+
 class TestMatchesReference:
-    """vote_lines builds slots only where voters disagree; the text it votes
-    must be the reference voter's, tie-breaks and float sums included."""
+    """vote_lines resolves only the slots where at least half the voters
+    edit; the text it votes must be the reference voter's, which resolves
+    every slot, tie-breaks and float sums included."""
 
     @settings(max_examples=600)
     @given(tie_heavy_voters())
     def test_tie_heavy_voters(self, outputs):
+        assert_votes_like_reference(outputs)
+
+    @settings(max_examples=120, deadline=None)
+    @given(noisy_copies())
+    def test_noisy_copies_of_one_text(self, outputs):
         assert_votes_like_reference(outputs)
 
     @pytest.mark.parametrize(
