@@ -15,7 +15,6 @@ with two decimals. Emission is deterministic byte for byte.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from collections import Counter, namedtuple
@@ -390,6 +389,8 @@ def _all_rows(report: EvaluationReport):
 
 
 def _report_to_csv(report: EvaluationReport) -> bytes:
+    import csv  # here, not at set-up: only the csv format writes it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["dataset", "engine", "micro_cer", "macro_cer", "lines", "gt_chars", "distance"])
@@ -470,6 +471,8 @@ def emit_errors_report(report: EvaluationReport, format: str) -> bytes:
         }
         return dump_json(payload)
     if format == "csv":
+        import csv  # here, not at set-up: only the csv format writes it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["engine", "gt_seq", "pred_seq", "count"])

@@ -17,10 +17,8 @@ written atomically (temp file plus rename).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
-import json
 import os
 import sys
 from collections.abc import Callable
@@ -404,6 +402,8 @@ def _cmd_prepare_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_prepare_verify(args: argparse.Namespace) -> int:
+    import csv  # here, not at set-up: only verify reads CSV
+
     books = _load_manifests(args.manifest)
     expected: list[tuple[str, int, int]] = []
     text = read_utf8(posix_path(args.expected), ManifestError)
@@ -651,6 +651,8 @@ def run(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ToolkitError as exc:
         if args.error_json:
+            import json  # here, not at set-up: most runs raise no error
+
             print(
                 json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
                 file=sys.stderr,

@@ -17,7 +17,6 @@ import os
 import re
 from functools import cache
 from itertools import chain, repeat
-from json import JSONEncoder, dumps, loads
 
 from .errors import ManifestError
 
@@ -25,9 +24,6 @@ _SCALARS = (str, int, float, type(None))
 _LISTS = (list, tuple)
 # How a \uD800-\uDFFF escape starts.
 _SURROGATE_ESCAPES = ("\\ud", "\\uD")
-# A field of an output: what lies between a JSON string's quotes, CSV
-# commas, Markdown bars and line breaks.
-_FIELD = re.compile('[^",|\n]+')
 
 
 # A kind: the (test, message) steps a member of a stored file must pass, in
@@ -63,7 +59,10 @@ def utf8(text: str) -> bytes:
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        field = next(m[0] for m in _FIELD.finditer(text) if m.end() > exc.start).strip(" #")
+        # A field of an output: what lies between a JSON string's quotes,
+        # CSV commas, Markdown bars and line breaks.
+        fields = re.finditer('[^",|\n]+', text)
+        field = next(m[0] for m in fields if m.end() > exc.start).strip(" #")
         try:
             name = os.fsencode(field)
         except UnicodeEncodeError:  # a surrogate below U+DC80 or above U+DCFF
@@ -89,16 +88,18 @@ def load_json(data: bytes | str, kind: str, version: int, error: type[Exception]
     the kind, for anything else: bytes not UTF-8, nesting too deep, or a
     surrogate escape outside a pair, which json decodes to a lone surrogate
     that no UTF-8 output can hold."""
+    import json  # here, not at set-up: vote and normalize read no JSON
+
     try:
         data = data.decode("utf-8") if isinstance(data, bytes) else data
-        payload = loads(data)
+        payload = json.loads(data)
     except UnicodeDecodeError as exc:
         raise error(f"{kind} is not valid UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # also an integer over int_max_str_digits
         raise error(f"{kind} is not valid JSON: {exc}") from exc
     if any(escape in data for escape in _SURROGATE_ESCAPES):
         try:
-            dumps(payload, ensure_ascii=False).encode("utf-8")  # NaN as json reads it
+            json.dumps(payload, ensure_ascii=False).encode("utf-8")  # NaN as json reads it
         except UnicodeEncodeError as exc:
             code = ord(exc.object[exc.start])
             raise error(f"{kind} holds a lone surrogate escape \\u{code:04x}") from None
@@ -111,6 +112,8 @@ def load_json(data: bytes | str, kind: str, version: int, error: type[Exception]
 
 @cache
 def _encoder(ascii: bool, depth: int):
+    from json import JSONEncoder  # here, not at set-up: vote and normalize write no JSON
+
     separators = (",\n" + "  " * depth, ": ")
     return JSONEncoder(
         sort_keys=True, ensure_ascii=ascii, separators=separators, allow_nan=False

@@ -21,9 +21,7 @@ paths), so corpora can relocate freely.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import random
 import re
 import sys
 from collections import Counter, namedtuple
@@ -38,11 +36,6 @@ SCHEDULE_SCHEMA_VERSION = 1
 
 STAGE_ORDER = ("pretraining", "synthetic", "real", "refinement")
 
-# A line file's name: its line id, then the longest suffix it ends with
-# (the shortest id that leaves a whole suffix). Other names do not match.
-_LINE_FILE = re.compile(
-    "(.*?)(" + "|".join(map(re.escape, (GT_SUFFIX, *IMAGE_SUFFIXES))) + ")", re.DOTALL
-)
 # What an image's line ids carry after the id its longest suffix leaves:
 # l1.bin.png is the sibling of l1 and of l1.bin.
 _IMAGE_TAILS = {
@@ -77,11 +70,16 @@ def scan_corpus(root: str | os.PathLike, corpus_id: str) -> list[BookEntry]:
     reported on stderr and excluded. An unreadable root and a root without
     book directories are errors.
     """
+    # A line file's name: its line id, then the longest suffix it ends with
+    # (the shortest id that leaves a whole suffix). Other names do not match.
+    line_file = re.compile(
+        "(.*?)(" + "|".join(map(re.escape, (GT_SUFFIX, *IMAGE_SUFFIXES))) + ")", re.DOTALL
+    ).fullmatch
     books: list[BookEntry] = []
     for book_id, _, names in list_books(root, "corpus root"):
         gt_ids: list[str] = []
         images: list[tuple[str, str, str]] = []  # (name, line id, suffix)
-        for match in filter(None, map(_LINE_FILE.fullmatch, names)):
+        for match in filter(None, map(line_file, names)):
             line_id, suffix = match.groups()
             if suffix == GT_SUFFIX:
                 gt_ids.append(line_id)
@@ -126,6 +124,9 @@ def refinement_sample(book: BookEntry, cap: int, seed: int) -> list[str]:
         raise ManifestError(f"cap must be >= 1, got {cap}")
     if book.line_count <= cap:
         return sorted(book.line_ids)
+    import hashlib  # here, not at set-up: only refine and schedule sample
+    import random
+
     material = b":".join(map(utf8, (str(seed), book.corpus_id, book.book_id)))
     book_seed = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
     rng = random.Random(book_seed)

@@ -22,7 +22,6 @@ when a rewrite exposes new rule sources at sequence boundaries.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import unicodedata
 from collections import namedtuple
@@ -63,6 +62,8 @@ class NormalizationRuleSet(namedtuple("NormalizationRuleSet", "rules name", defa
     @property
     def checksum(self) -> str:
         """Stable content hash, recorded in reports to pin the rule set used."""
+        import hashlib  # here, not at set-up: normalize and vote hash nothing
+
         digest = hashlib.sha256()
         for source, target in self.rules:
             digest.update(source.encode("utf-8"))

@@ -13,7 +13,7 @@ import fraktur_bench
 from fraktur_bench import BookEntry, Codec, NormalizationRuleSet, VoterOutput, VotingConfig
 from fraktur_bench.errors import CodecError, ManifestError, RuleSetError, VotingError
 
-from trees import package_env
+from trees import make_gt_tree, make_pred_tree, package_env
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(fraktur_bench.__path__))
 SOURCES = sorted(Path(fraktur_bench.__file__).parent.glob("*.py"))
@@ -30,10 +30,10 @@ def test_package_attribute_is_the_submodule(name):
     assert getattr(fraktur_bench, name) is module
 
 
-def module_imports(tree: ast.Module) -> list[str]:
-    """The names bound by the module-level imports of a module."""
+def imported_names(nodes) -> list[str]:
+    """The names bound by the imports among nodes."""
     names = []
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             names += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -50,13 +50,33 @@ def exported(tree: ast.Module) -> set[str]:
     return set()
 
 
+def own_nodes(node: ast.AST):
+    """The nodes inside node, leaving out the insides of the functions,
+    lambdas and classes it holds."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            yield from own_nodes(child)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     """No linter runs on this package, so an import that nothing reads
-    would otherwise stay unnoticed."""
+    would otherwise stay unnoticed. An import inside a function, which
+    keeps a module out of set-up until that function runs, must be read
+    in that function."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = [name for name in module_imports(tree) if name not in used | exported(tree)]
+    unused = [name for name in imported_names(tree.body) if name not in used | exported(tree)]
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read = {
+                node.id for node in ast.walk(function)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unused += [
+                f"{function.name}: {name}" for name in imported_names(own_nodes(function)) if name not in read
+            ]
     assert unused == []
 
 
@@ -173,6 +193,13 @@ def test_no_module_imports(forbidden):
     assert importers == []
 
 
+# hashlib, with the OpenSSL binding _hashlib, and random serve only the
+# refinement sample and the rule-set checksum of a report; json only stored
+# and written JSON and --error-json; csv only the csv formats and the
+# expected counts of prepare verify.
+LOADED_WHEN_USED = ("hashlib", "_hashlib", "random", "json", "csv", "_csv")
+
+
 def test_set_up_leaves_out_class_machinery():
     """A command's set-up, in a fresh interpreter without site-packages,
     loads none of the modules that only dataclasses needed, nor
@@ -182,14 +209,17 @@ def test_set_up_leaves_out_class_machinery():
     classes. Nor tempfile and the shutil it brings: an output's temp file
     is made with os.open. Nor fractions and the decimal and numbers it
     brings: a top-k share is a pair of ints in lowest terms. Nor pathlib
-    and the ntpath, urllib and ipaddress it brings: every path is a str."""
+    and the ntpath, urllib and ipaddress it brings: every path is a str.
+    Nor the modules that some commands never use (LOADED_WHEN_USED): the
+    functions that hash, sample, read or write JSON, and read or write CSV
+    import them."""
     code = (
         "import sys, fraktur_bench.cli\n"
         "from fraktur_bench import default_codec, default_rules\n"
         "default_codec(), default_rules()\n"
         "forbidden = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources', 'logging',"
         " 'typing', 'tempfile', 'shutil', 'fractions', 'decimal', 'numbers',"
-        " 'pathlib', 'ntpath', 'urllib', 'urllib.parse', 'ipaddress'}\n"
+        f" 'pathlib', 'ntpath', 'urllib', 'urllib.parse', 'ipaddress', *{LOADED_WHEN_USED!r}}}\n"
         "print(sorted(forbidden & set(sys.modules)))\n"
     )
     done = subprocess.run(
@@ -200,6 +230,37 @@ def test_set_up_leaves_out_class_machinery():
         check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def test_vote_and_normalize_load_none_of_the_modules_loaded_when_used(tmp_path):
+    """vote, with confidences breaking ties, and normalize neither hash,
+    sample, touch JSON nor CSV, so a whole run of each, in a fresh
+    interpreter without site-packages, loads none of LOADED_WHEN_USED."""
+    for engine, text in (("e0", "Das Jahr"), ("e1", "Das Jabr"), ("e2", "Dns Jahr")):
+        make_pred_tree(tmp_path / "pred", engine, {"B": {"l1": text}})
+        (tmp_path / "pred" / "B" / f"l1.pred.{engine}.conf").write_text(
+            " ".join(["0.5"] * len(text)) + "\n", encoding="utf-8"
+        )
+    make_gt_tree(tmp_path / "gt", {"B": {"l1": "Daß Jahr", "l2": "„Fraktur“"}})
+    vote = ["vote", "--pred", str(tmp_path / "pred"), "--engine", "e0", "--engine", "e1",
+            "--engine", "e2", "--tie-break", "confidence", "--out", str(tmp_path / "voted")]
+    normalize = ["normalize", "--in", str(tmp_path / "gt"), "--out", str(tmp_path / "normalized")]
+    code = (
+        "import sys\n"
+        "from fraktur_bench.cli import run\n"
+        f"codes = run({vote!r}), run({normalize!r})\n"
+        f"print(codes, sorted(set({LOADED_WHEN_USED!r}) & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=package_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "(0, 0) []"
+    assert (tmp_path / "voted" / "B" / "l1.pred.voted.txt").read_text(encoding="utf-8") == "Das Jahr\n"
+    assert (tmp_path / "normalized" / "B" / "l2.gt.txt").read_text(encoding="utf-8") == '"Fraktur"\n'
 
 
 RECORDS = sorted(
