@@ -57,6 +57,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from collections.abc import Sequence
+from functools import cache
 from itertools import compress, count, repeat, zip_longest
 from operator import ne
 
@@ -82,23 +83,10 @@ class EditOp(namedtuple("EditOp", "kind gt pred")):
 Edit = tuple[int, int, str, str]
 
 
-# One MATCH op per character seen, so long scripts share a few objects.
-_MATCH_OPS: dict[str, EditOp] = {}
-
-
+@cache
 def _match(c: str) -> EditOp:
-    op = _MATCH_OPS.get(c)
-    if op is None:
-        op = _MATCH_OPS[c] = EditOp(OpKind.MATCH, c, c)
-    return op
-
-
-def _matches(text: str) -> tuple[EditOp, ...]:
-    """_match(c) for every character of text."""
-    try:
-        return tuple(map(_MATCH_OPS.__getitem__, text))
-    except KeyError:  # a character not seen before
-        return tuple(map(_match, text))
+    """The MATCH op of c, one object per character: long scripts share a few."""
+    return EditOp(OpKind.MATCH, c, c)
 
 
 def _trim(gt: str, pred: str) -> tuple[int, int, int]:
@@ -274,11 +262,11 @@ class AlignmentResult(namedtuple("AlignmentResult", "gt pred edits")):
         ops: list[EditOp] = []
         gt_pos = 0
         for edit_gt_pos, _, g, p in self.edits:
-            ops += _matches(self.gt[gt_pos:edit_gt_pos])
+            ops += map(_match, self.gt[gt_pos:edit_gt_pos])
             kind = OpKind.SUBSTITUTE if g and p else OpKind.DELETE if g else OpKind.INSERT
             ops.append(EditOp(kind, g or None, p or None))
             gt_pos = edit_gt_pos + len(g)
-        ops += _matches(self.gt[gt_pos:])
+        ops += map(_match, self.gt[gt_pos:])
         return tuple(ops)
 
 

@@ -55,7 +55,7 @@ from .normalize import (
     require_replacement_in_codec,
 )
 from .pipeline import eval_pipeline, load_pred_trees, read_text_file
-from .voting import TIE_BREAKS, VOTED_ENGINE_ID, VoterOutput, VotingConfig, vote_lines
+from .voting import TIE_BREAKS, VOTED_ENGINE_ID, VotingConfig, vote_lines
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -279,10 +279,6 @@ def _load_confidences(conf_path: str | None, text: str):
     return values
 
 
-def _line_error(book: str, lid: str, exc: VotingError) -> VotingError:
-    return VotingError(f"book {book!r}, line {lid!r}: {exc}")
-
-
 def _cmd_vote(args: argparse.Namespace) -> int:
     trees = _engine_trees(args)
     config = VotingConfig(
@@ -312,24 +308,20 @@ def _cmd_vote(args: argparse.Namespace) -> int:
             f"need {config.min_voters}: {', '.join(line_ids[:10])}"
         )
 
-    def voters(book: str, lid: str) -> list[VoterOutput]:
-        inputs = [
-            (eng, text, _load_confidences(path, text))
-            for eng, text, path in sorted(found[book, lid])  # engine ids are distinct
-        ]
-        try:
-            return [VoterOutput(*voter) for voter in inputs]
-        except VotingError as exc:
-            raise _line_error(book, lid, exc) from None
-
     # vote_lines builds and checks each line before the next, and aligns
     # none before the last is checked, so the first bad line is reported.
+    # Engine ids are distinct, so a line's voters sort by engine.
+    lines = (
+        [(eng, text, _load_confidences(path, text)) for eng, text, path in sorted(found[key])]
+        for key in keys
+    )
     try:
-        texts = vote_lines((voters(book, lid) for book, lid in keys), config)
+        texts = vote_lines(lines, config)
     except VotingError as exc:
         if exc.line is None:
             raise
-        raise _line_error(*keys[exc.line], exc) from None
+        book, lid = keys[exc.line]
+        raise VotingError(f"book {book!r}, line {lid!r}: {exc}") from None
     out_root = os.path.realpath(args.out)
     voted = [
         (os.path.join(out_root, book, lid + pred_suffix(VOTED_ENGINE_ID)), (text + "\n").encode("utf-8"))

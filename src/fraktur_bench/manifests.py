@@ -198,18 +198,15 @@ def verify_counts(
     "lines", and an empty list means all expectations hold. Corpora
     absent from the manifest count as zero.
     """
-    books_by_corpus: dict[str, int] = {}
-    lines_by_corpus: dict[str, int] = {}
+    books_by_corpus = Counter(entry.corpus_id for entry in manifest)
+    lines_by_corpus: Counter[str] = Counter()
     for entry in manifest:
-        books_by_corpus[entry.corpus_id] = books_by_corpus.get(entry.corpus_id, 0) + 1
-        lines_by_corpus[entry.corpus_id] = (
-            lines_by_corpus.get(entry.corpus_id, 0) + entry.line_count
-        )
+        lines_by_corpus[entry.corpus_id] += entry.line_count
     problems: list[dict[str, object]] = []
     for corpus_id, books, lines in expected:
         for field, want, actual in (
-            ("books", books, books_by_corpus.get(corpus_id, 0)),
-            ("lines", lines, lines_by_corpus.get(corpus_id, 0)),
+            ("books", books, books_by_corpus[corpus_id]),
+            ("lines", lines, lines_by_corpus[corpus_id]),
         ):
             if actual != want:
                 problems.append(

@@ -190,19 +190,22 @@ class _Edits:
         return conf[(key >> 1) + q + (voter_c != "") - p - (pivot_c != "")]
 
 
-def vote_lines(lines: Iterable[Sequence[VoterOutput]], config: VotingConfig) -> list[str]:
-    """The voted text of each line, given as its voters' outputs.
+def vote_lines(lines: Iterable[Sequence[VoterOutput | Sequence]], config: VotingConfig) -> list[str]:
+    """The voted text of each line, given as its voters: VoterOutputs or
+    (engine_id, text, confidences) sequences.
 
     lines is read once, in order, and each line is checked as it is read,
-    before the next one is built: so the first bad line raises, whether
-    lines raises while building it or the check rejects it. A rejected
-    line's VotingError carries its index in lines as .line. Only then are
-    the non-pivot voters of every line aligned to their pivots, in one
-    align_many call, and each line's slots resolved.
+    before the next one is built; building its voters' records is part of
+    the check. So the first bad line raises, whether lines raises while
+    building it or the check rejects it. A rejected line's VotingError
+    carries its index in lines as .line. Only then are the non-pivot voters
+    of every line aligned to their pivots, in one align_many call, and each
+    line's slots resolved.
     """
     checked = []
-    for index, outputs in enumerate(lines):
+    for index, voters in enumerate(lines):
         try:
+            outputs = [VoterOutput(*voter) for voter in voters]
             checked.append((outputs, _pick_pivot(outputs, config)))
         except VotingError as exc:
             raise VotingError(str(exc), line=index) from None

@@ -7,6 +7,7 @@ import inspect
 import itertools
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -901,13 +902,29 @@ class TestDataErrorsNameTheLine:
                  "pred/B/l2.pred.e3.txt": None, "pred/B/l2.pred.e3.conf": None},
                 "book 'A', line 'l1': engine 'e1': confidence nan outside [0, 1]",
             ),
+            (
+                {"pred/B/l2.pred.e1.conf": "0.5 nan 0.5",
+                 "pred/B/l2.pred.e3.txt": None, "pred/B/l2.pred.e3.conf": None},
+                "book 'B', line 'l2': engine 'e1': confidence nan outside [0, 1]",
+            ),
+            (
+                {"pred/B/l2.pred.e1.conf": "0.5 x 0.5",
+                 "pred/B/l2.pred.e3.txt": None, "pred/B/l2.pred.e3.conf": None},
+                "{root}/pred/B/l2.pred.e1.conf: malformed confidence value: "
+                "could not convert string to float: 'x'",
+            ),
         ],
-        ids=["pivot-absent-first", "nan-first"],
+        ids=["pivot-absent-first", "nan-first", "nan-before-pivot-absent",
+             "malformed-sidecar-unlabelled"],
     )
     def test_vote_reports_the_first_bad_line(self, tmp_path, capsys, overrides, message):
         # vote checks every line before it aligns any, in (book, line)
         # order: a line whose voters cannot be built (a NaN sidecar) and a
-        # line that fails the check (no pivot engine) are reported alike
+        # line that fails the check (no pivot engine) are reported alike.
+        # Within a line, its sidecars are read first (a malformed one names
+        # its file, not the line), then its voters' records are built, then
+        # the line is checked.
+        message = message.format(root=os.path.realpath(tmp_path))
         self.build(tmp_path, overrides)
         out = tmp_path / "out"
         argv = ["vote", "--pred", str(tmp_path / "pred"), "--engine", "e1", "--engine", "e2",
@@ -1136,6 +1153,51 @@ class TestPatternStaysUnderIn:
 def tree_bytes(root: Path) -> dict[Path, bytes | None]:
     """Every path under root, with the bytes of each regular file."""
     return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+class TestNoCommandReadsOps:
+    """AlignmentResult.ops, the full edit script, is kept for the
+    benchmark's reference check only: no command reads it."""
+
+    def test_outputs_unchanged_when_ops_raises(self, corpus, monkeypatch, capsys):
+        for pred in (corpus / "pred").rglob("*.txt"):
+            text = pred.read_text(encoding="utf-8").rstrip("\n")
+            values = [f"0.{(i * 7) % 9 + 1}" for i in range(len(text))]
+            pred.with_suffix(".conf").write_text(" ".join(values) + "\n", encoding="utf-8")
+        out = corpus / "out"
+        trees = ["--gt", str(corpus / "gt"), "--pred", str(corpus / "pred"),
+                 "--engine", "abbyy", "--engine", "tess"]
+        commands = [
+            ["eval", *trees, "--format", "json", "--out", str(out / "eval.json")],
+            ["errors", *trees, "--merge-runs", "--format", "csv", "--out", str(out / "errors.csv")],
+            ["vote", "--pred", str(corpus / "pred"), "--engine", "abbyy", "--engine", "tess",
+             "--tie-break", "confidence", "--out", str(out / "voted")],
+            ["report", "--in", str(out / "eval.json"), "--format", "markdown",
+             "--out", str(out / "report.md")],
+        ]
+
+        def run_all():
+            streams = []
+            for argv in commands:
+                assert run(argv) == 0
+                streams.append(capsys.readouterr())
+            written = tree_bytes(out)
+            shutil.rmtree(out)
+            return streams, written
+
+        plain = run_all()
+
+        def refuse(result):
+            raise AssertionError("a command read AlignmentResult.ops")
+
+        monkeypatch.setattr(align_module.AlignmentResult, "ops", property(refuse))
+        with pytest.raises(AssertionError):
+            align_module.align("gut", "gnt").ops
+        assert run_all() == plain
+        assert sorted(p.relative_to(out).as_posix() for p, data in plain[1].items() if data) == [
+            "errors.csv", "eval.json", "report.md", "voted/N-1781/l1.pred.voted.txt",
+            "voted/N-1781/l2.pred.voted.txt", "voted/N-1803/l1.pred.voted.txt",
+        ]
 
 
 class TestPatternMatchesFiles:

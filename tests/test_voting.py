@@ -394,6 +394,30 @@ class TestVoteLine:
         assert once == twice
 
 
+class TestVoterRecords:
+    """vote_lines takes a line's voters as VoterOutputs or as plain
+    (engine_id, text, confidences) tuples, and builds their records as part
+    of the line's check."""
+
+    @pytest.mark.parametrize("tie_break", TIE_BREAKS)
+    def test_tuples_vote_like_records(self, tie_break):
+        lines = [
+            [("e0", "Haus", (0.9, 0.8, 0.4, 0.7)), ("e1", "Hans", (0.9, 0.8, 0.6, 0.7))],
+            [("e0", "Sonne", (0.5,) * 5), ("e1", "Somne", (0.6,) * 5), ("e2", "Sonue", (0.7,) * 5)],
+        ]
+        records = [[VoterOutput(*voter) for voter in line] for line in lines]
+        config = VotingConfig(tie_break=tie_break)
+        assert vote_lines(lines, config) == vote_lines(records, config)
+
+    def test_a_bad_record_names_its_line(self):
+        lines = [[("e0", "ab", None), ("e1", "ab", None)],
+                 [("e0", "ab", (0.5, 0.5)), ("e1", "ab", (0.5, 1.5))]]
+        with pytest.raises(VotingError) as err:
+            vote_lines(lines, VotingConfig())
+        assert err.value.line == 1
+        assert str(err.value) == "engine 'e1': confidence 1.5 outside [0, 1]"
+
+
 class CountedConfidences(tuple):
     """Confidences that count the reads of their items and slices."""
 
