@@ -10,8 +10,9 @@ One executable, one command per invocation:
     prepare     corpus manifests, refinement sampling, training schedules
     report      re-emit a stored JSON report as json, csv or markdown
 
-Exit codes: 0 success, 1 data error, 2 usage error. All output files are
-written atomically (temp file plus rename).
+Exit codes: 0 success, 1 data error, 2 usage error. Each command returns
+its outputs and run writes them, after every check: each file atomically
+(temp file plus rename), standard-output data as bytes.
 """
 
 from __future__ import annotations
@@ -78,16 +79,13 @@ _temp_serial = itertools.count()
 
 
 def write_atomic(path: str | os.PathLike, data: bytes) -> None:
-    """Write through a temp file and a rename, making the directory only
-    when it is missing; a path that cannot be written is a data error.
-    The temp file .NAME.PID.N.tmp beside the output is made with O_EXCL
-    and mode 0600: a file or symlink already there is passed over, never
-    followed."""
+    """Write through a temp file and a rename into an existing directory;
+    a path that cannot be written is a data error. The temp file
+    .NAME.PID.N.tmp beside the output is made with O_EXCL and mode 0600:
+    a file or symlink already there is passed over, never followed."""
     tmp = None
     try:
         head, tail = os.path.split(path)
-        if head and not os.path.isdir(head):
-            _make_dirs(head)
         for left in range(_TEMP_NAMES, 0, -1):
             name = os.path.join(head, f".{tail}.{os.getpid()}.{next(_temp_serial)}.tmp")
             try:
@@ -179,7 +177,7 @@ def _tree_files(src: str, pattern: str) -> list[str]:
     return files
 
 
-def _cmd_normalize(args: argparse.Namespace) -> int:
+def _cmd_normalize(args: argparse.Namespace) -> tuple[list, str | None]:
     codec = _resolve_codec(args.codec)
     rules = _resolve_rules(args.rules)
     rules.require_codec_closed(codec)
@@ -194,20 +192,15 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
         return (normalize_line(line, rules, codec, args.replacement).text + "\n").encode("utf-8")
 
     if os.path.isfile(src):
-        write_atomic(dst, normalized(src))
-        print(f"normalized 1 file -> {dst}")
-        return 0
+        return [(dst, normalized(src))], f"normalized 1 file -> {dst}"
     if not os.path.isdir(src):
         raise ManifestError(f"input {src} is neither file nor directory")
     files = _tree_files(src, args.pattern)
-    # Every file is normalized before any is written: a bad line in a later
-    # file leaves no partial output tree.
-    _write_tree([(os.path.join(dst, os.path.relpath(f, src)), normalized(f)) for f in files])
-    print(f"normalized {len(files)} file(s) -> {dst}")
-    return 0
+    outputs = [(os.path.join(dst, os.path.relpath(f, src)), normalized(f)) for f in files]
+    return outputs, f"normalized {len(files)} file(s) -> {dst}"
 
 
-def _cmd_coverage(args: argparse.Namespace) -> int:
+def _cmd_coverage(args: argparse.Namespace) -> tuple[list, str | None]:
     codec = _resolve_codec(args.codec)
     files = _tree_files(os.path.realpath(args.input), args.pattern)
     texts = [read_text_file(f) for f in files]
@@ -218,12 +211,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         "in_codec": [{"char": c, "count": n} for c, n in in_codec],
         "out_of_codec": [{"char": c, "count": n} for c, n in out_of_codec],
     }
-    data = dump_json(payload)
-    if args.out:
-        write_atomic(os.path.realpath(args.out), data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
-    return 0
+    return [(os.path.realpath(args.out) if args.out else None, dump_json(payload))], None
 
 
 def _run_eval(args: argparse.Namespace):
@@ -244,18 +232,16 @@ def _run_eval(args: argparse.Namespace):
     )
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> tuple[list, str | None]:
     report = _run_eval(args)
-    write_atomic(os.path.realpath(args.out), emit_report(report, args.format))
-    print(f"evaluated {len(report.engines)} engine(s) on {len(report.datasets)} dataset(s) -> {args.out}")
-    return 0
+    status = f"evaluated {len(report.engines)} engine(s) on {len(report.datasets)} dataset(s) -> {args.out}"
+    return [(os.path.realpath(args.out), emit_report(report, args.format))], status
 
 
-def _cmd_errors(args: argparse.Namespace) -> int:
+def _cmd_errors(args: argparse.Namespace) -> tuple[list, str | None]:
     report = _run_eval(args)
-    write_atomic(os.path.realpath(args.out), emit_errors_report(report, args.format))
-    print(f"error analytics for {len(report.engines)} engine(s) -> {args.out}")
-    return 0
+    status = f"error analytics for {len(report.engines)} engine(s) -> {args.out}"
+    return [(os.path.realpath(args.out), emit_errors_report(report, args.format))], status
 
 
 def _confidence(token: str) -> float:
@@ -279,7 +265,7 @@ def _load_confidences(conf_path: str | None, text: str):
     return values
 
 
-def _cmd_vote(args: argparse.Namespace) -> int:
+def _cmd_vote(args: argparse.Namespace) -> tuple[list, str | None]:
     trees = _engine_trees(args)
     config = VotingConfig(
         min_voters=args.min_voters,
@@ -297,8 +283,7 @@ def _cmd_vote(args: argparse.Namespace) -> int:
         raise VotingError("no predictions found for any engine")
     keys = sorted(found)
     # Every check comes before any output: a line short of voters (a
-    # thinner ensemble would skew voted-vs-single CER), then a bad sidecar
-    # while voting; the voted lines are written only after the last one.
+    # thinner ensemble would skew voted-vs-single CER), then a bad sidecar.
     short = [key for key in keys if len(found[key]) < config.min_voters]
     if short:
         book = short[0][0]
@@ -327,18 +312,15 @@ def _cmd_vote(args: argparse.Namespace) -> int:
         (os.path.join(out_root, book, lid + pred_suffix(VOTED_ENGINE_ID)), (text + "\n").encode("utf-8"))
         for (book, lid), text in zip(keys, texts)
     ]
-    _write_tree(voted)
     books = {book for book, _ in keys}
-    print(f"voted {len(voted)} line(s) across {len(books)} book(s) -> {out_root}")
-    return 0
+    return voted, f"voted {len(voted)} line(s) across {len(books)} book(s) -> {out_root}"
 
 
-def _cmd_prepare_scan(args: argparse.Namespace) -> int:
+def _cmd_prepare_scan(args: argparse.Namespace) -> tuple[list, str | None]:
     books = scan_corpus(os.path.realpath(args.root), args.corpus)
-    write_atomic(os.path.realpath(args.out), manifest_to_json(books))
     total = sum(b.line_count for b in books)
-    print(f"scanned {len(books)} book(s), {total} line(s) -> {args.out}")
-    return 0
+    status = f"scanned {len(books)} book(s), {total} line(s) -> {args.out}"
+    return [(os.path.realpath(args.out), manifest_to_json(books))], status
 
 
 def _load_manifests(paths) -> list[BookEntry]:
@@ -357,13 +339,12 @@ def _load_manifests(paths) -> list[BookEntry]:
     return books
 
 
-def _cmd_prepare_refine(args: argparse.Namespace) -> int:
+def _cmd_prepare_refine(args: argparse.Namespace) -> tuple[list, str | None]:
     books = _load_manifests(args.manifest)
     refined = [b._replace(line_ids=tuple(refinement_sample(b, args.cap, args.seed))) for b in books]
-    write_atomic(os.path.realpath(args.out), manifest_to_json(refined))
     total = sum(b.line_count for b in refined)
-    print(f"refinement subset: {total} line(s) from {len(refined)} book(s) (cap {args.cap}, seed {args.seed}) -> {args.out}")
-    return 0
+    status = f"refinement subset: {total} line(s) from {len(refined)} book(s) (cap {args.cap}, seed {args.seed}) -> {args.out}"
+    return [(os.path.realpath(args.out), manifest_to_json(refined))], status
 
 
 def _parse_stage_specs(specs) -> list[tuple[str, tuple[str, ...]]]:
@@ -383,17 +364,16 @@ def _parse_stage_specs(specs) -> list[tuple[str, tuple[str, ...]]]:
     return stages
 
 
-def _cmd_prepare_schedule(args: argparse.Namespace) -> int:
+def _cmd_prepare_schedule(args: argparse.Namespace) -> tuple[list, str | None]:
     books = _load_manifests(args.manifest)
     stages = _parse_stage_specs(args.stage)
     expanded = build_schedule(books, stages, args.cap, args.seed)
-    write_atomic(os.path.realpath(args.out), schedule_to_json(stages, args.cap, args.seed, expanded))
     counts = ", ".join(f"{name}: {len(items)}" for name, items in expanded.items())
-    print(f"schedule written -> {args.out} ({counts})")
-    return 0
+    status = f"schedule written -> {args.out} ({counts})"
+    return [(os.path.realpath(args.out), schedule_to_json(stages, args.cap, args.seed, expanded))], status
 
 
-def _cmd_prepare_verify(args: argparse.Namespace) -> int:
+def _cmd_prepare_verify(args: argparse.Namespace) -> tuple[list, str | None]:
     import csv  # here, not at set-up: only verify reads CSV
 
     books = _load_manifests(args.manifest)
@@ -417,21 +397,14 @@ def _cmd_prepare_verify(args: argparse.Namespace) -> int:
     except csv.Error as exc:  # a field over the csv module's size limit
         raise ManifestError(f"{args.expected}:{reader.reader.line_num}: {exc}") from None
     problems = verify_counts(books, expected)
-    data = dump_json(problems, ascii=True)
-    if args.out:
-        write_atomic(os.path.realpath(args.out), data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
-    # With the JSON on stdout, the status line goes to stderr so that stdout parses.
-    print(f"{len(problems)} discrepancy(ies)", file=sys.stdout if args.out else sys.stderr)
-    return 0
+    out = os.path.realpath(args.out) if args.out else None
+    return [(out, dump_json(problems, ascii=True))], f"{len(problems)} discrepancy(ies)"
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> tuple[list, str | None]:
     report = report_from_json(read_utf8(posix_path(args.input), ReportError))
-    write_atomic(os.path.realpath(args.out), emit_report(report, args.format))
-    print(f"re-emitted report as {args.format} -> {args.out}")
-    return 0
+    status = f"re-emitted report as {args.format} -> {args.out}"
+    return [(os.path.realpath(args.out), emit_report(report, args.format))], status
 
 
 def _unmapped_policy(spec: str) -> str | None:
@@ -634,13 +607,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one command line. Its handler returns (outputs, status): outputs
+    a list of (path, data), the path None for standard output, and status a
+    line or None. run makes every directory and writes every file, then the
+    standard-output data, then the status line by its bytes, on stderr when
+    stdout holds data."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
+        outputs, status = args.handler(args)
+        _write_tree([(path, data) for path, data in outputs if path is not None])
     except ToolkitError as exc:
         if args.error_json:
             import json  # here, not at set-up: most runs raise no error
@@ -652,6 +631,14 @@ def run(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1
+    data = b"".join(chunk for path, chunk in outputs if path is None)
+    sys.stdout.flush()
+    sys.stdout.buffer.write(data)
+    if status is not None:
+        stream = sys.stderr if data else sys.stdout
+        stream.flush()
+        stream.buffer.write(os.fsencode(status + "\n"))
+    return 0
 
 
 def main() -> None:

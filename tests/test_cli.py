@@ -804,6 +804,16 @@ class TestAtomicWrite:
         assert sorted(tmp_path.iterdir()) == taken
         assert [path.read_bytes() for path in taken] == [b"not ours\n"] * 2
 
+    def test_makes_no_directory(self, tmp_path):
+        """write_atomic writes into an existing directory; making the
+        directories of a command's outputs is run's job."""
+        path = tmp_path / "missing" / "r.json"
+        with pytest.raises(ToolkitError) as err:
+            cli_module.write_atomic(path, b"report\n")
+
+        assert str(err.value) == f"cannot write {path}: No such file or directory"
+        assert list(tmp_path.rglob("*")) == []
+
 
 class TestDataErrorsNameTheLine:
     """A data error in one line names its book and line, and whose text it
@@ -1348,6 +1358,32 @@ class TestEvalCommand:
         assert run(self.eval_args(corpus, out)) == 0
         assert run(self.eval_args(corpus, corpus / "report.json")) == 0
         assert out.read_bytes() == (corpus / "report.json").read_bytes()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["errors", "--gt", "{root}/gt", "--pred", "{root}/pred", "--engine", "abbyy",
+             "--engine", "tess", "--out", "{out}"],
+            ["report", "--in", "{root}/report.json", "--format", "csv", "--out", "{out}"],
+            ["prepare", "scan", "--root", "{root}/gt", "--corpus", "N", "--out", "{out}"],
+            ["prepare", "refine", "--manifest", "{root}/N.json", "--cap", "1", "--out", "{out}"],
+            ["prepare", "schedule", "--manifest", "{root}/N.json", "--stage", "real=N", "--out", "{out}"],
+            ["prepare", "verify", "--manifest", "{root}/N.json", "--expected", "{root}/e.csv",
+             "--out", "{out}"],
+            ["coverage", "--in", "{root}/gt", "--out", "{out}"],
+        ],
+        ids=["errors", "report", "scan", "refine", "schedule", "verify", "coverage"],
+    )
+    def test_every_out_in_new_directory(self, corpus, capsys, argv):
+        assert run(self.eval_args(corpus, corpus / "report.json")) == 0
+        scan = ["prepare", "scan", "--root", str(corpus / "gt"), "--corpus", "N"]
+        assert run([*scan, "--out", str(corpus / "N.json")]) == 0
+        (corpus / "e.csv").write_text("corpus_id,books,lines\nN,2,4\n", encoding="utf-8")
+        out = corpus / "new" / "dir" / "out"
+        assert run([a.format(root=corpus, out=out) for a in argv]) == 0
+        assert run([a.format(root=corpus, out=corpus / "out") for a in argv]) == 0
+        assert out.read_bytes() == (corpus / "out").read_bytes()
         capsys.readouterr()
 
     def test_codec_and_rules_files(self, corpus, capsys):
@@ -2245,6 +2281,40 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "fraktur-bench" in proc.stdout
+
+
+class TestStandardOutputBytes:
+    """run writes standard-output data as the bytes --out would hold, and a
+    status line by the bytes of the paths it names, whatever the encoding
+    of standard output."""
+
+    def cli(self, argv: list, encoding: str) -> subprocess.CompletedProcess:
+        env = {**package_env(), "PYTHONIOENCODING": encoding}
+        return subprocess.run([sys.executable, "-m", "fraktur_bench.cli", *argv], capture_output=True, env=env)
+
+    @pytest.mark.parametrize(
+        "encoding, text", [("ascii", "Das Jahr ä"), ("latin-1", "gut und ſchön")], ids=["ascii", "latin-1"]
+    )
+    def test_data_on_stdout(self, tmp_path, encoding, text):
+        gt = make_gt_tree(tmp_path / "gt", {"N-1": {"l1": text}})
+        out = tmp_path / "coverage.json"
+        to_stdout = self.cli(["coverage", "--in", str(gt)], encoding)
+        to_file = self.cli(["coverage", "--in", str(gt), "--out", str(out)], encoding)
+        assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+        assert to_stdout.stdout == out.read_bytes()
+
+    def test_status_names_a_path_by_its_bytes(self, tmp_path):
+        gt = make_gt_tree(tmp_path / "gt", {"N-1": {"l1": "Das Jahr"}})
+        out = os.fsencode(tmp_path) + b"/out\xff"
+        try:
+            os.mkdir(out)
+        except OSError:
+            pytest.skip("the file system refuses names that are not UTF-8")
+        proc = self.cli(["normalize", "--in", str(gt), "--out", out], "utf-8")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.endswith(b"out\xff\n")
+        assert (Path(os.fsdecode(out)) / "N-1" / "l1.gt.txt").read_bytes() == b"Das Jahr\n"
 
 
 class TestNoNumpy:

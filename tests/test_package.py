@@ -165,6 +165,23 @@ def test_only_lines_reads_files():
     assert found == dict.fromkeys(found, [])
 
 
+def test_only_run_writes_output():
+    """Each command handler in cli returns its outputs and status line, and
+    run alone writes them, after the handler's last check; a handler that
+    wrote or printed itself could leave a partial output behind an error."""
+    tree = ast.parse((Path(fraktur_bench.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    handlers = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_cmd_")]
+    found = [
+        f"{handler.name}:{node.lineno}: {ast.unparse(node)}"
+        for handler in handlers
+        for node in ast.walk(handler)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("write_atomic", "_write_tree", "print")
+        or isinstance(node, ast.Attribute) and ast.unparse(node) in ("sys.stdout", "sys.stderr")
+    ]
+    assert len(handlers) == 10
+    assert found == []
+
+
 @pytest.mark.parametrize("forbidden", ["dataclasses", "typing", "tempfile", "fractions", "pathlib"])
 def test_no_module_imports(forbidden):
     """Every command imports every record type, and the records are

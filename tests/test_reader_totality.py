@@ -135,7 +135,8 @@ def run_reader(root: Path, kind: str, flags: list[str]) -> tuple[int, str]:
     paths = {"root": root, "bad": root / name, "out": root / "out"}
     stderr = io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = run([*flags, *(a.format(**paths) for a in argv)])  # a traceback raises here
         if code == 0 and writes_json:
             strict_json((root / "out.json").read_bytes())
